@@ -205,53 +205,6 @@ def list_names() -> list[str]:
     return names
 
 
-_FIELD_ORDER = [
-    "dim",
-    "lower_central_dims",
-    "upper_central_dims",
-    "derived_series_dims",
-    "center_dim",
-    "derivation_dim",
-    "h1_dim",
-    "h2_dim",
-    "nilpotency_class",
-    "solvable_length",
-    "abelian",
-]
-
-
-def _compute_field(g: LieAlgebra, fieldname: str):
-    """Compute a single signature component without paying for the rest."""
-    from . import cohomology
-
-    if fieldname == "dim":
-        return g.dim
-    if fieldname == "lower_central_dims":
-        return tuple(s.dim for s in g.lower_central_series()) or (0,)
-    if fieldname == "upper_central_dims":
-        return tuple(s.dim for s in g.upper_central_series()) or (0,)
-    if fieldname == "derived_series_dims":
-        return tuple(s.dim for s in g.derived_series()) or (0,)
-    if fieldname == "center_dim":
-        return g.center().dim
-    if fieldname == "derivation_dim":
-        return cohomology.derivation_dims(g)[0]
-    if fieldname == "h1_dim":
-        der, inn = cohomology.derivation_dims(g)
-        return der - inn
-    if fieldname == "h2_dim":
-        return cohomology.schur_multiplier_dim(g)
-    if fieldname == "nilpotency_class":
-        c = g.is_nilpotent()
-        return -1 if c is None else c
-    if fieldname == "solvable_length":
-        c = g.is_solvable()
-        return -1 if c is None else c
-    if fieldname == "abelian":
-        return g.is_abelian()
-    raise KeyError(fieldname)
-
-
 @dataclass
 class VerifyItem:
     entry: str
@@ -283,15 +236,11 @@ def verify_all() -> CatalogReport:
     for name in list_names():
         entry = get(name)
         items.append(VerifyItem(name, "jacobi", None, entry.algebra.check_jacobi()))
-        for fieldname in _FIELD_ORDER:
+        sig = entry.signature()
+        for fieldname in Signature._fields:
             if fieldname in entry.expected:
                 items.append(
-                    VerifyItem(
-                        name,
-                        fieldname,
-                        entry.expected[fieldname],
-                        _compute_field(entry.algebra, fieldname),
-                    )
+                    VerifyItem(name, fieldname, entry.expected[fieldname], getattr(sig, fieldname))
                 )
     # documented coincidences hold as signature equalities
     coincidences = [

@@ -149,10 +149,11 @@ def cmd_cohomology(args) -> int:
     else:
         rep = cohomology.trivial_rep(g, args.module_dim)
     report = Report("cohomology")
+    complex_ = cohomology.CochainComplex(g, rep)
     degrees = [args.k] if args.k is not None else list(range(g.dim + 1))
     for k in degrees:
-        z = cohomology.cocycle_space(k, g, rep).dim
-        b = cohomology.coboundary_space(k, g, rep).dim
+        z = complex_.cocycle_dim(k)
+        b = complex_.coboundary_dim(k)
         report.add(f"H^{k}", None, {"dim_Z": z, "dim_B": b, "dim_H": z - b}, ok=True)
     return _finish(args, report, t0)
 
@@ -357,7 +358,7 @@ def cmd_verify_all(args) -> int:
     sl2 = catalog.get("sl2").algebra
     der, inn = cohomology.derivation_dims(sl2)
     report.add("sl2_der_inn", (3, 3), (der, inn))
-    report.add("sl2_h2", 0, cohomology.schur_multiplier_dim(sl2))
+    report.add("sl2_h2", 0, cohomology.adjoint_h2_dim(sl2))
     rr = deform.rigidity_report(sl2)
     report.add("sl2_rigidity", (6, 6, True, True),
                (rr.orbit_tangent_dim, rr.dim_b2, rr.nr_rigid, rr.tangent_equals_b2))
@@ -366,8 +367,9 @@ def cmd_verify_all(args) -> int:
     for name in catalog.list_names():
         g = catalog.get(name).algebra
         for rep in (cohomology.adjoint_rep(g), cohomology.trivial_rep(g, 1)):
+            complex_ = cohomology.CochainComplex(g, rep)
             for k in range(g.dim + 1):
-                d2_ok = d2_ok and cohomology.d_squared_check(g, rep, k)
+                d2_ok = d2_ok and complex_.d_squared_zero(k)
     report.add("d_squared_zero", True, d2_ok)
 
     ss_ok = True

@@ -17,6 +17,7 @@ Conventions, fixed once:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Mapping, Sequence
 
 from .exactnum import GaussRat, LieqError, ZERO, gauss
@@ -154,20 +155,6 @@ class Cochain:
     def value(self, key: tuple[int, ...]) -> Vec:
         return dict(self.coords.get(tuple(key), {}))
 
-    def eval_pair(self, w: Vec, j: int) -> Vec:
-        """Bilinear-alternating evaluation c(w, e_j) for degree-2 cochains."""
-        if self.degree != 2:
-            raise ValueError("eval_pair needs a degree-2 cochain")
-        out: Vec = {}
-        for l, coeff in w.items():
-            if l == j:
-                continue
-            key = (l, j) if l < j else (j, l)
-            stored = self.coords.get(key)
-            if stored:
-                vec_add(out, stored, coeff if l < j else -coeff)
-        return out
-
     def is_zero(self) -> bool:
         return not self.coords
 
@@ -216,10 +203,37 @@ def _insert_sorted(base: tuple[int, ...], item: int) -> tuple[tuple[int, ...], i
     return base[:pos] + (item,) + base[pos:], pos
 
 
+def _slot_terms(g: LieAlgebra, key: tuple[int, ...]):
+    """The differential pushed forward from the single slot key: d of the
+    cochain with value v at key is the sum, over the yielded
+    (target, factor, a), of factor * w at target, where w = rho(e_a) v for a
+    module-action term and w = v for a bracket term (a is None).  Pushing
+    forward instead of evaluating over all output tuples makes the cost
+    track the sparsity of the cochain and of the bracket."""
+    in_key = set(key)
+    # module-action terms: insert a fresh index a
+    for a in range(g.dim):
+        if a not in in_key:
+            target, pos = _insert_sorted(key, a)
+            yield target, GaussRat(-1 if pos % 2 else 1), a
+    # bracket terms: replace one slot l by a bracket pair (a, b)
+    for pos_l, l in enumerate(key):
+        rest = key[:pos_l] + key[pos_l + 1 :]
+        rest_set = set(rest)
+        sign_l = -1 if pos_l % 2 else 1
+        for (a, b), bvec in g.brackets.items():
+            coeff = bvec.get(l)
+            if coeff is None or a in rest_set or b in rest_set:
+                continue
+            with_a, pa = _insert_sorted(rest, a)
+            target, pb = _insert_sorted(with_a, b)
+            # 1-based positions of a and b inside the target tuple
+            sign_ab = -1 if (pa + 1 + pb + 1) % 2 else 1
+            yield target, coeff * (sign_ab * sign_l), None
+
+
 def differential(c: Cochain, rep: Representation) -> Cochain:
-    """The degree-raising differential, computed by pushing every stored
-    coordinate forward instead of evaluating over all output tuples, so the
-    cost tracks the sparsity of c and of the bracket."""
+    """The degree-raising differential of a cochain."""
     if c.source is not rep.source and not c.source.same_constants(rep.source):
         raise SourceMismatch("cochain and representation live on different algebras")
     if c.module_dim != rep.module_dim:
@@ -228,39 +242,12 @@ def differential(c: Cochain, rep: Representation) -> Cochain:
         raise ValueError("top-degree cochains map into the zero space")
     g = c.source
     out: dict[tuple[int, ...], Vec] = {}
-
-    def accumulate(key: tuple[int, ...], vec: Vec, sign: int, scale: GaussRat | None = None):
-        slot = out.setdefault(key, {})
-        factor = GaussRat(sign) if scale is None else scale * sign
-        vec_add(slot, vec, factor)
-        if not slot:
-            del out[key]
-
     for key, vec in c.coords.items():
-        in_key = set(key)
-        # module-action terms: insert a fresh index a
-        for a in range(g.dim):
-            if a in in_key:
-                continue
-            moved = rep.apply(a, vec)
-            if not moved:
-                continue
-            target, pos = _insert_sorted(key, a)
-            accumulate(target, moved, -1 if pos % 2 else 1)
-        # bracket terms: replace one slot l by a bracket pair (a, b)
-        for pos_l, l in enumerate(key):
-            rest = key[:pos_l] + key[pos_l + 1 :]
-            rest_set = set(rest)
-            sign_l = -1 if pos_l % 2 else 1
-            for (a, b), bvec in g.brackets.items():
-                coeff = bvec.get(l)
-                if coeff is None or a in rest_set or b in rest_set:
-                    continue
-                with_a, pa = _insert_sorted(rest, a)
-                target, pb = _insert_sorted(with_a, b)
-                # 1-based positions of a and b inside the target tuple
-                sign_ab = -1 if (pa + 1 + pb + 1) % 2 else 1
-                accumulate(target, vec, sign_ab * sign_l, coeff)
+        for target, factor, a in _slot_terms(g, key):
+            slot = out.setdefault(target, {})
+            vec_add(slot, vec if a is None else rep.apply(a, vec), factor)
+            if not slot:
+                del out[target]
     return Cochain(g, c.degree + 1, c.module_dim, out)
 
 
@@ -274,19 +261,7 @@ def cochain_tuples(n: int, k: int) -> list[tuple[int, ...]]:
 def cochain_space_dim(n: int, k: int, m: int) -> int:
     if k < 0 or k > n:
         return 0
-    import math
-
     return math.comb(n, k) * m
-
-
-def cochain_to_coordinates(c: Cochain) -> Vec:
-    index = {key: pos for pos, key in enumerate(cochain_tuples(c.source.dim, c.degree))}
-    out: Vec = {}
-    for key, vec in c.coords.items():
-        base = index[key] * c.module_dim
-        for i, value in vec.items():
-            out[base + i] = value
-    return out
 
 
 def cochain_from_coordinates(g: LieAlgebra, k: int, m: int, flat: Vec) -> Cochain:
@@ -305,118 +280,137 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[Vec]
     if k >= g.dim:
         # C^{k+1} vanishes, so d is the zero map
         return [{} for _ in range(cochain_space_dim(g.dim, k, m))]
+    offset = {key: pos * m for pos, key in enumerate(cochain_tuples(g.dim, k + 1))}
+    unit = [{i: GaussRat(1)} for i in range(m)]
+    # action[a][i] = rho(e_a) e_i, a column of the module action
+    action = [
+        [{r: row[i] for r, row in enumerate(mat) if i in row} for i in range(m)]
+        for mat in rep.matrices
+    ]
     columns: list[Vec] = []
     for key in cochain_tuples(g.dim, k):
+        terms = list(_slot_terms(g, key))
         for i in range(m):
-            delta = Cochain(g, k, m, {key: {i: GaussRat(1)}})
-            columns.append(cochain_to_coordinates(differential(delta, rep)))
+            col: Vec = {}
+            for target, factor, a in terms:
+                base = offset[target]
+                moved = unit[i] if a is None else action[a][i]
+                vec_add(col, {base + r: value for r, value in moved.items()}, factor)
+            columns.append(col)
     return columns
 
 
-def _columns_to_rows(columns: Sequence[Vec]) -> list[Vec]:
-    rows: dict[int, Vec] = {}
-    for c, col in enumerate(columns):
-        for r, value in col.items():
-            rows.setdefault(r, {})[c] = value
-    return list(rows.values())
+class CochainComplex:
+    """The Chevalley-Eilenberg complex C^*(g; rep) for the span of one call.
+
+    Each d_k is built at most once, by differential_matrix, and its rank is
+    computed at most once, so every dimension read off the same complex
+    shares that work.  The object caches nothing beyond its own lifetime.
+    """
+
+    def __init__(self, g: LieAlgebra, rep: Representation):
+        self.g = g
+        self.rep = rep
+        self._columns: dict[int, list[Vec]] = {}
+        self._ranks: dict[int, int] = {}
+
+    def dim(self, k: int) -> int:
+        """dim C^k."""
+        return cochain_space_dim(self.g.dim, k, self.rep.module_dim)
+
+    def columns(self, k: int) -> list[Vec]:
+        """d_k as sparse columns (see differential_matrix)."""
+        if k not in self._columns:
+            self._columns[k] = differential_matrix(k, self.g, self.rep)
+        return self._columns[k]
+
+    def rows(self, k: int) -> list[Vec]:
+        """The nonzero rows of d_k in ascending row order, which reduces
+        much faster than the order in which rows first appear in columns."""
+        by_row: dict[int, Vec] = {}
+        for c, col in enumerate(self.columns(k)):
+            for r, value in col.items():
+                by_row.setdefault(r, {})[c] = value
+        return [by_row[r] for r in sorted(by_row)]
+
+    def rank(self, k: int) -> int:
+        """rank d_k, which is zero from the top degree on."""
+        if k >= self.g.dim:
+            return 0
+        if k not in self._ranks:
+            self._ranks[k] = rank(self.rows(k), self.dim(k))
+        return self._ranks[k]
+
+    def cocycle_dim(self, k: int) -> int:
+        return self.dim(k) - self.rank(k)
+
+    def coboundary_dim(self, k: int) -> int:
+        return self.rank(k - 1) if k > 0 else 0
+
+    def cohomology_dim(self, k: int) -> int:
+        return self.cocycle_dim(k) - self.coboundary_dim(k)
+
+    def cocycles(self, k: int) -> Subspace:
+        """Z^k as a subspace of the coordinate space of k-cochains."""
+        if k >= self.g.dim:
+            return Subspace.full(self.dim(k))
+        return Subspace(self.dim(k), nullspace(self.rows(k), self.dim(k)))
+
+    def coboundaries(self, k: int) -> Subspace:
+        """B^k = image of d on C^{k-1}; B^0 = 0."""
+        if k == 0:
+            return Subspace.zero(self.dim(k))
+        return Subspace(self.dim(k), [col for col in self.columns(k - 1) if col])
+
+    def d_squared_zero(self, k: int) -> bool:
+        """Compose d at degrees k and k+1 and test for the zero matrix."""
+        if k + 1 > self.g.dim:
+            return True
+        second = self.columns(k + 1)
+        for col in self.columns(k):
+            composed: Vec = {}
+            for r, value in col.items():
+                vec_add(composed, second[r], value)
+            if composed:
+                return False
+        return True
 
 
 def cocycle_space(k: int, g: LieAlgebra, rep: Representation) -> Subspace:
-    """Z^k as a subspace of the coordinate space of k-cochains."""
-    dim_ck = cochain_space_dim(g.dim, k, rep.module_dim)
-    if k >= g.dim:
-        return Subspace.full(dim_ck)
-    columns = differential_matrix(k, g, rep)
-    return Subspace(dim_ck, nullspace(_columns_to_rows(columns), dim_ck))
+    return CochainComplex(g, rep).cocycles(k)
 
 
 def coboundary_space(k: int, g: LieAlgebra, rep: Representation) -> Subspace:
-    """B^k = image of d on C^{k-1}; B^0 = 0."""
-    dim_ck = cochain_space_dim(g.dim, k, rep.module_dim)
-    if k == 0:
-        return Subspace.zero(dim_ck)
-    columns = differential_matrix(k - 1, g, rep)
-    return Subspace(dim_ck, [col for col in columns if col])
+    return CochainComplex(g, rep).coboundaries(k)
 
 
 def cohomology_dim(k: int, g: LieAlgebra, rep: Representation) -> int:
-    dim_ck = cochain_space_dim(g.dim, k, rep.module_dim)
-    if k > g.dim:
-        return 0
-    if k == g.dim:
-        z_dim = dim_ck
-    else:
-        cols = differential_matrix(k, g, rep)
-        z_dim = dim_ck - rank(_columns_to_rows(cols), dim_ck)
-    if k == 0:
-        b_dim = 0
-    else:
-        dim_prev = cochain_space_dim(g.dim, k - 1, rep.module_dim)
-        b_dim = rank(_columns_to_rows(differential_matrix(k - 1, g, rep)), dim_prev)
-    return z_dim - b_dim
+    return CochainComplex(g, rep).cohomology_dim(k)
 
 
 def d_squared_check(g: LieAlgebra, rep: Representation, k: int) -> bool:
-    """Compose d at degrees k and k+1 and test for the zero matrix."""
-    if k + 1 > g.dim:
-        return True
-    first = differential_matrix(k, g, rep)
-    second = differential_matrix(k + 1, g, rep)
-    for col in first:
-        composed: Vec = {}
-        for r, value in col.items():
-            vec_add(composed, second[r], value)
-        if composed:
-            return False
-    return True
+    return CochainComplex(g, rep).d_squared_zero(k)
+
+
+def adjoint_h2_dim(g: LieAlgebra) -> int:
+    """dim H^2(g; g, ad), the cohomology that controls deformations of the
+    bracket (not the Schur multiplier H^2(g; C))."""
+    return cohomology_dim(2, g, adjoint_rep(g))
+
+
+schur_multiplier_dim = adjoint_h2_dim  # former, misleading name
 
 
 # -- derivations -----------------------------------------------------------------
-
-
-def _acc(row: Vec, key: int, delta: GaussRat) -> None:
-    acc = row.get(key)
-    acc = delta if acc is None else acc + delta
-    if acc:
-        row[key] = acc
-    else:
-        row.pop(key, None)
-
-
-def _derivation_rows(g: LieAlgebra) -> list[Vec]:
-    """Linear system over the n^2 unknowns D[r][c] (flattened r*n + c) whose
-    kernel is Der(g): D[x,y] - [Dx,y] - [x,Dy] = 0 on basis pairs.
-
-    The r-th coordinate of the law on the pair (i, j) reads
-
-        sum_k c_ij^k D[r][k] - sum_s c_sj^r D[s][i] - sum_s c_is^r D[s][j] = 0.
-    """
-    n = g.dim
-    rows: list[Vec] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = g.pair(i, j)
-            for r in range(n):
-                row: Vec = {}
-                for k, coeff in cij.items():
-                    _acc(row, r * n + k, coeff)
-                for s in range(n):
-                    c_sj = g.pair(s, j).get(r)
-                    if c_sj:
-                        _acc(row, s * n + i, -c_sj)
-                    c_is = g.pair(i, s).get(r)
-                    if c_is:
-                        _acc(row, s * n + j, -c_is)
-                if row:
-                    rows.append(row)
-    return rows
+#
+# A derivation D of g is exactly a 1-cocycle with adjoint coefficients:
+# (dD)(x, y) = [x, Dy] - [y, Dx] - D[x, y], so Der(g) = Z^1(g; ad).
 
 
 def derivation_dims(g: LieAlgebra) -> tuple[int, int]:
-    """(dim Der(g), dim Inn(g)) without materializing the Lie structure."""
-    n = g.dim
-    der_dim = n * n - rank(_derivation_rows(g), n * n)
-    inn_dim = n - g.center().dim
+    """(dim Der(g), dim Inn(g)), with dim Der = dim Z^1(g; ad) = n^2 - rank d_1."""
+    der_dim = CochainComplex(g, adjoint_rep(g)).cocycle_dim(1)
+    inn_dim = g.dim - g.center().dim
     return der_dim, inn_dim
 
 
@@ -439,16 +433,23 @@ class DerivationAlgebra:
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
-    """Solve the derivation law over n x n unknowns and equip the solution
-    space with its own Lie algebra structure (matrix commutator)."""
+    """Der(g) = Z^1(g; ad), with the matrix commutator as its bracket.
+
+    Matrices are flattened row-major (D[r][c] at r*n + c), so the cochain
+    coordinate i*n + r of D, which holds D[r][i], moves to r*n + i before
+    the kernel is taken."""
     n = g.dim
-    basis_flat, free_cols = nullspace_with_free(_derivation_rows(g), n * n)
+    rows = [
+        {(c % n) * n + c // n: value for c, value in row.items()}
+        for row in CochainComplex(g, adjoint_rep(g)).rows(1)
+    ]
+    basis_flat, free_cols = nullspace_with_free(rows, n * n)
     matrices: list[list[Vec]] = []
     for flat in basis_flat:
-        rows: list[Vec] = [dict() for _ in range(n)]
+        mat: list[Vec] = [dict() for _ in range(n)]
         for idx, value in flat.items():
-            rows[idx // n][idx % n] = value
-        matrices.append(rows)
+            mat[idx // n][idx % n] = value
+        matrices.append(mat)
 
     brackets: dict[tuple[int, int], Vec] = {}
     for a in range(len(matrices)):
@@ -483,26 +484,38 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     return DerivationAlgebra(der, matrices, inner)
 
 
-def schur_multiplier_dim(g: LieAlgebra) -> int:
-    """dim H^2(g, g; ad), the deformation-controlling cohomology."""
-    return cohomology_dim(2, g, adjoint_rep(g))
+def cyclic_failure(g: LieAlgebra, values: Mapping[tuple[int, int], Vec]) -> tuple[int, int, int] | None:
+    """First basis triple i < j < k on which the cyclic condition
+    theta([x,y],z) + theta([z,x],y) + theta([y,z],x) = 0 fails, or None.
 
+    theta is the alternating bilinear map with the given values on basis
+    pairs i < j.  The condition is the 2-cocycle law for trivial
+    coefficients only (for a general module action use the full
+    differential)."""
 
-def is_two_cocycle_trivial_coeffs(theta: Cochain) -> bool:
-    """Cyclic condition theta([x,y],z) + theta([z,x],y) + theta([y,z],x) = 0
-    on basis triples; this is the 2-cocycle law for trivial coefficients
-    only (for a general module action use the full differential)."""
-    if theta.degree != 2:
-        raise ValueError("needs a degree-2 cochain")
-    g = theta.source
+    def theta(w: Vec, j: int) -> Vec:
+        out: Vec = {}
+        for l, coeff in w.items():
+            if l != j:
+                stored = values.get((l, j) if l < j else (j, l))
+                if stored:
+                    vec_add(out, stored, coeff if l < j else -coeff)
+        return out
+
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             w_ij = g.pair(i, j)
             for k in range(j + 1, g.dim):
-                total: Vec = {}
-                vec_add(total, theta.eval_pair(w_ij, k))
-                vec_add(total, theta.eval_pair({a: -c for a, c in g.pair(i, k).items()}, j))
-                vec_add(total, theta.eval_pair(g.pair(j, k), i))
+                total = theta(w_ij, k)
+                vec_add(total, theta(g.pair(k, i), j))
+                vec_add(total, theta(g.pair(j, k), i))
                 if total:
-                    return False
-    return True
+                    return (i, j, k)
+    return None
+
+
+def is_two_cocycle_trivial_coeffs(theta: Cochain) -> bool:
+    """The cyclic condition of cyclic_failure on every basis triple."""
+    if theta.degree != 2:
+        raise ValueError("needs a degree-2 cochain")
+    return cyclic_failure(theta.source, theta.coords) is None

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cohomology import Cochain, adjoint_rep, cochain_from_coordinates, cocycle_space
+from .cohomology import (
+    Cochain,
+    CochainComplex,
+    adjoint_rep,
+    cochain_from_coordinates,
+    cocycle_space,
+)
 from .exactnum import LaurentPoly, LieqError, gauss
 from .liealg import LieAlgebra
 from .linalg import Subspace, Vec, vec_add
@@ -201,15 +207,12 @@ class RigidityReport:
 def rigidity_report(g: LieAlgebra) -> RigidityReport:
     """Exact dimension bookkeeping behind the two rigidity detectors:
     orbit-tangent dim n^2 - dim Der versus dim B^2, and triviality of the
-    deformation cohomology H^2.  Both numbers are reported; nothing is
-    adjudicated when they disagree (abelian algebras do disagree)."""
-    from .cohomology import coboundary_space, derivation_dims
-
-    der_dim, _ = derivation_dims(g)
-    tangent = g.dim * g.dim - der_dim
-    ad = adjoint_rep(g)
-    b2 = coboundary_space(2, g, ad).dim
-    h2 = cocycle_space(2, g, ad).dim - b2
+    deformation cohomology H^2.  The first two always agree, abelian
+    algebras included: Der(g) = Z^1(g; ad), so n^2 - dim Der = rank d_1 =
+    dim B^2."""
+    complex_ = CochainComplex(g, adjoint_rep(g))
+    tangent = b2 = complex_.coboundary_dim(2)
+    h2 = complex_.cohomology_dim(2)
     return RigidityReport(
         orbit_tangent_dim=tangent,
         dim_b2=b2,

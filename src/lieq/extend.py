@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cohomology import Cochain
+from .cohomology import Cochain, cyclic_failure
 from .exactnum import GaussRat, LieqError, gauss
 from .liealg import LieAlgebra, Quotient
 from .linalg import Subspace, Vec, nullspace, vec_add
@@ -63,27 +63,11 @@ class CentralCocycle:
         flipped = self.values.get((j, i))
         return {k: -v for k, v in flipped.items()} if flipped else {}
 
-    def eval_vec(self, w: Vec, j: int) -> Vec:
-        """theta(w, e_j) for a sparse vector w."""
-        out: Vec = {}
-        for l, coeff in w.items():
-            vec_add(out, self.pair(l, j), coeff)
-        return out
-
     def _verify_cyclic(self):
-        g = self.source
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                w_ij = g.pair(i, j)
-                for k in range(j + 1, g.dim):
-                    total: Vec = {}
-                    vec_add(total, self.eval_vec(w_ij, k))
-                    vec_add(total, self.eval_vec(g.pair(k, i), j))
-                    vec_add(total, self.eval_vec(g.pair(j, k), i))
-                    if total:
-                        raise CocycleViolation(
-                            f"cyclic condition fails on triple ({i + 1}, {j + 1}, {k + 1})"
-                        )
+        triple = cyclic_failure(self.source, self.values)
+        if triple is not None:
+            i, j, k = triple
+            raise CocycleViolation(f"cyclic condition fails on triple ({i + 1}, {j + 1}, {k + 1})")
 
     def as_cochain(self) -> Cochain:
         return Cochain(self.source, 2, self.target_dim, dict(self.values))

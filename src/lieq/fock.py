@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .exactnum import GaussRat, LieqError, ONE, ZERO, gauss
 from .linalg import SparseMatrix, Vec
+from .qheis import q_integer_at as q_int
 
 DEFAULT_SIZE_CAP = 200_000
 
@@ -45,16 +46,6 @@ class NegativeWeight(LieqError):
 
 class AlphaEqualsBeta(UserWarning):
     """Shifted pair with alpha = beta collapses to B = A-dagger."""
-
-
-def q_int(m: int, q0: GaussRat) -> GaussRat:
-    """{m}_q at an exact scalar."""
-    total = ZERO
-    power = ONE
-    for _ in range(m):
-        total = total + power
-        power = power * q0
-    return total
 
 
 def monomial_rep(q0, n: int) -> tuple[SparseMatrix, SparseMatrix]:

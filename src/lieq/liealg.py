@@ -314,16 +314,19 @@ class LieAlgebra:
         der = tuple(s.dim for s in self.derived_series()) or (0,)
         nil = self.is_nilpotent()
         sol = self.is_solvable()
-        der_dim, inn_dim = cohomology.derivation_dims(self)
+        center_dim = self.center().dim
+        # Der(g) = Z^1(g; ad) and Inn(g) = g / Z(g)
+        ad_complex = cohomology.CochainComplex(self, cohomology.adjoint_rep(self))
+        der_dim = ad_complex.cocycle_dim(1)
         sig = Signature(
             dim=self.dim,
             lower_central_dims=lcs,
             upper_central_dims=ucs,
             derived_series_dims=der,
-            center_dim=self.center().dim,
+            center_dim=center_dim,
             derivation_dim=der_dim,
-            h1_dim=der_dim - inn_dim,
-            h2_dim=cohomology.schur_multiplier_dim(self),
+            h1_dim=der_dim - (self.dim - center_dim),
+            h2_dim=ad_complex.cohomology_dim(2),
             nilpotency_class=-1 if nil is None else nil,
             solvable_length=-1 if sol is None else sol,
             abelian=self.is_abelian(),

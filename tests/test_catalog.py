@@ -98,17 +98,6 @@ def test_dim5_pairwise_distinct():
             assert sigs[a] != sigs[b], (names[a], names[b])
 
 
-def test_field_computation_agrees_with_signature():
-    for name in ("n_4_3", "n_5_7", "sl2", "h(2)"):
-        g = catalog.get(name).algebra
-        sig = g.invariant_signature()
-        for fieldname in catalog._FIELD_ORDER:
-            assert catalog._compute_field(g, fieldname) == getattr(sig, fieldname), (
-                name,
-                fieldname,
-            )
-
-
 def test_parametrized_expected_fields():
     entry = catalog.get("h(3)")
     assert entry.expected["dim"] == 7

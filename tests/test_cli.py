@@ -32,6 +32,23 @@ def test_catalog_show_text(capsys):
     assert "[v1, v2] = v" in out
 
 
+def test_cohomology_builds_each_differential_once(capsys, monkeypatch):
+    from lieq import cohomology
+
+    original = cohomology.differential_matrix
+    built = []
+
+    def counting(k, g, rep):
+        built.append(k)
+        return original(k, g, rep)
+
+    monkeypatch.setattr(cohomology, "differential_matrix", counting)
+    assert cli.run(["cohomology", "--algebra", "h(2)", "--json"]) == 0
+    capsys.readouterr()
+    assert built
+    assert all(built.count(k) == 1 for k in built), built
+
+
 def test_cohomology_sl2(capsys):
     code, doc = run_json(capsys, ["cohomology", "--algebra", "sl2", "--k", "2"])
     assert code == 0

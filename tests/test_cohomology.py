@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from lieq import catalog
@@ -14,6 +15,7 @@ from lieq.cohomology import (
     coboundary_space,
     cochain_from_coordinates,
     cochain_space_dim,
+    cochain_tuples,
     cocycle_space,
     cohomology_dim,
     d_squared_check,
@@ -26,8 +28,9 @@ from lieq.cohomology import (
     trivial_rep,
 )
 from lieq.exactnum import GaussRat, ONE, ZERO
+from lieq.extend import CentralCocycle, central_extension
 from lieq.liealg import LieAlgebra, abelian
-from lieq.linalg import mat_mul, mat_sub
+from lieq.linalg import mat_mul, mat_sub, vec_add
 
 SMALL = ["n_3_1", "n_3_2", "n_4_2", "n_4_3", "n_5_5", "n_5_7", "sl2", "a_sh"]
 
@@ -304,3 +307,35 @@ def test_cochain_doc_round_trip():
     assert Cochain.from_doc(g, c.to_doc()) == c
     deg0 = Cochain(g, 0, 2, {(): {0: 1}})
     assert Cochain.from_doc(g, deg0.to_doc()) == deg0
+
+
+@st.composite
+def random_nilpotent(draw):
+    """Iterated central extensions of abelian(2) by random trivial-coefficient
+    2-cocycles: combinations of a Z^2 basis with coefficients in [-3, 3].
+    Unlike the catalog, these carry structure constants other than +-1."""
+    dim = draw(st.integers(4, 5))
+    g = abelian(2)
+    while g.dim < dim:
+        theta = {}
+        for row in cocycle_space(2, g, trivial_rep(g, 1)).rows:
+            vec_add(theta, row, GaussRat(draw(st.integers(-3, 3))))
+        tuples = cochain_tuples(g.dim, 2)
+        values = {tuples[pos]: {0: value} for pos, value in theta.items()}
+        g = central_extension(g, CentralCocycle(g, 1, values))
+    return g
+
+
+@settings(max_examples=8, deadline=None)
+@given(random_nilpotent())
+def test_random_nilpotent_matches_dense_oracle(g):
+    assert derivation_dims(g)[0] == oracles.oracle_derivation_dim(g)
+    for coeffs in ("adjoint", "trivial"):
+        rep = adjoint_rep(g) if coeffs == "adjoint" else trivial_rep(g, 1)
+        for k in range(4):
+            got = (
+                cocycle_space(k, g, rep).dim,
+                coboundary_space(k, g, rep).dim,
+                cohomology_dim(k, g, rep),
+            )
+            assert got == oracles.oracle_cohomology_dims(g, k, coeffs), (coeffs, k)
