@@ -158,9 +158,10 @@ _EXPECTED: dict[str, dict] = {
              "derivation_dim": 16, "h1_dim": 14, "h2_dim": 28, "nilpotency_class": 2},
 }
 
-
-def _expected_tables() -> dict[str, dict]:
-    return dict(_EXPECTED)
+# The fixed entries, built once at import.  Entries are shared between
+# callers and nothing mutates them, so each algebra's signature is
+# computed at most once per process.
+_FIXED: dict[str, CatalogEntry] = _build_fixed()
 
 
 def get(name: str) -> CatalogEntry:
@@ -191,9 +192,8 @@ def get(name: str) -> CatalogEntry:
             "abelian": False,
         }
         return entry
-    fixed = _build_fixed()
-    if name in fixed:
-        return fixed[name]
+    if name in _FIXED:
+        return _FIXED[name]
     raise UnknownName(f"unknown catalog entry {name!r}")
 
 
@@ -201,7 +201,7 @@ def list_names() -> list[str]:
     """Every concrete entry exercised by the verification suite."""
     names = [f"abelian({n})" for n in range(1, 8)]
     names += [f"h({m})" for m in range(1, 5)]
-    names += sorted(_build_fixed())
+    names += sorted(_FIXED)
     return names
 
 
@@ -233,8 +233,8 @@ def verify_all() -> CatalogReport:
     """Jacobi + expected-field assertions for every entry, the documented
     coincidences, and pairwise distinctness of the nine dim-5 entries."""
     items: list[VerifyItem] = []
-    for name in list_names():
-        entry = get(name)
+    entries = {name: get(name) for name in list_names()}
+    for name, entry in entries.items():
         items.append(VerifyItem(name, "jacobi", None, entry.algebra.check_jacobi()))
         sig = entry.signature()
         for fieldname in Signature._fields:
@@ -253,16 +253,16 @@ def verify_all() -> CatalogReport:
             VerifyItem(
                 f"{left}~{right}",
                 "signature_equal",
-                get(left).signature(),
-                get(right).signature(),
+                entries[left].signature(),
+                entries[right].signature(),
             )
         )
-    h1ii = get("n_3_2").algebra.direct_sum(abelian(1)).direct_sum(abelian(1))
+    h1ii = entries["n_3_2"].algebra.direct_sum(abelian(1)).direct_sum(abelian(1))
     items.append(
         VerifyItem(
             "n_5_2~h(1)+i+i",
             "signature_equal",
-            get("n_5_2").signature(),
+            entries["n_5_2"].signature(),
             h1ii.invariant_signature(),
         )
     )
@@ -271,7 +271,7 @@ def verify_all() -> CatalogReport:
             "a_sh!~h(2)",
             "signatures_differ",
             True,
-            get("a_sh").signature() != get("h(2)").signature(),
+            entries["a_sh"].signature() != entries["h(2)"].signature(),
         )
     )
     # direct-sum identities hold with equal constants, not merely equal signatures
@@ -288,12 +288,14 @@ def verify_all() -> CatalogReport:
                 f"{name}={summand}+i",
                 "constants_equal",
                 True,
-                get(name).algebra.same_constants(get(summand).algebra.direct_sum(abelian(1))),
+                entries[name].algebra.same_constants(
+                    entries[summand].algebra.direct_sum(abelian(1))
+                ),
             )
         )
     # the nine dim-5 entries are pairwise distinguished by their signatures
     dim5 = [f"n_5_{k}" for k in range(1, 10)]
-    sigs = {name: get(name).signature() for name in dim5}
+    sigs = {name: entries[name].signature() for name in dim5}
     for a in range(len(dim5)):
         for b in range(a + 1, len(dim5)):
             items.append(

@@ -143,6 +143,8 @@ def cmd_algebra(args) -> int:
 
 def cmd_cohomology(args) -> int:
     t0 = time.time()
+    if args.k is not None and args.k < 0:
+        raise ValueError(f"--k must be a non-negative degree, got {args.k}")
     g = _load_algebra(args.algebra)
     if args.coeffs == "ad":
         rep = cohomology.adjoint_rep(g)

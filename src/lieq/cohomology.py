@@ -21,7 +21,7 @@ import math
 from typing import Mapping, Sequence
 
 from .exactnum import GaussRat, LieqError, ZERO, gauss
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, signed_pair
 from .linalg import (
     Subspace,
     Vec,
@@ -398,9 +398,6 @@ def adjoint_h2_dim(g: LieAlgebra) -> int:
     return cohomology_dim(2, g, adjoint_rep(g))
 
 
-schur_multiplier_dim = adjoint_h2_dim  # former, misleading name
-
-
 # -- derivations -----------------------------------------------------------------
 #
 # A derivation D of g is exactly a 1-cocycle with adjoint coefficients:
@@ -496,10 +493,7 @@ def cyclic_failure(g: LieAlgebra, values: Mapping[tuple[int, int], Vec]) -> tupl
     def theta(w: Vec, j: int) -> Vec:
         out: Vec = {}
         for l, coeff in w.items():
-            if l != j:
-                stored = values.get((l, j) if l < j else (j, l))
-                if stored:
-                    vec_add(out, stored, coeff if l < j else -coeff)
+            vec_add(out, signed_pair(values, l, j), coeff)
         return out
 
     for i in range(g.dim):

@@ -19,7 +19,7 @@ from .cohomology import (
     cocycle_space,
 )
 from .exactnum import LaurentPoly, LieqError, gauss
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, signed_pair
 from .linalg import Subspace, Vec, vec_add
 
 
@@ -64,12 +64,7 @@ class DeformedBracket:
         """Graded component a of the bracket on basis pair (i, j), signed."""
         if a == 0:
             return self.base.pair(i, j)
-        phi = self.perturbations[a - 1]
-        if i == j:
-            return {}
-        if i < j:
-            return phi.value((i, j))
-        return {k: -v for k, v in phi.value((j, i)).items()}
+        return signed_pair(self.perturbations[a - 1].coords, i, j)
 
     def level_vec(self, a: int, i: int, w: Vec) -> Vec:
         """Graded component a of [e_i, w] for a sparse vector w."""

@@ -1,7 +1,7 @@
 """Exact scalars: Gaussian rationals and one-parameter Laurent polynomials.
 
 All algebraic data in this package lives over the field Q(i), realized as
-pairs of arbitrary-precision ``fractions.Fraction`` components.  The
+pairs of exact rational components (``int`` or ``fractions.Fraction``).  The
 one-parameter families (deformation parameter ``t``, quantum parameter
 ``q``) are Laurent polynomials with GaussRat coefficients; negative
 exponents are first-class so reciprocal identities in 1/q stay exact.
@@ -34,7 +34,12 @@ class NonDivisible(LieqError):
 
 ScalarLike = Union["GaussRat", int, Fraction, str]
 
-_FR_ZERO = Fraction(0)
+
+def _rational(value) -> Union[int, Fraction]:
+    """value as an exact rational: an int when integral, else a Fraction."""
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _parse_gauss(text: str) -> tuple[Fraction, Fraction]:
@@ -61,11 +66,13 @@ def _parse_gauss(text: str) -> tuple[Fraction, Fraction]:
 
 
 class GaussRat:
-    """A Gaussian rational a + b*i with exact Fraction components.
+    """A Gaussian rational a + b*i with exact rational components.
 
-    Components are always stored in lowest terms with positive
-    denominator (``Fraction`` guarantees this), so equality is plain
-    component-wise equality.
+    An integral component is stored as an ``int``, any other as a
+    ``Fraction`` in lowest terms with positive denominator, so equality is
+    plain component-wise equality.  ``__init__`` is the one place that
+    normalizes; ``int`` arithmetic stays in C and ``Fraction`` accepts
+    ``int`` operands, so every operation stays exact.
     """
 
     __slots__ = ("re", "im")
@@ -73,16 +80,8 @@ class GaussRat:
     def __init__(self, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
         if isinstance(re, str) and im == 0:
             re, im = _parse_gauss(re)
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussRat":
-        """Internal: components are already Fractions, skip re-coercion."""
-        self = object.__new__(cls)
-        self.re = re
-        self.im = im
-        return self
+        self.re = re if type(re) is int else _rational(re)
+        self.im = im if type(im) is int else _rational(im)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -90,7 +89,7 @@ class GaussRat:
         other = gauss(other)
         if other is None:
             return NotImplemented
-        return GaussRat._raw(self.re + other.re, self.im + other.im)
+        return GaussRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -98,21 +97,21 @@ class GaussRat:
         other = gauss(other)
         if other is None:
             return NotImplemented
-        return GaussRat._raw(self.re - other.re, self.im - other.im)
+        return GaussRat(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = gauss(other)
         if other is None:
             return NotImplemented
-        return GaussRat._raw(other.re - self.re, other.im - self.im)
+        return GaussRat(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = gauss(other)
         if other is None:
             return NotImplemented
         if not self.im and not other.im:
-            return GaussRat._raw(self.re * other.re, _FR_ZERO)
-        return GaussRat._raw(
+            return GaussRat(self.re * other.re)
+        return GaussRat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -132,7 +131,7 @@ class GaussRat:
         return other * self.inv()
 
     def __neg__(self):
-        return GaussRat._raw(-self.re, -self.im)
+        return GaussRat(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -154,7 +153,7 @@ class GaussRat:
         norm = self.re * self.re + self.im * self.im
         if not norm:
             raise DivisionByZero("inverse of zero Gaussian rational")
-        return GaussRat(self.re / norm, -self.im / norm)
+        return GaussRat(Fraction(self.re, norm), Fraction(-self.im, norm))
 
     def conj(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
@@ -172,9 +171,6 @@ class GaussRat:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __str__(self):
         if not self.im:
@@ -380,10 +376,6 @@ class LaurentPoly:
             total = total + coeff * (x ** exp)
         return total
 
-    def eval_poly(self, point: ScalarLike) -> "LaurentPoly":
-        """Like eval() but returns a constant polynomial in the same parameter."""
-        return LaurentPoly.const(self.eval(point), self.var)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -393,11 +385,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return _is_const_coeffs(self.coeffs)
 
-    def constant_value(self) -> GaussRat:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.coeffs.get(0, ZERO)
-
     @property
     def min_exp(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
@@ -405,11 +392,6 @@ class LaurentPoly:
     @property
     def max_exp(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
-
-    def degree_span(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(self.coeffs) - min(self.coeffs)
 
     def __eq__(self, other):
         other = self._coerce(other)

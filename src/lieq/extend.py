@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .cohomology import Cochain, cyclic_failure
 from .exactnum import GaussRat, LieqError, gauss
-from .liealg import LieAlgebra, Quotient
+from .liealg import LieAlgebra, Quotient, signed_pair
 from .linalg import Subspace, Vec, nullspace, vec_add
 
 
@@ -56,12 +56,7 @@ class CentralCocycle:
         self._verify_cyclic()
 
     def pair(self, i: int, j: int) -> Vec:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.values.get((i, j), {}))
-        flipped = self.values.get((j, i))
-        return {k: -v for k, v in flipped.items()} if flipped else {}
+        return signed_pair(self.values, i, j)
 
     def _verify_cyclic(self):
         triple = cyclic_failure(self.source, self.values)

@@ -70,6 +70,17 @@ def _coerce_vec(value, dim: int) -> Vec:
     raise TypeError(f"cannot interpret {value!r} as a vector")
 
 
+def signed_pair(table: Mapping[tuple[int, int], Vec], i: int, j: int) -> Vec:
+    """Value on (e_i, e_j) of the alternating bilinear map stored in
+    ``table`` on basis pairs i < j; a fresh dict the caller may modify."""
+    if i == j:
+        return {}
+    if i < j:
+        return dict(table.get((i, j), {}))
+    flipped = table.get((j, i))
+    return {k: -v for k, v in flipped.items()} if flipped else {}
+
+
 class LieAlgebra:
     """Structure-constant presentation of a finite-dimensional Lie algebra."""
 
@@ -105,12 +116,7 @@ class LieAlgebra:
 
     def pair(self, i: int, j: int) -> Vec:
         """[e_i, e_j] for basis indices, with the sign handled."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        flipped = self.brackets.get((j, i))
-        return {k: -v for k, v in flipped.items()} if flipped else {}
+        return signed_pair(self.brackets, i, j)
 
     def ad_vec(self, i: int, w: Vec) -> Vec:
         """[e_i, w] for a sparse vector w."""

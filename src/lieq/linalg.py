@@ -28,12 +28,6 @@ def vec_add(dst: Vec, src: Vec, factor: GaussRat | None = None) -> None:
             dst.pop(idx, None)
 
 
-def vec_scale(v: Vec, factor: GaussRat) -> Vec:
-    if not factor:
-        return {}
-    return {i: factor * c for i, c in v.items()}
-
-
 def vec_from_seq(values: Sequence) -> Vec:
     out = {}
     for idx, value in enumerate(values):
@@ -41,10 +35,6 @@ def vec_from_seq(values: Sequence) -> Vec:
         if scalar:
             out[idx] = scalar
     return out
-
-
-def vec_to_list(v: Vec, length: int) -> list[GaussRat]:
-    return [v.get(i, ZERO) for i in range(length)]
 
 
 def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
@@ -123,10 +113,6 @@ class Subspace:
         self.pivots = tuple(pivots)
 
     @classmethod
-    def from_vectors(cls, ambient: int, vectors: Iterable[Vec]) -> "Subspace":
-        return cls(ambient, list(vectors))
-
-    @classmethod
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient, [], [])
 
@@ -161,9 +147,6 @@ class Subspace:
             if factor:
                 vec_add(residual, row, -factor)
         return None if residual else coords
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace(self.ambient, list(self.rows) + list(other.rows))
@@ -215,10 +198,6 @@ def mat_mul(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[Vec]:
             vec_add(acc, b_rows[k], coeff)
         out.append(acc)
     return out
-
-
-def identity_rows(n: int) -> list[Vec]:
-    return [{i: GaussRat(1)} for i in range(n)]
 
 
 def mat_sub(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[Vec]:

@@ -2,9 +2,10 @@
 the B^m A^n basis, and machine checks for the whole identity zoo.
 
 The algebra has two generators A, B subject to AB - qBA = 1.  Elements are
-formal sums of words; normal ordering rewrites AB -> qBA + 1 to a fixpoint,
-which terminates because each step either removes an inversion or shortens
-the word, and lands every element on the B^m A^n monomial basis.
+formal sums of words; normal ordering multiplies each word out from the
+left, one letter at a time, with the right-multiplication rules for the
+B^m A^n monomial basis.  Nothing recurses and nothing is kept between
+calls.
 
 Identities stated with denominators like (q-1)^n or q^binom(n,2) are
 verified in denominator-cleared form: both sides are multiplied by the
@@ -175,11 +176,21 @@ def subset_sum_binomial_check(n: int, k: int) -> SubsetSumReport:
 # -- words, expressions, and normal forms ------------------------------------
 
 
+def _accumulate(out: dict, key, term: LaurentPoly) -> None:
+    """out[key] += term, dropping the key when the sum is zero."""
+    acc = out.get(key)
+    acc = term if acc is None else acc + term
+    if acc.coeffs:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
 class QExpr:
     """Formal linear combination of words with Laurent-polynomial
     coefficients.  Words over {A, B} live in the q-deformed Heisenberg
     algebra; three-letter words over {A, B, C} are used for the free-algebra
-    identities and never enter the rewriter."""
+    identities and never reach normal_order."""
 
     __slots__ = ("terms",)
 
@@ -209,12 +220,7 @@ class QExpr:
             return NotImplemented
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc.coeffs:
-                out[word] = acc
-            else:
-                out.pop(word, None)
+            _accumulate(out, word, coeff)
         return QExpr(out)
 
     __radd__ = __add__
@@ -239,14 +245,7 @@ class QExpr:
             out: dict[str, LaurentPoly] = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    word = w1 + w2
-                    term = c1 * c2
-                    acc = out.get(word)
-                    acc = term if acc is None else acc + term
-                    if acc.coeffs:
-                        out[word] = acc
-                    else:
-                        out.pop(word, None)
+                    _accumulate(out, w1 + w2, c1 * c2)
             return QExpr(out)
         poly = _as_poly_or_none(other)
         if poly is None:
@@ -376,85 +375,52 @@ class NormalForm:
         return f"NormalForm({self})"
 
 
-class _Rewriter:
-    """Memoized fixpoint rewriting AB -> q*BA + 1 on single words."""
+def normal_order(expr: QExpr, q_value=None) -> NormalForm:
+    """Collect an expression on the B^m A^n basis.
 
-    def __init__(self, q_poly: LaurentPoly):
-        self.q_poly = q_poly
-        self.cache: dict[str, dict[tuple[int, int], LaurentPoly]] = {}
+    Each word is multiplied out from the left, one letter at a time, by
+    the right-multiplication rules (Katriel & Kibler, J. Phys. A 25 (1992)
+    2683):
 
-    def word_nf(self, word: str) -> dict[tuple[int, int], LaurentPoly]:
-        hit = self.cache.get(word)
-        if hit is not None:
-            return hit
-        idx = word.find("AB")
-        if idx < 0:
-            # no inversion left: the word is exactly B^m A^n
-            m = word.find("A")
-            if m < 0:
-                m = len(word)
-            out = {(m, len(word) - m): LaurentPoly.const(1, "q")}
-        else:
-            swapped = word[:idx] + "BA" + word[idx + 2 :]
-            dropped = word[:idx] + word[idx + 2 :]
-            out = {}
-            for key, coeff in self.word_nf(swapped).items():
-                scaled = self.q_poly * coeff
-                if scaled.coeffs:
-                    out[key] = scaled
-            for key, coeff in self.word_nf(dropped).items():
-                acc = out.get(key)
-                acc = coeff if acc is None else acc + coeff
-                if acc.coeffs:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        self.cache[word] = out
-        return out
+        B^m A^n * A = B^m A^{n+1}
+        B^m A^n * B = q^n B^{m+1} A^n + {n}_q B^m A^{n-1}
 
-
-_REWRITERS: dict[tuple, _Rewriter] = {}
-
-
-def _rewriter_for(q_value) -> _Rewriter:
+    With q_value None the coefficients stay symbolic Laurent polynomials;
+    otherwise q is instantiated exactly at the given scalar before
+    multiplying (an honest independent path, used to cross-check
+    specialization coherence)."""
     if q_value is None:
-        key = ("symbolic",)
-        poly = LaurentPoly.gen("q")
+        q_poly = LaurentPoly.gen("q")
     else:
         scalar = gauss(q_value)
         if scalar is None:
             raise TypeError(f"bad q value {q_value!r}")
-        key = ("at", scalar)
-        poly = LaurentPoly.const(scalar, "q")
-    rewriter = _REWRITERS.get(key)
-    if rewriter is None:
-        rewriter = _Rewriter(poly)
-        _REWRITERS[key] = rewriter
-    return rewriter
-
-
-def normal_order(expr: QExpr, q_value=None) -> NormalForm:
-    """Collect an expression on the B^m A^n basis.
-
-    With q_value None the coefficients stay symbolic Laurent polynomials;
-    otherwise q is instantiated exactly at the given scalar before
-    rewriting (an honest independent path, used to cross-check
-    specialization coherence)."""
-    rewriter = _rewriter_for(q_value)
+        q_poly = LaurentPoly.const(scalar, "q")
+    # B^m A^n only ever has n up to the number of A letters in the word
+    powers = [LaurentPoly.const(1, "q")]  # powers[n] = q^n
+    integers = [LaurentPoly.zero("q")]  # integers[n] = {n}_q
+    for _ in range(max((word.count("A") for word in expr.terms), default=0)):
+        integers.append(integers[-1] + powers[-1])
+        powers.append(powers[-1] * q_poly)
     out: dict[tuple[int, int], LaurentPoly] = {}
     for word, coeff in expr.terms.items():
         if any(ch not in "AB" for ch in word):
             raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
         if q_value is not None and not coeff.is_constant():
             coeff = LaurentPoly.const(coeff.eval(q_value), "q")
-        for key, base in rewriter.word_nf(word).items():
-            term = coeff * base
-            acc = out.get(key)
-            acc = term if acc is None else acc + term
-            if acc.coeffs:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+        state = {(0, 0): powers[0]}
+        for letter in word:
+            if letter == "A":
+                state = {(m, n + 1): c for (m, n), c in state.items()}
+                continue
+            nxt: dict[tuple[int, int], LaurentPoly] = {}
+            for (m, n), c in state.items():
+                _accumulate(nxt, (m + 1, n), powers[n] * c)
+                if n:
+                    _accumulate(nxt, (m, n - 1), integers[n] * c)
+            state = nxt
+        for key, base in state.items():
+            _accumulate(out, key, coeff * base)
     return NormalForm(out)
 
 

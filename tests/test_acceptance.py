@@ -9,12 +9,12 @@ import time
 from lieq import catalog
 from lieq.cohomology import (
     Cochain,
+    adjoint_h2_dim,
     adjoint_rep,
     cohomology_dim,
     d_squared_check,
     derivation_dims,
     is_two_cocycle_trivial_coeffs,
-    schur_multiplier_dim,
     trivial_rep,
 )
 from lieq.deform import (
@@ -122,7 +122,7 @@ def test_criterion_03_sl2_cohomology_and_rigidity():
         der, inn = derivation_dims(g)
         assert der == 3 and inn == 3
         assert cohomology_dim(1, g, adjoint_rep(g)) == 0
-        assert schur_multiplier_dim(g) == 0
+        assert adjoint_h2_dim(g) == 0
         report = rigidity_report(g)
         assert report.orbit_tangent_dim == 6 == report.dim_b2
         assert report.nr_rigid and report.tangent_equals_b2

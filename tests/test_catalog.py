@@ -103,3 +103,22 @@ def test_parametrized_expected_fields():
     assert entry.expected["dim"] == 7
     assert entry.expected["lower_central_dims"] == (7, 1, 0)
     assert catalog.get("abelian(4)").expected["center_dim"] == 4
+
+
+def test_verify_all_computes_each_signature_once(monkeypatch):
+    from lieq.liealg import LieAlgebra
+
+    # a fresh table, so signatures cached by earlier tests do not hide work
+    monkeypatch.setattr(catalog, "_FIXED", catalog._build_fixed())
+    original = LieAlgebra.invariant_signature
+    computed = []
+
+    def counting(self):
+        if self._signature is None:
+            computed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LieAlgebra, "invariant_signature", counting)
+    assert catalog.verify_all().ok
+    # every listed entry once, plus the direct sum h(1) + i + i
+    assert len(computed) == len(catalog.list_names()) + 1 == 28

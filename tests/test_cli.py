@@ -195,6 +195,12 @@ def test_unknown_catalog_name_is_error(capsys):
     assert code == 1
 
 
+def test_cohomology_rejects_negative_degree(capsys):
+    code = cli.run(["cohomology", "--algebra", "sl2", "--k", "-1"])
+    assert code == 2
+    assert "--k must be a non-negative degree" in capsys.readouterr().err
+
+
 def test_size_cap_respected(monkeypatch, capsys):
     monkeypatch.setenv("LIEQ_SIZE_CAP", "100")
     code = cli.run(["fock", "verify", "--q", "1", "--n", "64"])

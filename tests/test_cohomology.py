@@ -11,6 +11,7 @@ from lieq.cohomology import (
     NotARepresentation,
     Representation,
     SourceMismatch,
+    adjoint_h2_dim,
     adjoint_rep,
     coboundary_space,
     cochain_from_coordinates,
@@ -24,7 +25,6 @@ from lieq.cohomology import (
     differential,
     differential_matrix,
     is_two_cocycle_trivial_coeffs,
-    schur_multiplier_dim,
     trivial_rep,
 )
 from lieq.exactnum import GaussRat, ONE, ZERO
@@ -188,14 +188,14 @@ def test_sl2_numbers():
     der, inn = derivation_dims(g)
     assert (der, inn) == (3, 3)
     assert cohomology_dim(1, g, adjoint_rep(g)) == 0
-    assert schur_multiplier_dim(g) == 0
+    assert adjoint_h2_dim(g) == 0
     assert cocycle_space(2, g, adjoint_rep(g)).dim == 6
     assert coboundary_space(2, g, adjoint_rep(g)).dim == 6
 
 
 def test_abelian_derivations_and_schur():
     assert derivation_dims(abelian(3)) == (9, 0)
-    assert schur_multiplier_dim(abelian(2)) == 2
+    assert adjoint_h2_dim(abelian(2)) == 2
     assert cohomology_dim(2, abelian(2), trivial_rep(abelian(2), 1)) == 1
 
 
@@ -224,7 +224,7 @@ def test_h1_derivation_algebra_structure():
 
 
 def test_schur_matches_oracle_on_h1():
-    assert schur_multiplier_dim(get("h(1)")) == 5
+    assert adjoint_h2_dim(get("h(1)")) == 5
     assert oracles.oracle_cohomology_dims(get("h(1)"), 2, "adjoint")[2] == 5
 
 

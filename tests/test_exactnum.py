@@ -32,6 +32,16 @@ def test_inverse_of_one_plus_i():
     assert value * (ONE + I) == ONE
 
 
+def test_integral_components_are_ints():
+    assert type(GaussRat("4/2").re) is int and GaussRat("4/2").re == 2
+    half_doubled = GaussRat("1/2") * 2
+    assert type(half_doubled.re) is int
+    assert half_doubled == GaussRat(1)
+    assert hash(half_doubled) == hash(GaussRat(1))
+    assert str(half_doubled) == str(GaussRat(1)) == "1"
+    assert GaussRat(3).inv() == GaussRat("1/3")  # exact, not a float quotient
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
         ZERO.inv()

@@ -245,3 +245,11 @@ def test_closed_form_never_leaves_remainder():
             q_binomial_closed(n, k)
     with pytest.raises(NonDivisible):
         (q + 2).divexact(q + 1)
+
+
+def test_normal_order_long_word_does_not_recurse():
+    # AB^n = q^n B^n A + {n}_q B^{n-1}, far beyond the interpreter's recursion limit
+    n = 1200
+    assert normal_order(A() * B() ** n) == NormalForm(
+        {(n, 1): LaurentPoly.monomial(n), (n - 1, 0): q_integer(n)}
+    )
