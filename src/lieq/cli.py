@@ -27,6 +27,7 @@ class Report:
     command: str
     items: list = field(default_factory=list)  # (name, expected, actual, verdict)
     timing_ms: int = 0
+    started: float = field(default_factory=time.monotonic)
 
     def add(self, name, expected, actual, ok: bool | None = None):
         if ok is None:
@@ -83,9 +84,11 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _finish(args, report: Report, t0: float) -> int:
-    report.timing_ms = int((time.time() - t0) * 1000)
-    _emit(args, report.to_doc(), report.render_text())
+def _finish(args, report: Report, extra: dict | None = None) -> int:
+    """Stamp the time since the report was created, print it (with any
+    extra top-level JSON fields) and return the exit code."""
+    report.timing_ms = int((time.monotonic() - report.started) * 1000)
+    _emit(args, {**report.to_doc(), **(extra or {})}, report.render_text())
     return 0 if report.status == "pass" else 1
 
 
@@ -114,6 +117,8 @@ def cmd_catalog(args) -> int:
         names = catalog.list_names()
         _emit(args, {"format": "lieq-1", "names": names}, "\n".join(names))
         return 0
+    if args.name is None:
+        raise ValueError("catalog show needs an algebra name")
     entry = catalog.get(args.name)
     doc = entry.algebra.to_doc()
     doc["notes"] = entry.notes
@@ -131,37 +136,37 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_algebra(args) -> int:
-    t0 = time.time()
-    g = _load_algebra(args.algebra)
     report = Report("algebra")
+    g = _load_algebra(args.algebra)
     report.add("jacobi", None, g.check_jacobi())
     sig = g.invariant_signature()
     for key, value in sig._asdict().items():
         report.add(key, _plain(value), _plain(value), ok=True)
-    return _finish(args, report, t0)
+    return _finish(args, report)
 
 
 def cmd_cohomology(args) -> int:
-    t0 = time.time()
+    report = Report("cohomology")
     if args.k is not None and args.k < 0:
         raise ValueError(f"--k must be a non-negative degree, got {args.k}")
+    if args.module_dim < 0:
+        raise ValueError(f"--module-dim must be a non-negative dimension, got {args.module_dim}")
     g = _load_algebra(args.algebra)
     if args.coeffs == "ad":
         rep = cohomology.adjoint_rep(g)
     else:
         rep = cohomology.trivial_rep(g, args.module_dim)
-    report = Report("cohomology")
     complex_ = cohomology.CochainComplex(g, rep)
     degrees = [args.k] if args.k is not None else list(range(g.dim + 1))
     for k in degrees:
         z = complex_.cocycle_dim(k)
         b = complex_.coboundary_dim(k)
         report.add(f"H^{k}", None, {"dim_Z": z, "dim_B": b, "dim_H": z - b}, ok=True)
-    return _finish(args, report, t0)
+    return _finish(args, report)
 
 
 def cmd_deform_check(args) -> int:
-    t0 = time.time()
+    report = Report("deform check")
     g = _load_algebra(args.algebra)
     phis = []
     for path in [args.phi] + (args.phi2 or []):
@@ -169,7 +174,6 @@ def cmd_deform_check(args) -> int:
             phis.append(cohomology.Cochain.from_doc(g, json.load(handle)))
     d = deform.DeformedBracket(g, tuple(phis))
     expansion = deform.jacobi_polynomial(d)
-    report = Report("deform check")
     for degree in range(2 * d.order + 1):
         offenders = sorted(
             tuple(x + 1 for x in triple)
@@ -192,17 +196,16 @@ def cmd_deform_check(args) -> int:
             "residual": {str(k + 1): str(v) for k, v in defect.residual.items()},
         }
         report.add("graded_jacobi", None, shown, False)
-    return _finish(args, report, t0)
+    return _finish(args, report)
 
 
 def cmd_rigidity(args) -> int:
-    t0 = time.time()
+    report = Report("rigidity")
     g = _load_algebra(args.algebra)
     rr = deform.rigidity_report(g)
-    report = Report("rigidity")
     for key, value in rr.to_doc().items():
         report.add(key, None, value, ok=True)
-    return _finish(args, report, t0)
+    return _finish(args, report)
 
 
 def cmd_extend(args) -> int:
@@ -215,20 +218,20 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    t0 = time.time()
-    g = _load_algebra(args.algebra)
+def _round_trip(g: LieAlgebra):
+    """(quotient, theta, ok): g / Z(g) with the induced cocycle, and whether
+    the central extension they define has the signature of g."""
     quot, theta = extend.induced_cocycle(g)
     rebuilt = extend.central_extension(quot.algebra, theta)
-    round_trip = rebuilt.invariant_signature() == g.invariant_signature()
+    return quot, theta, rebuilt.invariant_signature() == g.invariant_signature()
+
+
+def cmd_reconstruct(args) -> int:
     report = Report("reconstruct")
-    report.add("round_trip_signature", True, round_trip)
-    payload = report.to_doc()
-    payload["quotient"] = quot.algebra.to_doc()
-    payload["cocycle"] = theta.to_doc()
-    report.timing_ms = int((time.time() - t0) * 1000)
-    _emit(args, payload, report.render_text())
-    return 0 if round_trip else 1
+    g = _load_algebra(args.algebra)
+    quot, theta, ok = _round_trip(g)
+    report.add("round_trip_signature", True, ok)
+    return _finish(args, report, {"quotient": quot.algebra.to_doc(), "cocycle": theta.to_doc()})
 
 
 def cmd_qheis_normalize(args) -> int:
@@ -243,33 +246,39 @@ def cmd_qheis_normalize(args) -> int:
     return 0
 
 
-def cmd_qheis_verify(args) -> int:
-    t0 = time.time()
-    report = Report("qheis verify")
-    top = args.max_n
+def _q_identity_items(top: int):
+    """(name, ok) for each q-identity check up to size ``top``, lazily, so a
+    caller that only wants the conjunction stops at the first failure."""
     for n in range(1, min(top, 20) + 1):
-        report.add(f"binomial_recursion_vs_closed n={n}", True,
-                   all(qheis.q_binomial(n, k) == qheis.q_binomial_closed(n, k) for k in range(n + 1)))
+        yield (f"binomial_recursion_vs_closed n={n}",
+               all(qheis.q_binomial(n, k) == qheis.q_binomial_closed(n, k) for k in range(n + 1)))
     for n in range(1, top + 1):
-        report.add(f"powandprod n={n}", True, qheis.verify_powandprod(n))
+        yield f"powandprod n={n}", qheis.verify_powandprod(n)
     for q0 in ("-1", "-1/2", "1/3", "2"):
-        ok = all(qheis.verify_powandprod_reciprocal(n, GaussRat(q0)) for n in range(1, min(top, 8) + 1))
-        report.add(f"powandprod_reciprocal q={q0}", True, ok)
+        yield (f"powandprod_reciprocal q={q0}",
+               all(qheis.verify_powandprod_reciprocal(n, GaussRat(q0))
+                   for n in range(1, min(top, 8) + 1)))
     for n in range(1, min(top, 6) + 1):
-        report.add(f"bnan n={n}", True, qheis.verify_generalized_jacobi("bnan", n))
-        report.add(f"anbn n={n}", True, qheis.verify_generalized_jacobi("anbn", n))
-    report.add("bracketBmAn m,n<=6", True,
-               all(qheis.verify_generalized_jacobi("bracketBmAn", n, m)
-                   for m in range(1, 7) for n in range(1, 7)))
-    report.add("q_zero_table n,m<=8", True,
-               all(qheis.q_zero_products(n, m) == qheis.q_zero_expected(n, m)
-                   for n in range(1, 9) for m in range(1, 9)))
+        yield f"bnan n={n}", qheis.verify_generalized_jacobi("bnan", n)
+        yield f"anbn n={n}", qheis.verify_generalized_jacobi("anbn", n)
+    yield ("bracketBmAn m,n<=6",
+           all(qheis.verify_generalized_jacobi("bracketBmAn", n, m)
+               for m in range(1, 7) for n in range(1, 7)))
+    yield ("q_zero_table n,m<=8",
+           all(qheis.q_zero_products(n, m) == qheis.q_zero_expected(n, m)
+               for n in range(1, 9) for m in range(1, 9)))
     for which in qheis._FREE_ITEMS:
-        report.add(f"free_{which}", True, qheis.free_identity_check(which))
-    report.add("subset_sum n<=8", True,
-               all(bool(qheis.subset_sum_binomial_check(n, k))
-                   for n in range(1, 9) for k in range(n + 1)))
-    return _finish(args, report, t0)
+        yield f"free_{which}", qheis.free_identity_check(which)
+    yield ("subset_sum n<=8",
+           all(bool(qheis.subset_sum_binomial_check(n, k))
+               for n in range(1, 9) for k in range(n + 1)))
+
+
+def cmd_qheis_verify(args) -> int:
+    report = Report("qheis verify")
+    for name, ok in _q_identity_items(args.max_n):
+        report.add(name, True, ok)
+    return _finish(args, report)
 
 
 def cmd_fock_build(args) -> int:
@@ -301,58 +310,62 @@ def cmd_fock_build(args) -> int:
 
 
 def _as_float(text: str) -> float:
-    from fractions import Fraction
+    value = GaussRat(text)
+    if value.im:
+        raise ValueError(f"float mode needs a real q, got {text!r}")
+    return float(value.re)
 
-    return float(Fraction(text))
+
+def _truncation_items(q0: GaussRat, n: int):
+    """(name, ok) for the size-n monomial pair: the q-CCR defect sits in the
+    corner only, and the number operator has the closed-form spectrum."""
+    a, b = fock.monomial_rep(q0, n)
+    yield "defect_corner_only", fock.defect_is_corner_only(fock.qccr_defect(a, b, q0), q0)
+    yield ("spectrum_closed_form",
+           fock.number_operator_spectrum(a, b) == fock.spectrum_closed_form(q0, n))
+
+
+def _biorthogonal_items(system: fock.BiorthogonalSystem):
+    """(name, ok): the pairing matrix is the identity, and each squared
+    ladder coefficient is {m+1}_q."""
+    yield "biorthogonality", system.pairing_matrix() == SparseMatrix.identity(system.n)
+    rungs = [fock.q_int(m + 1, system.q0) for m in range(system.n - 1)]
+    yield "squared_ladder", system.squared_ladder_coefficients() == rungs
 
 
 def cmd_fock_verify(args) -> int:
-    t0 = time.time()
+    report = Report("fock verify")
     q0 = GaussRat(args.q)
     n = args.n
     if n * n > _size_cap():
         raise fock.SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
-    a, b = fock.monomial_rep(q0, n)
-    report = Report("fock verify")
-    defect = fock.qccr_defect(a, b, q0)
-    report.add("defect_corner_only", True, fock.defect_is_corner_only(defect, q0))
-    spectrum = fock.number_operator_spectrum(a, b)
-    report.add("spectrum_closed_form", True, spectrum == fock.spectrum_closed_form(q0, n))
+    for name, ok in _truncation_items(q0, n):
+        report.add(name, True, ok)
     weights = [GaussRat(k + 1) for k in range(min(n, 12))]
     try:
-        system = fock.biorthogonal_pair(weights, q0, len(weights))
-        report.add(
-            "biorthogonality",
-            True,
-            system.pairing_matrix() == SparseMatrix.identity(len(weights)),
-        )
-        report.add(
-            "squared_ladder",
-            True,
-            system.squared_ladder_coefficients()
-            == [fock.q_int(m + 1, q0) for m in range(len(weights) - 1)],
-        )
+        for name, ok in _biorthogonal_items(fock.biorthogonal_pair(weights, q0, len(weights))):
+            report.add(name, True, ok)
     except LieqError as err:
         report.add("biorthogonality", "constructible", str(err), ok=False)
-    return _finish(args, report, t0)
+    return _finish(args, report)
+
+
+def _defects_on_top_degree(ct: fock.CuntzToeplitz) -> bool:
+    """Every isometry defect l_i+ l_j - delta_ij I lives on top-degree words."""
+    return all(ct.defect_supported_on_top_degree(i, j) for i in range(ct.d) for j in range(ct.d))
 
 
 def cmd_fock_cuntz(args) -> int:
-    t0 = time.time()
-    ct = fock.cuntz_toeplitz(args.d, args.depth, _size_cap())
     report = Report("fock cuntz")
+    ct = fock.cuntz_toeplitz(args.d, args.depth, _size_cap())
     report.add("dim", None, ct.dim, ok=True)
-    ok = all(
-        ct.defect_supported_on_top_degree(i, j) for i in range(args.d) for j in range(args.d)
-    )
-    report.add("isometry_defect_top_degree_only", True, ok)
-    return _finish(args, report, t0)
+    report.add("isometry_defect_top_degree_only", True, _defects_on_top_degree(ct))
+    return _finish(args, report)
 
 
 def cmd_verify_all(args) -> int:
-    t0 = time.time()
-    rng = random.Random(args.seed)
     report = Report("verify-all")
+    rng = random.Random(args.seed)
 
     cat_report = catalog.verify_all()
     report.add("catalog", "pass", "pass" if cat_report.ok else "fail")
@@ -360,8 +373,8 @@ def cmd_verify_all(args) -> int:
     sl2 = catalog.get("sl2").algebra
     der, inn = cohomology.derivation_dims(sl2)
     report.add("sl2_der_inn", (3, 3), (der, inn))
-    report.add("sl2_h2", 0, cohomology.adjoint_h2_dim(sl2))
     rr = deform.rigidity_report(sl2)
+    report.add("sl2_h2", 0, rr.dim_h2)
     report.add("sl2_rigidity", (6, 6, True, True),
                (rr.orbit_tangent_dim, rr.dim_b2, rr.nr_rigid, rr.tangent_equals_b2))
 
@@ -379,9 +392,7 @@ def cmd_verify_all(args) -> int:
         g = catalog.get(name).algebra
         if g.is_nilpotent() is None or g.center().dim == 0 or g.dim == 0:
             continue
-        quot, theta = extend.induced_cocycle(g)
-        rebuilt = extend.central_extension(quot.algebra, theta)
-        ss_ok = ss_ok and rebuilt.invariant_signature() == g.invariant_signature()
+        ss_ok = ss_ok and _round_trip(g)[2]
     report.add("skjelbred_sund_round_trip", True, ss_ok)
 
     from .liealg import abelian
@@ -400,42 +411,14 @@ def cmd_verify_all(args) -> int:
     defect = deform.deformation_is_lie(deform.make_linear_deformation(h1, counter))
     report.add("cyclic_cocycle_counterexample_fails_full", True, defect is not None)
 
-    q_ok = all(qheis.verify_powandprod(n) for n in range(1, 13))
-    q_ok = q_ok and all(
-        qheis.verify_powandprod_reciprocal(n, GaussRat(q0))
-        for n in range(1, 9)
-        for q0 in ("-1", "-1/2", "1/3", "2")
-    )
-    q_ok = q_ok and all(
-        qheis.verify_generalized_jacobi(which, n)
-        for which in ("bnan", "anbn")
-        for n in range(1, 7)
-    )
-    q_ok = q_ok and all(
-        qheis.verify_generalized_jacobi("bracketBmAn", n, m)
-        for m in range(1, 7)
-        for n in range(1, 7)
-    )
-    q_ok = q_ok and all(qheis.free_identity_check(w) for w in qheis._FREE_ITEMS)
-    q_ok = q_ok and all(
-        qheis.q_zero_products(n, m) == qheis.q_zero_expected(n, m)
-        for n in range(1, 9)
-        for m in range(1, 9)
-    )
-    q_ok = q_ok and all(
-        qheis.q_binomial(n, k) == qheis.q_binomial_closed(n, k)
-        for n in range(1, 21)
-        for k in range(n + 1)
-    )
-    report.add("q_identity_suite", True, q_ok)
+    report.add("q_identity_suite", True, all(ok for _, ok in _q_identity_items(20)))
 
-    fock_ok = True
-    for q_text in ("-1", "-1/2", "0", "1/3", "1"):
-        q0 = GaussRat(q_text)
-        for n in (8, 32):
-            a, b = fock.monomial_rep(q0, n)
-            fock_ok = fock_ok and fock.defect_is_corner_only(fock.qccr_defect(a, b, q0), q0)
-            fock_ok = fock_ok and fock.number_operator_spectrum(a, b) == fock.spectrum_closed_form(q0, n)
+    fock_ok = all(
+        ok
+        for q_text in ("-1", "-1/2", "0", "1/3", "1")
+        for n in (8, 32)
+        for _, ok in _truncation_items(GaussRat(q_text), n)
+    )
     report.add("fock_interior_exactness", True, fock_ok)
 
     bio_ok = True
@@ -445,10 +428,7 @@ def cmd_verify_all(args) -> int:
             weights = [GaussRat(rng.randint(1, 40), 0) / GaussRat(rng.randint(1, 40), 0)
                        for _ in range(rng.randint(2, 16))]
             system = fock.biorthogonal_pair(weights, q0)
-            bio_ok = bio_ok and system.pairing_matrix() == SparseMatrix.identity(len(weights))
-            bio_ok = bio_ok and system.squared_ladder_coefficients() == [
-                fock.q_int(m + 1, q0) for m in range(len(weights) - 1)
-            ]
+            bio_ok = bio_ok and all(ok for _, ok in _biorthogonal_items(system))
     report.add("biorthogonality", True, bio_ok)
 
     sp = fock.shifted_pair(GaussRat(1), GaussRat(0, 1), 8)
@@ -471,15 +451,10 @@ def cmd_verify_all(args) -> int:
         transport_ok = transport_ok and result.conjugation_exact
     report.add("similarity_transport", True, transport_ok)
 
-    ct_ok = True
-    for d in (2, 3):
-        ct = fock.cuntz_toeplitz(d, 3, _size_cap())
-        ct_ok = ct_ok and all(
-            ct.defect_supported_on_top_degree(i, j) for i in range(d) for j in range(d)
-        )
+    ct_ok = all(_defects_on_top_degree(fock.cuntz_toeplitz(d, 3, _size_cap())) for d in (2, 3))
     report.add("cuntz_toeplitz", True, ct_ok)
 
-    return _finish(args, report, t0)
+    return _finish(args, report)
 
 
 def _random_invertible(rng: random.Random, n: int) -> SparseMatrix:

@@ -46,23 +46,21 @@ def _parse_gauss(text: str) -> tuple[Fraction, Fraction]:
     txt = text.replace(" ", "")
     if not txt:
         raise ValueError("empty scalar string")
-    if not txt.endswith("i"):
-        return Fraction(txt), Fraction(0)
-    body = txt[:-1]
-    # split real and imaginary parts at the last top-level sign
-    re_part, im_part = "", body
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/":
-            re_part, im_part = body[:pos], body[pos:]
-            break
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = Fraction(im_part)
-    re = Fraction(re_part) if re_part else Fraction(0)
-    return re, im
+    re_part, im_part = txt, 0
+    if txt.endswith("i"):
+        body = txt[:-1]
+        # split real and imaginary parts at the last top-level sign
+        re_part, im_part = 0, body
+        for pos in range(len(body) - 1, 0, -1):
+            if body[pos] in "+-" and body[pos - 1] not in "+-/":
+                re_part, im_part = body[:pos], body[pos:]
+                break
+        if im_part in ("", "+", "-"):
+            im_part += "1"
+    try:
+        return Fraction(re_part), Fraction(im_part)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
 class GaussRat:

@@ -15,7 +15,7 @@ from typing import Mapping
 from .cohomology import Cochain, cyclic_failure
 from .exactnum import GaussRat, LieqError, gauss
 from .liealg import LieAlgebra, Quotient, signed_pair
-from .linalg import Subspace, Vec, nullspace, vec_add
+from .linalg import Subspace, Vec, mat_vec, nullspace, vec_add
 
 
 class CocycleViolation(LieqError):
@@ -136,16 +136,7 @@ class ShiftIso:
     matrix_rows: list[Vec]
 
     def apply(self, vec: Vec) -> Vec:
-        out: Vec = {}
-        for r, row in enumerate(self.matrix_rows):
-            total = None
-            for c, coeff in row.items():
-                x = vec.get(c)
-                if x is not None:
-                    total = coeff * x if total is None else total + coeff * x
-            if total:
-                out[r] = total
-        return out
+        return mat_vec(self.matrix_rows, vec)
 
 
 def coboundary_shift_iso(g: LieAlgebra, theta: CentralCocycle, c_prime: Cochain) -> ShiftIso:

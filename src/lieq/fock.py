@@ -214,11 +214,7 @@ class BiorthogonalSystem:
         data = {}
         for a in range(self.n):
             for b in range(self.n):
-                total = ZERO
-                for idx, value in self.phi[a].items():
-                    other = self.psi[b].get(idx)
-                    if other is not None:
-                        total = total + value.conj() * other
+                total = _pair(self.phi[a], self.psi[b])
                 if total:
                     data[(a, b)] = total
         return SparseMatrix(self.n, data)

@@ -171,9 +171,14 @@ class LieAlgebra:
 
     def center(self) -> Subspace:
         """Nullspace of the stacked ad-matrices."""
+        return self._centralizer_mod(Subspace.zero(self.dim))
+
+    def _centralizer_mod(self, current: Subspace) -> Subspace:
+        """{x : [x, g] inside current}: the nullspace of the ad-matrices
+        taken modulo current."""
         rows: list[Vec] = []
         for j in range(self.dim):
-            cols = [self.pair(i, j) for i in range(self.dim)]
+            cols = [current.reduce(self.pair(i, j)) for i in range(self.dim)]
             coords = set()
             for col in cols:
                 coords.update(col)
@@ -214,17 +219,7 @@ class LieAlgebra:
         series = [Subspace.zero(self.dim)]
         while True:
             current = series[-1]
-            rows: list[Vec] = []
-            for j in range(self.dim):
-                cols = [current.reduce(self.pair(i, j)) for i in range(self.dim)]
-                coords = set()
-                for col in cols:
-                    coords.update(col)
-                for r in sorted(coords):
-                    row = {i: cols[i][r] for i in range(self.dim) if r in cols[i]}
-                    if row:
-                        rows.append(row)
-            nxt = Subspace(self.dim, nullspace(rows, self.dim))
+            nxt = self._centralizer_mod(current)
             if nxt == current:
                 break
             series.append(nxt)

@@ -228,3 +228,43 @@ def test_deterministic_under_fixed_seed(capsys):
     first = strip_timing(run_json(capsys, ["fock", "verify", "--q", "1/3", "--n", "8", "--seed", "5"])[1])
     second = strip_timing(run_json(capsys, ["fock", "verify", "--q", "1/3", "--n", "8", "--seed", "5"])[1])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fock", "verify", "--q", "1/0", "--n", "8"],
+        ["fock", "build", "--q", "1/0", "--n", "4"],
+        ["fock", "build", "--q", "1/0", "--n", "4", "--mode", "float"],
+        ["qheis", "normalize", "1/0*A"],
+    ],
+)
+def test_zero_denominator_is_usage_error(capsys, argv):
+    assert cli.run(argv) == 2
+    assert "zero denominator in scalar '1/0'" in capsys.readouterr().err
+
+
+def test_catalog_show_needs_a_name(capsys):
+    assert cli.run(["catalog", "show"]) == 2
+    assert "catalog show needs an algebra name" in capsys.readouterr().err
+
+
+def test_cohomology_rejects_negative_module_dim(capsys):
+    code = cli.run(
+        ["cohomology", "--algebra", "sl2", "--coeffs", "trivial", "--module-dim", "-1"]
+    )
+    assert code == 2
+    assert "--module-dim" in capsys.readouterr().err
+
+
+def test_verify_all_runs_the_subset_sum_check(capsys, monkeypatch):
+    from lieq import qheis
+
+    def failing(n, k):
+        return qheis.SubsetSumReport(n, k, False, False, None, None)
+
+    monkeypatch.setattr(qheis, "subset_sum_binomial_check", failing)
+    code, doc = run_json(capsys, ["verify-all"])
+    assert code == 1
+    verdicts = {item["name"]: item["verdict"] for item in doc["items"]}
+    assert verdicts["q_identity_suite"] == "fail"
