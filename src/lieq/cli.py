@@ -276,6 +276,8 @@ def _q_identity_items(top: int):
 
 def cmd_qheis_verify(args) -> int:
     report = Report("qheis verify")
+    if args.max_n < 0:
+        raise ValueError(f"--max-n must be a non-negative size, got {args.max_n}")
     for name, ok in _q_identity_items(args.max_n):
         report.add(name, True, ok)
     return _finish(args, report)

@@ -3,16 +3,24 @@
 All algebraic data in this package lives over the field Q(i), realized as
 pairs of exact rational components (``int`` or ``fractions.Fraction``).  The
 one-parameter families (deformation parameter ``t``, quantum parameter
-``q``) are Laurent polynomials with GaussRat coefficients; negative
-exponents are first-class so reciprocal identities in 1/q stay exact.
+``q``) are Laurent polynomials with Gaussian-rational coefficients;
+negative exponents are first-class so reciprocal identities in 1/q stay
+exact.  A Laurent polynomial is stored densely, as integer arrays of real
+and imaginary numerators over one shared denominator, so its arithmetic is
+integer convolution and one-pass long division with no per-term GaussRat.
 
 Values are immutable after construction and can be shared freely between
-threads.
+threads (a polynomial's ``coeffs`` view is filled in on first read, the
+same way by every reader).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul, sub
+from types import MappingProxyType
 from typing import Mapping, Union
 
 
@@ -204,31 +212,138 @@ ONE = GaussRat(1)
 I = GaussRat(0, 1)
 
 
-def _is_const_coeffs(coeffs: Mapping[int, GaussRat]) -> bool:
-    return all(exp == 0 for exp in coeffs)
+def _convolve(x, y) -> list[int]:
+    """Coefficients of the product of two integer coefficient sequences."""
+    if len(x) > len(y):
+        x, y = y, x
+    if len(x) == 1:
+        a = x[0]
+        return y if a == 1 else [a * b for b in y]
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y, i):
+                out[j] += a * b
+    return out
+
+
+def _aligned(size: int, a, a_at: tuple[int, int], b, b_at: tuple[int, int]) -> list[int] | None:
+    """a and b, each multiplied by its scale and placed at its offset, summed
+    into one list of the given size; None when both are None."""
+    if a is None and b is None:
+        return None
+    out = [0] * size
+    for seq, (at, scale) in ((a, a_at), (b, b_at)):
+        if seq is not None:
+            seg = seq if scale == 1 else [scale * c for c in seq]
+            out[at : at + len(seq)] = map(add, out[at : at + len(seq)], seg)
+    return out
+
+
+def _divide(num, div) -> tuple[list[int], int] | None:
+    """(quot, scale) with num * scale == quot * div over the integers, by one
+    top-down pass, or None when a remainder survives.  len(num) >= len(div).
+
+    The remainder stays integral: when the leading coefficient of div does
+    not divide the top of the remainder, the remainder and the quotient so
+    far are multiplied by the missing factor, and scale records it."""
+    m = len(div)
+    lead = div[-1]
+    rem = list(num)
+    quot = [0] * (len(num) - m + 1)
+    scale = 1
+    for k in range(len(quot) - 1, -1, -1):
+        top = rem[k + m - 1]
+        if not top:
+            continue
+        if top % lead:
+            f = abs(lead) // gcd(lead, top)
+            rem[: k + m] = [f * c for c in rem[: k + m]]
+            quot[k + 1 :] = [f * c for c in quot[k + 1 :]]
+            scale *= f
+            top *= f
+        c = top // lead
+        quot[k] = c
+        rem[k : k + m] = map(sub, rem[k : k + m], map(mul, div, repeat(c)))
+    if any(rem[: m - 1]):
+        return None
+    return quot, scale
+
+
+def _poly(var: str, low: int, re, im, den: int) -> "LaurentPoly":
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly._settle(var, low, re, im, den)
+    return poly
 
 
 class LaurentPoly:
     """Laurent polynomial in one formal parameter with GaussRat coefficients.
 
-    ``coeffs`` maps integer exponents (possibly negative) to nonzero
-    scalars; zero is the empty map.  Two polynomials compare equal when
-    they have the same coefficients and either the same parameter name or
-    no visible parameter at all (constants are parameter-agnostic).
+    Stored densely: the coefficient of ``var^(low + k)`` is
+    ``(re[k] + im[k]*i) / den`` with integer numerators and one positive
+    common denominator ``den``; ``im`` is None when every coefficient is
+    real.  The arrays have no zero ends and gcd(den, numerators) = 1, so
+    equal polynomials have equal fields; zero is ``re == ()``.  Two
+    polynomials compare equal when they have the same coefficients and
+    either the same parameter name or no visible parameter at all
+    (constants are parameter-agnostic).
+
+    ``coeffs`` is a read-only view mapping each exponent (possibly
+    negative) of a nonzero coefficient to its GaussRat, in ascending
+    order; it is built on first read and is not used by the arithmetic.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "low", "re", "im", "den", "_coeffs")
 
     def __init__(self, var: str, coeffs: Mapping[int, ScalarLike]):
-        clean: dict[int, GaussRat] = {}
+        terms: dict[int, GaussRat] = {}
         for exp, value in coeffs.items():
             scalar = gauss(value)
             if scalar is None:
                 raise TypeError(f"bad coefficient {value!r}")
             if scalar:
-                clean[int(exp)] = scalar
+                terms[int(exp)] = scalar
+        if not terms:
+            self._settle(var, 0, (), None, 1)
+            return
+        low = min(terms)
+        den = lcm(*(part.denominator for c in terms.values() for part in (c.re, c.im)))
+        re = [0] * (max(terms) - low + 1)
+        im = [0] * len(re)
+        for exp, c in terms.items():
+            re[exp - low] = c.re.numerator * (den // c.re.denominator)
+            im[exp - low] = c.im.numerator * (den // c.im.denominator)
+        self._settle(var, low, re, im, den)
+
+    def _settle(self, var: str, low: int, re, im, den: int) -> None:
+        """Store the arrays normalized: zero ends trimmed, im None when all
+        real, and gcd(den, numerators) = 1."""
+        if im is not None and not any(im):
+            im = None
+        start, stop = 0, len(re)
+        other = re if im is None else im
+        while start < stop and not (re[start] or other[start]):
+            start += 1
+        while stop > start and not (re[stop - 1] or other[stop - 1]):
+            stop -= 1
+        if start == stop:
+            low, re, im, den = 0, (), None, 1
+        elif start or stop < len(re):
+            low += start
+            re = re[start:stop]
+            im = None if im is None else im[start:stop]
+        if den != 1:
+            g = gcd(den, *re) if im is None else gcd(den, *re, *im)
+            if g != 1:
+                den //= g
+                re = [c // g for c in re]
+                im = None if im is None else [c // g for c in im]
         self.var = var
-        self.coeffs = clean
+        self.low = low
+        self.re = tuple(re)
+        self.im = None if im is None else tuple(im)
+        self.den = den
+        self._coeffs = None
 
     # -- constructors ----------------------------------------------------
 
@@ -259,9 +374,9 @@ class LaurentPoly:
     def _join_var(self, other: "LaurentPoly") -> str:
         if self.var == other.var:
             return self.var
-        if _is_const_coeffs(self.coeffs):
+        if self.is_constant():
             return other.var
-        if _is_const_coeffs(other.coeffs):
+        if other.is_constant():
             return self.var
         raise ValueError(f"mixed parameters {self.var!r} and {other.var!r}")
 
@@ -271,15 +386,19 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for exp, value in other.coeffs.items():
-            acc = out.get(exp)
-            acc = value if acc is None else acc + value
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return LaurentPoly(self._join_var(other), out)
+        var = self._join_var(other)
+        if not other.re:
+            return _poly(var, self.low, self.re, self.im, self.den)
+        if not self.re:
+            return _poly(var, other.low, other.re, other.im, other.den)
+        g = gcd(self.den, other.den)
+        s1, s2 = other.den // g, self.den // g
+        low = min(self.low, other.low)
+        size = max(self.low + len(self.re), other.low + len(other.re)) - low
+        first, second = (self.low - low, s1), (other.low - low, s2)
+        re = _aligned(size, self.re, first, other.re, second)
+        im = _aligned(size, self.im, first, other.im, second)
+        return _poly(var, low, re, im, self.den * s1)
 
     __radd__ = __add__
 
@@ -296,24 +415,27 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
-        return LaurentPoly(self.var, {e: -c for e, c in self.coeffs.items()})
+        im = None if self.im is None else [-c for c in self.im]
+        return _poly(self.var, self.low, [-c for c in self.re], im, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, GaussRat] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exp = e1 + e2
-                term = c1 * c2
-                acc = out.get(exp)
-                acc = term if acc is None else acc + term
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        return LaurentPoly(self._join_var(other), out)
+        var = self._join_var(other)
+        if not self.re or not other.re:
+            return LaurentPoly.zero(var)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        re = _convolve(ar, br)
+        im = None
+        if ai is not None and bi is not None:
+            re = list(map(sub, re, _convolve(ai, bi)))
+            im = list(map(add, _convolve(ar, bi), _convolve(ai, br)))
+        elif ai is not None:
+            im = _convolve(ai, br)
+        elif bi is not None:
+            im = _convolve(ar, bi)
+        return _poly(var, self.low + other.low, re, im, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -330,33 +452,36 @@ class LaurentPoly:
         return out
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises NonDivisible if a remainder survives."""
+        """Exact division; raises NonDivisible if a remainder survives.
+
+        A real divisor D divides the real and imaginary numerator arrays
+        one top-down pass each.  A complex D = Dr + i*Di is made real
+        first: N / D = N * conj(D) / (Dr^2 + Di^2), with conj(D) the
+        coefficient-wise conjugate, which divides exactly iff D does."""
         other = self._coerce(other)
-        if not other.coeffs:
+        if not other.re:
             raise DivisionByZero("division by zero polynomial")
-        if not self.coeffs:
+        if not self.re:
             return LaurentPoly.zero(self.var)
         var = self._join_var(other)
-        d_top = max(other.coeffs)
-        lead = other.coeffs[d_top]
-        # an exact quotient cannot reach below this exponent
-        exp_floor = min(self.coeffs) - min(other.coeffs)
-        rem = dict(self.coeffs)
-        quot: dict[int, GaussRat] = {}
-        while rem:
-            exp = max(rem) - d_top
-            if exp < exp_floor:
-                raise NonDivisible(f"{self} is not divisible by {other}")
-            coeff = rem[max(rem)] / lead
-            quot[exp] = coeff
-            for e2, c2 in other.coeffs.items():
-                tgt = exp + e2
-                acc = rem.get(tgt, ZERO) - coeff * c2
-                if acc:
-                    rem[tgt] = acc
-                else:
-                    rem.pop(tgt, None)
-        return LaurentPoly(var, quot)
+        if len(self.re) < len(other.re):
+            raise NonDivisible(f"{self} is not divisible by {other}")
+        nr, ni, div = self.re, self.im, other.re
+        if other.im is not None:
+            dr, di = other.re, other.im
+            ni = ni or (0,) * len(nr)
+            div = list(map(add, _convolve(dr, dr), _convolve(di, di)))
+            nr, ni = (
+                list(map(add, _convolve(nr, dr), _convolve(ni, di))),
+                list(map(sub, _convolve(ni, dr), _convolve(nr, di))),
+            )
+        quot = [_divide(part, div) for part in (nr, ni) if part is not None]
+        if None in quot:
+            raise NonDivisible(f"{self} is not divisible by {other}")
+        scale = lcm(*(s for _, s in quot))
+        arrays = [[c * (scale // s * other.den) for c in q] for q, s in quot]
+        im = arrays[1] if len(arrays) > 1 else None
+        return _poly(var, self.low - other.low, arrays[0], im, scale * self.den)
 
     # -- evaluation and structure -----------------------------------------
 
@@ -365,50 +490,73 @@ class LaurentPoly:
         x = gauss(point)
         if x is None:
             raise TypeError(f"bad evaluation point {point!r}")
-        if not x and self.coeffs and min(self.coeffs) < 0:
+        if not x and self.re and self.low < 0:
             raise EvalAtZeroWithNegativeDegree(
                 "cannot evaluate negative exponents at 0"
             )
-        total = ZERO
-        for exp, coeff in self.coeffs.items():
-            total = total + coeff * (x ** exp)
-        return total
+        if not self.re:
+            return ZERO
+        # Horner on integers: with x = (xr + xi*i) / xd, accumulate
+        # xd^deg * sum_k c_k x^k, then divide once.
+        xd = lcm(x.re.denominator, x.im.denominator)
+        xr = x.re.numerator * (xd // x.re.denominator)
+        xi = x.im.numerator * (xd // x.im.denominator)
+        acc_r = acc_i = 0
+        scale = 1
+        for cr, ci in zip(reversed(self.re), repeat(0) if self.im is None else reversed(self.im)):
+            acc_r, acc_i = acc_r * xr - acc_i * xi + cr * scale, acc_r * xi + acc_i * xr + ci * scale
+            scale *= xd
+        den = scale // xd * self.den
+        total = GaussRat(Fraction(acc_r, den), Fraction(acc_i, den))
+        return total * x ** self.low if self.low else total
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def is_constant(self) -> bool:
-        return _is_const_coeffs(self.coeffs)
+        return not self.re or (self.low == 0 and len(self.re) == 1)
 
     @property
     def min_exp(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
+        return self.low if self.re else None
 
     @property
     def max_exp(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
+        return self.low + len(self.re) - 1 if self.re else None
+
+    @property
+    def coeffs(self) -> Mapping[int, GaussRat]:
+        if self._coeffs is None:
+            den = self.den
+            out = {}
+            for k, (a, b) in enumerate(zip(self.re, self.im or repeat(0))):
+                if a or b:
+                    out[self.low + k] = (
+                        GaussRat(a, b) if den == 1 else GaussRat(Fraction(a, den), Fraction(b, den))
+                    )
+            self._coeffs = MappingProxyType(out)
+        return self._coeffs
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.coeffs != other.coeffs:
+        if (self.low, self.re, self.im, self.den) != (other.low, other.re, other.im, other.den):
             return False
-        return self.var == other.var or _is_const_coeffs(self.coeffs)
+        return self.var == other.var or self.is_constant()
 
-    __hash__ = None  # mutable coefficient dict inside
+    __hash__ = None  # constants equal each other across parameter names
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.re:
             return "0"
         chunks = []
-        for exp in sorted(self.coeffs):
-            coeff = self.coeffs[exp]
+        for exp, coeff in self.coeffs.items():
             txt = str(coeff)
             needs_parens = ("+" in txt[1:]) or ("-" in txt[1:])
             if exp == 0:

@@ -220,16 +220,17 @@ class BiorthogonalSystem:
         return SparseMatrix(self.n, data)
 
     def squared_ladder_coefficients(self) -> list[GaussRat]:
-        """<B phi_n, psi_{n+1}> * <A phi_{n+1}, psi_n> for each rung.  Both
-        factors are the exact monomial-picture transition amplitudes whose
-        product is beta_n^2 = {n+1}_q (the individual beta_n are square
-        roots and exist only in float mode)."""
+        """<psi_{n+1}, B phi_n> * <psi_n, A phi_{n+1}> for each rung: the
+        biorthogonal expansion coefficients of B phi_n on phi_{n+1} and of
+        A phi_{n+1} on phi_n (the pairing conjugates its first argument, the
+        dual vector).  They are the exact monomial-picture transition
+        amplitudes whose product is beta_n^2 = {n+1}_q, for complex q too
+        (the individual beta_n are square roots and exist only in float
+        mode)."""
         out = []
         for m in range(self.n - 1):
-            up_vec = self.raising.apply(self.phi[m])
-            up = _pair(up_vec, self.psi[m + 1])
-            down_vec = self.lowering.apply(self.phi[m + 1])
-            down = _pair(down_vec, self.psi[m])
+            up = _pair(self.psi[m + 1], self.raising.apply(self.phi[m]))
+            down = _pair(self.psi[m], self.lowering.apply(self.phi[m + 1]))
             out.append(up * down)
         return out
 

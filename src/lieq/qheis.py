@@ -180,7 +180,7 @@ def _accumulate(out: dict, key, term: LaurentPoly) -> None:
     """out[key] += term, dropping the key when the sum is zero."""
     acc = out.get(key)
     acc = term if acc is None else acc + term
-    if acc.coeffs:
+    if acc:
         out[key] = acc
     else:
         out.pop(key, None)
@@ -198,7 +198,7 @@ class QExpr:
         clean: dict[str, LaurentPoly] = {}
         for word, coeff in (terms or {}).items():
             poly = _as_poly(coeff)
-            if poly.coeffs:
+            if poly:
                 clean[word] = poly
         self.terms = clean
 
@@ -335,7 +335,7 @@ class NormalForm:
         clean: dict[tuple[int, int], LaurentPoly] = {}
         for key, value in (coeffs or {}).items():
             poly = _as_poly(value)
-            if poly.coeffs:
+            if poly:
                 clean[(int(key[0]), int(key[1]))] = poly
         self.coeffs = clean
 

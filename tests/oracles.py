@@ -3,9 +3,10 @@
 Everything here recomputes results from definitions with dense data and
 direct evaluation: the differential is evaluated tuple by tuple from its
 formula (not pushed forward), ranks come from a plain dense elimination,
-and normal ordering rewrites a randomly chosen inversion instead of the
-first one.  None of this shares code paths with src/lieq beyond the scalar
-type."""
+normal ordering rewrites a randomly chosen inversion instead of the first
+one, and Laurent polynomials are sparse {exponent: GaussRat} dicts with
+term-by-term arithmetic.  None of this shares code paths with src/lieq
+beyond the scalar type."""
 
 from __future__ import annotations
 
@@ -378,19 +379,95 @@ def random_order_normal_form(word: str, rng, q_poly: LaurentPoly | None = None):
             key = (m, len(w) - m)
             acc = done.get(key)
             acc = coeff if acc is None else acc + coeff
-            if acc.coeffs:
+            if acc:
                 done[key] = acc
             else:
                 done.pop(key, None)
             continue
         idx = rng.choice(spots)
         for nxt, extra in ((w[:idx] + "BA" + w[idx + 2 :], q_poly * coeff), (w[:idx] + w[idx + 2 :], coeff)):
-            if not extra.coeffs:
+            if not extra:
                 continue
             acc = pending.get(nxt)
             acc = extra if acc is None else acc + extra
-            if acc.coeffs:
+            if acc:
                 pending[nxt] = acc
             else:
                 pending.pop(nxt, None)
     return done
+
+
+# -- Laurent polynomials as sparse {exponent: GaussRat} dicts ------------------
+
+
+def _poly_accumulate(out: dict, exp: int, value: GaussRat) -> None:
+    acc = out.get(exp, ZERO) + value
+    if acc:
+        out[exp] = acc
+    else:
+        out.pop(exp, None)
+
+
+def poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exp, value in b.items():
+        _poly_accumulate(out, exp, value)
+    return out
+
+
+def poly_sub(a: dict, b: dict) -> dict:
+    return poly_add(a, {exp: -value for exp, value in b.items()})
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            _poly_accumulate(out, e1 + e2, c1 * c2)
+    return out
+
+
+def poly_divexact(a: dict, b: dict) -> dict | None:
+    """Quotient a / b for b != 0 by long division from the top term, one
+    GaussRat quotient term at a time; None when a remainder survives."""
+    if not a:
+        return {}
+    b_top = max(b)
+    lead = b[b_top]
+    exp_floor = min(a) - min(b)  # an exact quotient cannot reach below this
+    rem = dict(a)
+    quot = {}
+    while rem:
+        top = max(rem)
+        exp = top - b_top
+        if exp < exp_floor:
+            return None
+        coeff = rem[top] / lead
+        quot[exp] = coeff
+        for e2, c2 in b.items():
+            _poly_accumulate(rem, exp + e2, -(coeff * c2))
+    return quot
+
+
+def poly_eval(a: dict, x: GaussRat) -> GaussRat:
+    total = ZERO
+    for exp, coeff in a.items():
+        total = total + coeff * x ** exp
+    return total
+
+
+def poly_str(var: str, a: dict) -> str:
+    """Terms in ascending exponent order; a coefficient with an inner sign is
+    parenthesized and a unit coefficient is dropped."""
+    if not a:
+        return "0"
+    out = ""
+    for exp in sorted(a):
+        txt = str(a[exp])
+        if "+" in txt[1:] or "-" in txt[1:]:
+            txt = f"({txt})"
+        if exp != 0:
+            power = var if exp == 1 else f"{var}^{exp}"
+            txt = {"1": power, "-1": f"-{power}"}.get(txt, f"{txt}*{power}")
+        out += txt if not out or txt.startswith("-") else "+" + txt
+    return out

@@ -170,6 +170,14 @@ def test_negative_rational_q_values_parse(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("q_text", ["i", "1+i", "-1/2+1/3i"])
+def test_fock_verify_complex_q(capsys, q_text):
+    code, doc = run_json(capsys, ["fock", "verify", f"--q={q_text}", "--n", "4"])
+    verdicts = {item["name"]: item["verdict"] for item in doc["items"]}
+    assert verdicts["squared_ladder"] == "pass"
+    assert code == 0 and doc["status"] == "pass"
+
+
 def test_fock_float_build(capsys):
     code, doc = run_json(capsys, ["fock", "build", "--q", "1", "--n", "4", "--mode", "float"])
     assert code == 0
@@ -255,6 +263,11 @@ def test_cohomology_rejects_negative_module_dim(capsys):
     )
     assert code == 2
     assert "--module-dim" in capsys.readouterr().err
+
+
+def test_qheis_verify_rejects_negative_max_n(capsys):
+    assert cli.run(["qheis", "verify", "--max-n", "-1"]) == 2
+    assert "--max-n must be a non-negative size" in capsys.readouterr().err
 
 
 def test_verify_all_runs_the_subset_sum_check(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from lieq.exactnum import (
     DivisionByZero,
     EvalAtZeroWithNegativeDegree,
@@ -199,5 +201,78 @@ def test_poly_doc_round_trip():
 def test_mixed_parameter_rejected():
     with pytest.raises(ValueError):
         LaurentPoly.gen("q") * LaurentPoly.gen("t")
+    with pytest.raises(ValueError):
+        LaurentPoly.gen("q") + LaurentPoly.gen("t")
+    with pytest.raises(ValueError):
+        (LaurentPoly.gen("q") ** 2).divexact(LaurentPoly.gen("t"))
     # constants are parameter-agnostic
     assert LaurentPoly.const(2, "t") * LaurentPoly.gen("q") == LaurentPoly.monomial(1, 2, "q")
+
+
+# -- cross-check against the sparse dict oracle ------------------------------
+
+small_gauss = st.builds(
+    GaussRat,
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+gauss_dicts = st.dictionaries(st.integers(min_value=-4, max_value=5), small_gauss, max_size=5).map(
+    lambda d: {e: c for e, c in d.items() if c}
+)
+EVAL_POINTS = [ZERO, ONE, GaussRat("1/2"), I, GaussRat("-2/3+1/5i")]
+DIVISOR = {0: ONE, 1: GaussRat(2, 1)}  # (2+i)q + 1: complex, non-unit leading coefficient
+
+
+def _check_against_oracle(a, b):
+    p, r = LaurentPoly("q", a), LaurentPoly("q", b)
+    assert p.coeffs == a
+    assert list(p.coeffs) == sorted(a) and all(p.coeffs.values())
+    assert (p + r).coeffs == oracles.poly_add(a, b)
+    assert (p - r).coeffs == oracles.poly_sub(a, b)
+    product = oracles.poly_mul(a, b)
+    assert (p * r).coeffs == product
+    assert str(p) == oracles.poly_str("q", a)
+    assert (p == r) == (a == b)
+    assert LaurentPoly.from_doc(p.to_doc()) == p
+    assert p.to_doc()["coeffs"] == {str(e): str(c) for e, c in a.items()}
+    for x in EVAL_POINTS:
+        if not x and a and min(a) < 0:
+            with pytest.raises(EvalAtZeroWithNegativeDegree):
+                p.eval(x)
+        else:
+            assert p.eval(x) == oracles.poly_eval(a, x)
+    if not b:
+        with pytest.raises(DivisionByZero):
+            p.divexact(r)
+        return
+    assert LaurentPoly("q", product).divexact(r) == p
+    for num in (a, oracles.poly_add(product, {0: ONE})):
+        expected = oracles.poly_divexact(num, b)
+        if expected is None:
+            with pytest.raises(NonDivisible):
+                LaurentPoly("q", num).divexact(r)
+        else:
+            assert LaurentPoly("q", num).divexact(r).coeffs == expected
+
+
+@given(gauss_dicts, gauss_dicts)
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_matches_dict_oracle(a, b):
+    _check_against_oracle(a, b)
+
+
+@given(gauss_dicts)
+@settings(max_examples=60, deadline=None)
+def test_complex_non_unit_divisor_matches_dict_oracle(a):
+    _check_against_oracle(a, DIVISOR)
+    if a:
+        d = LaurentPoly("q", DIVISOR)
+        with pytest.raises(NonDivisible):
+            (LaurentPoly("q", a) * d + 1).divexact(d)
+
+
+def test_divisor_of_higher_degree_is_not_divisible():
+    with pytest.raises(NonDivisible):
+        (1 + q()).divexact(1 + q() ** 2)
+    with pytest.raises(NonDivisible):
+        LaurentPoly.const(3).divexact(LaurentPoly("q", DIVISOR))
