@@ -105,7 +105,7 @@ def _size_cap() -> int:
 
 
 def _matrix_doc(mat: SparseMatrix) -> dict:
-    triplets = [[r + 1, c + 1, str(v)] for (r, c), v in sorted(mat.data.items())]
+    triplets = [[r + 1, c + 1, str(v)] for r, c, v in mat.entries()]
     return {"n": mat.n, "entries": triplets}
 
 
@@ -288,12 +288,11 @@ def cmd_fock_build(args) -> int:
     if n * n > _size_cap():
         raise fock.SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
     if args.mode == "float":
-        c, cdag = fock.orthonormal_rep_float(_as_float(args.q), n)
         doc = {
             "format": "lieq-1",
             "mode": "float",
             "n": n,
-            "superdiagonal": [c[m, m + 1] for m in range(n - 1)],
+            "superdiagonal": fock.orthonormal_rep_float(_as_float(args.q), n),
         }
         _emit(args, doc, "\n".join(str(x) for x in doc["superdiagonal"]))
         return 0
@@ -331,7 +330,7 @@ def _biorthogonal_items(system: fock.BiorthogonalSystem):
     """(name, ok): the pairing matrix is the identity, and each squared
     ladder coefficient is {m+1}_q."""
     yield "biorthogonality", system.pairing_matrix() == SparseMatrix.identity(system.n)
-    rungs = [fock.q_int(m + 1, system.q0) for m in range(system.n - 1)]
+    rungs = qheis.q_integers_at(system.n - 1, system.q0)[1:]
     yield "squared_ladder", system.squared_ladder_coefficients() == rungs
 
 

@@ -23,11 +23,9 @@ from typing import Mapping, Sequence
 from .exactnum import GaussRat, LieqError, ZERO, gauss
 from .liealg import LieAlgebra, signed_pair
 from .linalg import (
+    SparseMatrix,
     Subspace,
     Vec,
-    mat_mul,
-    mat_sub,
-    mat_vec,
     nullspace,
     nullspace_with_free,
     rank,
@@ -46,7 +44,7 @@ class NotARepresentation(LieqError):
 class Representation:
     """A Lie algebra homomorphism into gl(m), one matrix per basis vector.
 
-    Matrices are rows-of-dicts.  kind is one of "adjoint", "trivial",
+    Matrices are SparseMatrix values.  kind is one of "adjoint", "trivial",
     "explicit"; explicit matrices are checked against the bracket law
     rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) at construction.
     """
@@ -54,16 +52,16 @@ class Representation:
     def __init__(
         self,
         source: LieAlgebra,
-        matrices: Sequence[Sequence[Vec]],
+        matrices: Sequence[SparseMatrix],
         kind: str = "explicit",
         module_dim: int | None = None,
     ):
         if len(matrices) != source.dim:
             raise SourceMismatch("need one matrix per basis vector")
         self.source = source
-        self.matrices = tuple(tuple(dict(row) for row in mat) for mat in matrices)
+        self.matrices = tuple(matrices)
         if module_dim is None:
-            module_dim = len(self.matrices[0]) if self.matrices else 0
+            module_dim = self.matrices[0].n if self.matrices else 0
         self.module_dim = module_dim
         self.kind = kind
         if kind == "explicit":
@@ -72,26 +70,16 @@ class Representation:
     def _check_preserves_bracket(self):
         for i in range(self.source.dim):
             for j in range(i + 1, self.source.dim):
-                lhs = _apply_to_matrix_combo(self, self.source.pair(i, j))
-                rhs = _commutator(self.matrices[i], self.matrices[j])
-                if lhs != rhs:
+                lhs = SparseMatrix(self.module_dim)
+                for k, coeff in self.source.pair(i, j).items():
+                    lhs = lhs + self.matrices[k].scale(coeff)
+                a, b = self.matrices[i], self.matrices[j]
+                if lhs != a @ b - b @ a:
                     raise NotARepresentation(f"bracket law fails on pair ({i + 1}, {j + 1})")
 
     def apply(self, i: int, v: Vec) -> Vec:
         """rho(e_i) applied to a sparse module vector."""
-        return mat_vec(self.matrices[i], v)
-
-
-def _commutator(a: Sequence[Vec], b: Sequence[Vec]) -> list[Vec]:
-    return [dict(r) for r in mat_sub(mat_mul(list(a), list(b)), mat_mul(list(b), list(a)))]
-
-
-def _apply_to_matrix_combo(rep: Representation, coeffs: Vec) -> list[Vec]:
-    out: list[Vec] = [dict() for _ in range(rep.module_dim)]
-    for k, c in coeffs.items():
-        for r, row in enumerate(rep.matrices[k]):
-            vec_add(out[r], row, c)
-    return out
+        return self.matrices[i].apply(v)
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
@@ -106,12 +94,12 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
         for j in range(g.dim):
             for r, value in g.pair(i, j).items():
                 rows[r][j] = value
-        matrices.append(rows)
+        matrices.append(SparseMatrix.from_rows(rows, g.dim))
     return Representation(g, matrices, kind="adjoint", module_dim=g.dim)
 
 
 def trivial_rep(g: LieAlgebra, module_dim: int = 1) -> Representation:
-    matrices = [[{} for _ in range(module_dim)] for _ in range(g.dim)]
+    matrices = [SparseMatrix(module_dim) for _ in range(g.dim)]
     return Representation(g, matrices, kind="trivial", module_dim=module_dim)
 
 
@@ -284,7 +272,7 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[Vec]
     unit = [{i: GaussRat(1)} for i in range(m)]
     # action[a][i] = rho(e_a) e_i, a column of the module action
     action = [
-        [{r: row[i] for r, row in enumerate(mat) if i in row} for i in range(m)]
+        [{r: row[i] for r, row in enumerate(mat.rows) if i in row} for i in range(m)]
         for mat in rep.matrices
     ]
     columns: list[Vec] = []
@@ -415,7 +403,7 @@ class DerivationAlgebra:
     """Der(g) with its commutator structure constants, the matrices of a
     chosen basis, and the inner derivations as a subspace of gl(n)."""
 
-    def __init__(self, algebra: LieAlgebra, matrices: list[list[Vec]], inner: Subspace):
+    def __init__(self, algebra: LieAlgebra, matrices: list[SparseMatrix], inner: Subspace):
         self.algebra = algebra
         self.matrices = matrices
         self.inner = inner
@@ -441,19 +429,17 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
         for row in CochainComplex(g, adjoint_rep(g)).rows(1)
     ]
     basis_flat, free_cols = nullspace_with_free(rows, n * n)
-    matrices: list[list[Vec]] = []
-    for flat in basis_flat:
-        mat: list[Vec] = [dict() for _ in range(n)]
-        for idx, value in flat.items():
-            mat[idx // n][idx % n] = value
-        matrices.append(mat)
+    matrices = [
+        SparseMatrix(n, {(idx // n, idx % n): value for idx, value in flat.items()})
+        for flat in basis_flat
+    ]
 
     brackets: dict[tuple[int, int], Vec] = {}
     for a in range(len(matrices)):
         for b in range(a + 1, len(matrices)):
-            comm = mat_sub(mat_mul(matrices[a], matrices[b]), mat_mul(matrices[b], matrices[a]))
+            comm = matrices[a] @ matrices[b] - matrices[b] @ matrices[a]
             flat: Vec = {}
-            for r, row in enumerate(comm):
+            for r, row in enumerate(comm.rows):
                 for c, value in row.items():
                     flat[r * n + c] = value
             coeffs: Vec = {}

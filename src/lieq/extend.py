@@ -15,7 +15,7 @@ from typing import Mapping
 from .cohomology import Cochain, cyclic_failure
 from .exactnum import GaussRat, LieqError, gauss
 from .liealg import LieAlgebra, Quotient, signed_pair
-from .linalg import Subspace, Vec, mat_vec, nullspace, vec_add
+from .linalg import SparseMatrix, Subspace, Vec, nullspace, vec_add
 
 
 class CocycleViolation(LieqError):
@@ -63,9 +63,6 @@ class CentralCocycle:
         if triple is not None:
             i, j, k = triple
             raise CocycleViolation(f"cyclic condition fails on triple ({i + 1}, {j + 1}, {k + 1})")
-
-    def as_cochain(self) -> Cochain:
-        return Cochain(self.source, 2, self.target_dim, dict(self.values))
 
     def to_doc(self) -> dict:
         entries = []
@@ -133,10 +130,10 @@ class ShiftIso:
     source_algebra: LieAlgebra
     target_algebra: LieAlgebra
     shifted: CentralCocycle
-    matrix_rows: list[Vec]
+    matrix: SparseMatrix
 
     def apply(self, vec: Vec) -> Vec:
-        return mat_vec(self.matrix_rows, vec)
+        return self.matrix.apply(vec)
 
 
 def coboundary_shift_iso(g: LieAlgebra, theta: CentralCocycle, c_prime: Cochain) -> ShiftIso:
@@ -161,17 +158,12 @@ def coboundary_shift_iso(g: LieAlgebra, theta: CentralCocycle, c_prime: Cochain)
     g_theta = central_extension(g, theta)
     g_shifted = central_extension(g, shifted)
 
-    rows: list[Vec] = [dict() for _ in range(n + v)]
+    entries = {(i, i): 1 for i in range(n + v)}
     for i in range(n):
-        rows[i][i] = GaussRat(1)
         for k, value in c_prime.value((i,)).items():
-            rows[n + k][i] = value
-    for k in range(v):
-        rows[n + k][n + k] = rows[n + k].get(n + k, GaussRat(0)) + GaussRat(1)
-        if not rows[n + k][n + k]:
-            del rows[n + k][n + k]
+            entries[(n + k, i)] = value
 
-    iso = ShiftIso(g_shifted, g_theta, shifted, rows)
+    iso = ShiftIso(g_shifted, g_theta, shifted, SparseMatrix(n + v, entries))
     for i in range(n + v):
         for j in range(i + 1, n + v):
             lhs = iso.apply(g_shifted.pair(i, j))

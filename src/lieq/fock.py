@@ -5,9 +5,10 @@ q-CCR families, and multi-mode q = 0 (Cuntz-Toeplitz) isometries.
 Exact computations use the "monomial" basis, where the raising operator is
 a plain shift and the lowering operator carries the whole weight {m}_q.
 The textbook orthonormal picture needs square roots, so it exists only in
-the float mode, which never mixes with the exact paths.  Truncation
-defects are part of every contract here: the single-mode relation fails
-exactly at the top corner with value -{N}_q, and nowhere else.
+the float mode, which never mixes with the exact paths and returns plain
+floats.  Truncation defects are part of every contract here: the
+single-mode relation fails exactly at the top corner with value -{N}_q, and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .exactnum import GaussRat, LieqError, ONE, ZERO, gauss
 from .linalg import SparseMatrix, Vec
-from .qheis import q_integer_at as q_int
+from .qheis import q_integer_at as q_int, q_integers_at
 
 DEFAULT_SIZE_CAP = 200_000
 
@@ -48,20 +49,19 @@ class AlphaEqualsBeta(UserWarning):
     """Shifted pair with alpha = beta collapses to B = A-dagger."""
 
 
+def _check_size(n: int) -> None:
+    if n < 2:
+        raise ValueError("need at least a 2-dimensional truncation")
+
+
 def monomial_rep(q0, n: int) -> tuple[SparseMatrix, SparseMatrix]:
     """(A, B) on the truncated number basis: B is the raising shift
     B e_m = e_{m+1} (annihilating the top), A e_m = {m}_q e_{m-1}."""
     q0 = gauss(q0)
-    if n < 2:
-        raise ValueError("need at least a 2-dimensional truncation")
-    lower = {}
-    raise_ = {}
-    for m in range(1, n):
-        weight = q_int(m, q0)
-        if weight:
-            lower[(m - 1, m)] = weight
-    for m in range(n - 1):
-        raise_[(m + 1, m)] = ONE
+    _check_size(n)
+    weights = q_integers_at(n - 1, q0)
+    lower = {(m - 1, m): weights[m] for m in range(1, n)}
+    raise_ = {(m + 1, m): ONE for m in range(n - 1)}
     return SparseMatrix(n, lower), SparseMatrix(n, raise_)
 
 
@@ -78,7 +78,7 @@ def defect_is_corner_only(defect: SparseMatrix, q0) -> bool:
     q0 = gauss(q0)
     n = defect.n
     expected = -q_int(n, q0)
-    for (r, c), value in defect.data.items():
+    for r, c, _ in defect.entries():
         if (r, c) != (n - 1, n - 1):
             return False
     return defect.get(n - 1, n - 1) == expected
@@ -88,7 +88,7 @@ def number_operator_spectrum(a: SparseMatrix, b: SparseMatrix) -> list[GaussRat]
     """Diagonal of BA in the monomial basis; raises if anything leaks off
     the diagonal."""
     product = b @ a
-    for (r, c) in product.data:
+    for r, c, _ in product.entries():
         if r != c:
             raise LieqError("number operator is not diagonal")
     return product.diagonal()
@@ -110,14 +110,14 @@ def weighted_adjoint(x: SparseMatrix, q0, n: int) -> SparseMatrix:
     Undefined when some {j}_q vanishes (q = -1 at even j); the float mode
     is the fallback there."""
     q0 = gauss(q0)
+    steps = q_integers_at(n - 1, q0)
     weights = [ONE]
     for j in range(1, n):
-        step = q_int(j, q0)
-        if not step:
+        if not steps[j]:
             raise SingularWeight(f"{{{j}}}_q = 0 at q = {q0}")
-        weights.append(weights[-1] * step)
+        weights.append(weights[-1] * steps[j])
     data = {}
-    for (r, c), value in x.data.items():
+    for r, c, value in x.entries():
         # (W^{-1} X^H W)[c, r] uses entry X[r, c]
         data[(c, r)] = weights[c].inv() * value.conj() * weights[r]
     return SparseMatrix(n, data)
@@ -151,7 +151,7 @@ class ShiftedPair:
                 scalar = value
             elif value != scalar:
                 return None
-        for (r, c), value in mat.data.items():
+        for r, c, _ in mat.entries():
             if r != c and r < self.n - 1 and c < self.n - 1:
                 return None
         return scalar if scalar is not None else ZERO
@@ -344,9 +344,6 @@ class CuntzToeplitz:
     def dim(self) -> int:
         return len(self.words)
 
-    def adjoints(self) -> list[SparseMatrix]:
-        return [op.conj_transpose() for op in self.operators]
-
     def isometry_defect(self, i: int, j: int) -> SparseMatrix:
         eye = SparseMatrix.identity(self.dim)
         out = self.operators[i].conj_transpose() @ self.operators[j]
@@ -356,7 +353,7 @@ class CuntzToeplitz:
 
     def defect_supported_on_top_degree(self, i: int, j: int) -> bool:
         defect = self.isometry_defect(i, j)
-        for (r, c) in defect.data:
+        for r, c, _ in defect.entries():
             if len(self.words[r]) < self.depth or len(self.words[c]) < self.depth:
                 return False
         return True
@@ -391,19 +388,19 @@ def cuntz_toeplitz(d: int, depth: int, size_cap: int = DEFAULT_SIZE_CAP) -> Cunt
     return CuntzToeplitz(d=d, depth=depth, words=words, operators=operators)
 
 
-def orthonormal_rep_float(q0: float, n: int):
-    """Float-mode orthonormal matrices (C, C-dagger) with superdiagonal
-    beta_m = sqrt({m+1}_q).  Exact weights are computed first, so a negative
-    beta^2 (impossible for q in [-1, 1]) is caught, not silently sqrt'd."""
-    import numpy as np
-
+def orthonormal_rep_float(q0: float, n: int) -> list[float]:
+    """Float-mode orthonormal lowering operator C, given by its superdiagonal
+    beta_m = sqrt({m+1}_q) for m = 0..N-2: C e_{m+1} = beta_m e_m, every
+    other entry is zero, and C-dagger is the transpose.  Exact weights are
+    computed first, so a negative beta^2 (impossible for q in [-1, 1]) is
+    caught, not silently sqrt'd."""
     if not -1.0 <= q0 <= 1.0:
         raise ValueError("float mode is specified for q in [-1, 1]")
-    c = np.zeros((n, n), dtype=float)
+    _check_size(n)
     q_exact = GaussRat(Fraction(q0))  # floats are exact dyadic rationals
-    for m in range(n - 1):
-        beta_sq = q_int(m + 1, q_exact)
+    superdiagonal = []
+    for beta_sq in q_integers_at(n - 1, q_exact)[1:]:
         if beta_sq.re < 0:
             raise NegativeWeight(f"beta^2 = {beta_sq} < 0")
-        c[m, m + 1] = float(beta_sq.re) ** 0.5
-    return c, c.T.conj()
+        superdiagonal.append(float(beta_sq.re) ** 0.5)
+    return superdiagonal

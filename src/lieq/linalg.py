@@ -1,10 +1,11 @@
 """Sparse exact linear algebra over Q(i).
 
-Vectors are dicts from coordinate index to nonzero GaussRat; matrices are
-lists of such row dicts plus an explicit column count.  Everything here is
-deterministic: pivot columns are taken left to right and the first row
-with a nonzero entry wins, so reduced forms (and hence every Subspace) are
-canonical.
+Vectors are dicts from coordinate index to nonzero GaussRat.  rref,
+nullspace and Subspace take a list of such row dicts plus an explicit column
+count; SparseMatrix, the one square-matrix type, stores exactly such a list.
+Everything here is deterministic: pivot columns are taken left to right and
+the first row with a nonzero entry wins, so reduced forms (and hence every
+Subspace) are canonical.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from typing import Iterable, Sequence
 from .exactnum import GaussRat, ZERO, gauss
 
 Vec = dict  # {index: GaussRat}
+
+_MINUS_ONE = GaussRat(-1)
 
 
 def vec_add(dst: Vec, src: Vec, factor: GaussRat | None = None) -> None:
@@ -167,188 +170,134 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-# -- small dense-style helpers (rows-of-dicts with explicit width) ----------
-
-
-def mat_vec(rows: Sequence[Vec], v: Vec) -> Vec:
-    out: Vec = {}
-    for r, row in enumerate(rows):
-        if len(row) > len(v):
-            total = ZERO
-            for c, value in v.items():
-                coeff = row.get(c)
-                if coeff is not None:
-                    total = total + coeff * value
-        else:
-            total = ZERO
-            for c, coeff in row.items():
-                value = v.get(c)
-                if value is not None:
-                    total = total + coeff * value
-        if total:
-            out[r] = total
-    return out
-
-
-def mat_mul(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[Vec]:
-    out = []
-    for row in a_rows:
-        acc: Vec = {}
-        for k, coeff in row.items():
-            vec_add(acc, b_rows[k], coeff)
-        out.append(acc)
-    return out
-
-
-def mat_sub(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[Vec]:
-    out = []
-    for ra, rb in zip(a_rows, b_rows):
-        acc = dict(ra)
-        vec_add(acc, rb, GaussRat(-1))
-        out.append(acc)
-    return out
-
-
-def mat_inverse(rows: Sequence[Vec], n: int) -> list[Vec] | None:
-    """Inverse of a square matrix given as n rows, or None when singular."""
-    aug = []
-    for i, row in enumerate(rows):
-        wide = dict(row)
-        wide[n + i] = GaussRat(1)
-        aug.append(wide)
-    pivots, reduced = rref(aug, 2 * n)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        return None
-    inverse = []
-    for row in reduced[:n]:
-        inverse.append({c - n: v for c, v in row.items() if c >= n})
-    return inverse
-
-
 class SparseMatrix:
-    """Square sparse matrix over Q(i) used by the operator-truncation code."""
+    """Square n x n matrix over Q(i), stored as ``rows``: n row dicts
+    {col: GaussRat} with zeros dropped.  That is the format rref, nullspace
+    and Subspace consume, so ``mat.rows`` goes to them unconverted.
 
-    __slots__ = ("n", "data")
+    Matrices are values: no method changes one in place."""
+
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, data: dict | None = None):
+        """From a {(row, col): scalar} dict; zero scalars are dropped."""
         self.n = n
-        clean = {}
-        if data:
-            for (r, c), value in data.items():
-                scalar = gauss(value)
-                if scalar:
-                    clean[(r, c)] = scalar
-        self.data = clean
+        self.rows: list[Vec] = [{} for _ in range(n)]
+        for (r, c), value in (data or {}).items():
+            scalar = gauss(value)
+            if scalar:
+                self.rows[r][c] = scalar
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Vec], n: int) -> "SparseMatrix":
+        """From n row dicts of GaussRat (copied; zero entries dropped)."""
+        return cls._adopt(n, [{c: v for c, v in row.items() if v} for row in rows])
+
+    @classmethod
+    def _adopt(cls, n: int, rows: list[Vec]) -> "SparseMatrix":
+        """Wrap rows that are already clean, without copying them."""
+        mat = cls.__new__(cls)
+        mat.n = n
+        mat.rows = rows
+        return mat
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, {(i, i): GaussRat(1) for i in range(n)})
-
-    @classmethod
-    def zero(cls, n: int) -> "SparseMatrix":
-        return cls(n, {})
+        return cls._adopt(n, [{i: GaussRat(1)} for i in range(n)])
 
     def get(self, r: int, c: int) -> GaussRat:
-        return self.data.get((r, c), ZERO)
+        return self.rows[r].get(c, ZERO)
+
+    def entries(self):
+        """(row, col, value) for every nonzero entry, in (row, col) order."""
+        for r, row in enumerate(self.rows):
+            for c in sorted(row):
+                yield r, c, row[c]
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        out = dict(self.data)
-        for key, value in other.data.items():
-            acc = out.get(key)
-            acc = value if acc is None else acc + value
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return SparseMatrix(self.n, out)
+        return self._plus(other, None)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + (-other)
+        return self._plus(other, _MINUS_ONE)
 
-    def __neg__(self) -> "SparseMatrix":
-        return SparseMatrix(self.n, {k: -v for k, v in self.data.items()})
+    def _plus(self, other: "SparseMatrix", factor: GaussRat | None) -> "SparseMatrix":
+        """self + factor * other (factor None means 1)."""
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            acc = dict(ra)
+            vec_add(acc, rb, factor)
+            out.append(acc)
+        return SparseMatrix._adopt(self.n, out)
 
     def scale(self, factor) -> "SparseMatrix":
         factor = gauss(factor)
         if not factor:
-            return SparseMatrix.zero(self.n)
-        return SparseMatrix(self.n, {k: factor * v for k, v in self.data.items()})
-
-    def __rmul__(self, factor):
-        return self.scale(factor)
+            return SparseMatrix(self.n)
+        rows = [{c: factor * v for c, v in row.items()} for row in self.rows]
+        return SparseMatrix._adopt(self.n, rows)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        by_row: dict[int, list] = {}
-        for (r, c), value in other.data.items():
-            by_row.setdefault(r, []).append((c, value))
-        out: dict[tuple[int, int], GaussRat] = {}
-        for (i, k), a in self.data.items():
-            hits = by_row.get(k)
-            if not hits:
-                continue
-            for j, b in hits:
-                key = (i, j)
-                term = a * b
-                acc = out.get(key)
-                acc = term if acc is None else acc + term
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return SparseMatrix(self.n, out)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.n, {(c, r): v for (r, c), v in self.data.items()})
-
-    def conj_transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.n, {(c, r): v.conj() for (r, c), v in self.data.items()})
+        out = []
+        for row in self.rows:
+            acc: Vec = {}
+            for k, coeff in row.items():
+                vec_add(acc, other.rows[k], coeff)
+            out.append(acc)
+        return SparseMatrix._adopt(self.n, out)
 
     def apply(self, v: Vec) -> Vec:
+        """The matrix times a sparse vector; each row walks whichever of
+        itself and v has fewer entries."""
         out: Vec = {}
-        for (r, c), value in self.data.items():
-            x = v.get(c)
-            if x is None:
-                continue
-            acc = out.get(r)
-            acc = value * x if acc is None else acc + value * x
-            if acc:
-                out[r] = acc
+        for r, row in enumerate(self.rows):
+            total = ZERO
+            if len(row) > len(v):
+                for c, value in v.items():
+                    coeff = row.get(c)
+                    if coeff is not None:
+                        total = total + coeff * value
             else:
-                out.pop(r, None)
+                for c, coeff in row.items():
+                    value = v.get(c)
+                    if value is not None:
+                        total = total + coeff * value
+            if total:
+                out[r] = total
         return out
+
+    def conj_transpose(self) -> "SparseMatrix":
+        out: list[Vec] = [{} for _ in range(self.n)]
+        for r, row in enumerate(self.rows):
+            for c, value in row.items():
+                out[c][r] = value.conj()
+        return SparseMatrix._adopt(self.n, out)
 
     def diagonal(self) -> list[GaussRat]:
         return [self.get(i, i) for i in range(self.n)]
 
     def is_zero(self) -> bool:
-        return not self.data
-
-    def to_rows(self) -> list[Vec]:
-        rows: list[Vec] = [dict() for _ in range(self.n)]
-        for (r, c), value in self.data.items():
-            rows[r][c] = value
-        return rows
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Vec], n: int) -> "SparseMatrix":
-        data = {}
-        for r, row in enumerate(rows):
-            for c, value in row.items():
-                data[(r, c)] = value
-        return cls(n, data)
+        return not any(self.rows)
 
     def inverse(self) -> "SparseMatrix | None":
-        inv_rows = mat_inverse(self.to_rows(), self.n)
-        if inv_rows is None:
+        """Inverse by rref of the augmented [M | I], or None when singular."""
+        n = self.n
+        aug = []
+        for i, row in enumerate(self.rows):
+            wide = dict(row)
+            wide[n + i] = GaussRat(1)
+            aug.append(wide)
+        pivots, reduced = rref(aug, 2 * n)
+        if pivots[:n] != list(range(n)):
             return None
-        return SparseMatrix.from_rows(inv_rows, self.n)
+        rows = [{c - n: v for c, v in row.items() if c >= n} for row in reduced[:n]]
+        return SparseMatrix._adopt(n, rows)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.n == other.n and self.data == other.data
+        return self.n == other.n and self.rows == other.rows
 
     __hash__ = None
 
     def __repr__(self):
-        return f"SparseMatrix(n={self.n}, nnz={len(self.data)})"
+        return f"SparseMatrix(n={self.n}, nnz={sum(len(row) for row in self.rows)})"

@@ -73,14 +73,20 @@ def q_binomial_closed(n: int, k: int) -> LaurentPoly:
     return q_factorial(n).divexact(q_factorial(k) * q_factorial(n - k))
 
 
-def q_integer_at(n: int, q0: GaussRat) -> GaussRat:
-    """{n}_q evaluated exactly at a scalar."""
-    total = ZERO
+def q_integers_at(n: int, q0: GaussRat) -> list[GaussRat]:
+    """[{0}_q, {1}_q, ..., {n}_q] evaluated exactly at a scalar, as running
+    sums of the powers of q0 (just [{0}_q] when n < 1)."""
+    out = [ZERO]
     power = ONE
     for _ in range(n):
-        total = total + power
+        out.append(out[-1] + power)
         power = power * q0
-    return total
+    return out
+
+
+def q_integer_at(n: int, q0: GaussRat) -> GaussRat:
+    """{n}_q evaluated exactly at a scalar (0 when n < 1)."""
+    return q_integers_at(n, q0)[-1]
 
 
 @dataclass
@@ -111,11 +117,12 @@ def q_reciprocal_checks(n: int, k: int, q0) -> ReciprocalReport:
     if not q0:
         raise QZero("reciprocal identities need q != 0")
     qinv = q0.inv()
-    int_lhs = q_integer_at(n, qinv)
+    lhs_ints = q_integers_at(n, qinv)
+    int_lhs = lhs_ints[-1]
     int_rhs = (q0 / q0 ** n) * q_integer(n).eval(q0)
     fact_lhs = ONE
-    for l in range(1, n + 1):
-        fact_lhs = fact_lhs * q_integer_at(l, qinv)
+    for value in lhs_ints[1:]:
+        fact_lhs = fact_lhs * value
     scale = (q0 ** math.comb(n, 2)).inv()
     fact_rhs = scale * q_factorial(n).eval(q0)
     fact_printed = scale * q_integer(n).eval(q0)

@@ -47,6 +47,14 @@ def dense_nullity(rows: list[list[GaussRat]], ncols: int) -> int:
     return ncols - dense_rank(rows) if rows else ncols
 
 
+def dense_matmul(a: list[list[GaussRat]], b: list[list[GaussRat]]) -> list[list[GaussRat]]:
+    """Textbook row-by-column product of dense matrices."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def bracket_dense(g: LieAlgebra, x: list[GaussRat], y: list[GaussRat]) -> list[GaussRat]:
     out = [ZERO] * g.dim
     for i, a in enumerate(x):

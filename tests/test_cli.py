@@ -184,6 +184,13 @@ def test_fock_float_build(capsys):
     assert doc["superdiagonal"][1] == pytest.approx(2**0.5)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("n", ["1", "-3"])
+def test_fock_build_rejects_small_sizes(capsys, mode, n):
+    assert cli.run(["fock", "build", "--q", "1/2", "--n", n, "--mode", mode]) == 2
+    assert "need at least a 2-dimensional truncation" in capsys.readouterr().err
+
+
 def test_verify_all_passes(capsys):
     code, doc = run_json(capsys, ["verify-all", "--seed", "1"])
     assert code == 0

@@ -30,7 +30,7 @@ from lieq.cohomology import (
 from lieq.exactnum import GaussRat, ONE, ZERO
 from lieq.extend import CentralCocycle, central_extension
 from lieq.liealg import LieAlgebra, abelian
-from lieq.linalg import mat_mul, mat_sub, vec_add
+from lieq.linalg import SparseMatrix, vec_add
 
 SMALL = ["n_3_1", "n_3_2", "n_4_2", "n_4_3", "n_5_5", "n_5_7", "sl2", "a_sh"]
 
@@ -41,7 +41,7 @@ def get(name):
 
 def test_adjoint_of_abelian_is_zero():
     rep = adjoint_rep(abelian(4))
-    assert all(not row for mat in rep.matrices for row in mat)
+    assert all(not row for mat in rep.matrices for row in mat.rows)
 
 
 def test_adjoint_of_h1():
@@ -58,13 +58,12 @@ def test_adjoint_matrices_reproduce_sl2_constants():
     rep = adjoint_rep(g)
     for i in range(3):
         for j in range(i + 1, 3):
-            comm = mat_sub(
-                mat_mul(list(rep.matrices[i]), list(rep.matrices[j])),
-                mat_mul(list(rep.matrices[j]), list(rep.matrices[i])),
-            )
+            comm = (
+                rep.matrices[i] @ rep.matrices[j] - rep.matrices[j] @ rep.matrices[i]
+            ).rows
             expected = [dict() for _ in range(3)]
             for k, coeff in g.pair(i, j).items():
-                for r, row in enumerate(rep.matrices[k]):
+                for r, row in enumerate(rep.matrices[k].rows):
                     for c, v in row.items():
                         expected[r][c] = expected[r].get(c, ZERO) + coeff * v
             expected = [{c: v for c, v in row.items() if v} for row in expected]
@@ -75,7 +74,7 @@ def test_explicit_representation_validated():
     g = get("h(1)")
     rep = adjoint_rep(g)
     Representation(g, rep.matrices, kind="explicit")  # fine
-    broken = [[{0: ONE}] * 3 for _ in range(3)]
+    broken = [SparseMatrix.from_rows([{0: ONE}] * 3, 3) for _ in range(3)]
     with pytest.raises(NotARepresentation):
         Representation(g, broken, kind="explicit")
 
@@ -215,9 +214,10 @@ def test_h1_derivation_algebra_structure():
             ad_rows = [dict() for _ in range(n)]
             for idx, v in inner_flat.items():
                 ad_rows[idx // n][idx % n] = v
-            comm = mat_sub(mat_mul(mat, ad_rows), mat_mul(ad_rows, mat))
+            ad = SparseMatrix.from_rows(ad_rows, n)
+            comm = mat @ ad - ad @ mat
             flat = {}
-            for r, row in enumerate(comm):
+            for r, row in enumerate(comm.rows):
                 for c, v in row.items():
                     flat[r * n + c] = v
             assert da.inner.contains(flat)
@@ -241,16 +241,14 @@ def test_d_squared_zero_random_explicit_rep():
     rng = random.Random(5)
     # a random rep built from the adjoint by a change of basis stays a rep
     base = adjoint_rep(g)
-    t_rows = None
-    from lieq.linalg import mat_inverse
-
-    while t_rows is None or mat_inverse(t_rows, 5) is None:
+    t = None
+    while t is None or t.inverse() is None:
         t_rows = [
             {c: GaussRat(rng.randint(-3, 3)) for c in range(5)} for _ in range(5)
         ]
-        t_rows = [{c: v for c, v in row.items() if v} for row in t_rows]
-    t_inv = mat_inverse(t_rows, 5)
-    mats = [mat_mul(t_rows, mat_mul(list(m), t_inv)) for m in base.matrices]
+        t = SparseMatrix.from_rows(t_rows, 5)
+    t_inv = t.inverse()
+    mats = [t @ (m @ t_inv) for m in base.matrices]
     rep = Representation(g, mats, kind="explicit")
     for k in range(g.dim + 1):
         assert d_squared_check(g, rep, k)

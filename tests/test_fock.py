@@ -1,7 +1,6 @@
 import random
 import warnings
 
-import numpy as np
 import pytest
 
 from lieq import catalog
@@ -243,16 +242,18 @@ def test_cuntz_size_cap():
 
 
 def test_float_mode():
-    c, cdag = orthonormal_rep_float(1.0, 5)
-    assert np.allclose(np.diag(c, 1), [1, 2**0.5, 3**0.5, 2.0])
-    c0, _ = orthonormal_rep_float(0.0, 6)
-    assert np.allclose(np.diag(c0, 1), 1.0)
+    assert orthonormal_rep_float(1.0, 5) == pytest.approx([1, 2**0.5, 3**0.5, 2.0])
+    assert orthonormal_rep_float(0.0, 6) == pytest.approx([1.0] * 5)
     n = 64
     q0 = 0.5
-    c, cdag = orthonormal_rep_float(q0, n)
-    residual = c @ cdag - q0 * (cdag @ c) - np.eye(n)
-    residual[n - 1, n - 1] = 0.0
-    assert np.abs(residual).max() < 1e-10
+    beta = orthonormal_rep_float(q0, n)
+    assert len(beta) == n - 1
+    # C has the superdiagonal beta, so C C+ - q C+ C - I is diagonal with
+    # entries beta_m^2 - q beta_{m-1}^2 - 1 (beta_{-1} = beta_{N-1} = 0)
+    c_cdag = [b * b for b in beta] + [0.0]
+    cdag_c = [0.0] + [b * b for b in beta]
+    residual = [x - q0 * y - 1.0 for x, y in zip(c_cdag, cdag_c)]
+    assert max(abs(r) for r in residual[: n - 1]) < 1e-10
 
 
 def test_interior_consistency_with_symbolic_identities():
