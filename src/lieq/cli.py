@@ -372,9 +372,10 @@ def cmd_verify_all(args) -> int:
     report.add("catalog", "pass", "pass" if cat_report.ok else "fail")
 
     sl2 = catalog.get("sl2").algebra
-    der, inn = cohomology.derivation_dims(sl2)
-    report.add("sl2_der_inn", (3, 3), (der, inn))
     rr = deform.rigidity_report(sl2)
+    # dim Der = n^2 - rank d_1 = n^2 - orbit tangent dim; dim Inn = n - dim Z(g)
+    der = sl2.dim * sl2.dim - rr.orbit_tangent_dim
+    report.add("sl2_der_inn", (3, 3), (der, sl2.dim - sl2.center().dim))
     report.add("sl2_h2", 0, rr.dim_h2)
     report.add("sl2_rigidity", (6, 6, True, True),
                (rr.orbit_tangent_dim, rr.dim_b2, rr.nr_rigid, rr.tangent_equals_b2))

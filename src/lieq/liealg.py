@@ -313,9 +313,11 @@ class LieAlgebra:
         lcs = tuple(s.dim for s in self.lower_central_series()) or (0,)
         ucs = tuple(s.dim for s in self.upper_central_series()) or (0,)
         der = tuple(s.dim for s in self.derived_series()) or (0,)
-        nil = self.is_nilpotent()
-        sol = self.is_solvable()
-        center_dim = self.center().dim
+        # read off the series: the class and the length count the steps
+        # down to 0, and Z(g) is the first step of the upper series
+        nil = len(lcs) - 1 if lcs[-1] == 0 else None
+        sol = len(der) - 1 if der[-1] == 0 else None
+        center_dim = ucs[1] if len(ucs) > 1 else 0
         # Der(g) = Z^1(g; ad) and Inn(g) = g / Z(g)
         ad_complex = cohomology.CochainComplex(self, cohomology.adjoint_rep(self))
         der_dim = ad_complex.cocycle_dim(1)

@@ -3,16 +3,42 @@
 Vectors are dicts from coordinate index to nonzero GaussRat.  rref,
 nullspace and Subspace take a list of such row dicts plus an explicit column
 count; SparseMatrix, the one square-matrix type, stores exactly such a list.
-Everything here is deterministic: pivot columns are taken left to right and
-the first row with a nonzero entry wins, so reduced forms (and hence every
-Subspace) are canonical.
+Everything here is deterministic: the RREF of a row span is unique, so
+reduced forms (and hence every Subspace) are canonical.
+
+rref is a certified multimodular elimination (the multimodular echelon form
+of W. Stein, *Modular Forms: A Computational Approach*, AMS GSM 79, ch. 7;
+rational reconstruction as in J. D. Dixon, *Numer. Math.* 40 (1982)
+137-141).  Exact elimination over Q(i) is slow because coefficients grow
+while it runs, even when the final RREF is small.  So:
+
+* each row is scaled to Z[i] by the lcm of its denominators;
+* the rows are reduced to RREF modulo primes p = 1 (mod 4) below 2^30, taken
+  from a fixed table.  When an entry is non-real this happens under both
+  embeddings i -> s and i -> -s (s^2 = -1 mod p), which recovers the real
+  and imaginary parts;
+* a prime that gives fewer pivots than another, or the same number in later
+  columns, is unlucky and dropped; after the first good prime only the rows
+  that gave its pivots are eliminated;
+* the residues of the good primes are combined by CRT, and primes are added
+  until every entry has a rational reconstruction;
+* the result R, with r rows, is certified before it is returned.  A prime
+  with r pivots gives rank >= r, since a minor that is nonzero mod p is
+  nonzero.  Every cleared input row m must equal sum_j m[pivot_j] R_j,
+  which is checked exactly on the non-pivot columns over one common
+  denominator; that gives rank <= r and the same row span, so R is the
+  canonical RREF.  When the check fails, another prime is added.
 """
 
 from __future__ import annotations
 
+import threading
+from fractions import Fraction
+from itertools import count
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
-from .exactnum import GaussRat, ZERO, gauss
+from .exactnum import ONE as _ONE, GaussRat, ZERO, gauss
 
 Vec = dict  # {index: GaussRat}
 
@@ -41,35 +67,361 @@ def vec_from_seq(values: Sequence) -> Vec:
 
 
 def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
-    """Reduced row echelon form.  Returns (pivot columns, reduced rows)."""
-    work = [dict(r) for r in rows if r]
-    pivots: list[int] = []
-    reduced: list[Vec] = []
-    for col in range(ncols):
-        hit = None
-        for k, row in enumerate(work):
-            if col in row:
-                hit = k
-                break
-        if hit is None:
+    """Reduced row echelon form.  Returns (pivot columns, reduced rows).
+
+    Every entry of rows must lie in columns 0..ncols-1.  The result is the
+    canonical RREF of the row span: pivots ascend, each reduced row has a 1
+    at its pivot, zeros at the other pivots, and its entries in ascending
+    column order.  It is computed modulo primes and certified exactly (see
+    the module docstring)."""
+    cleared, imaginary = _clear_denominators(rows, ncols)
+    if not cleared:
+        return [], []
+    best: list[int] | None = None
+    basis = cleared
+    for k in count():
+        p, s = _prime(k)
+        got = _rref_mod(basis, ncols, p, s if imaginary else None)
+        if got is None:
             continue
-        pivot_row = work.pop(hit)
-        inv = pivot_row[col].inv()
-        pivot_row = {i: inv * c for i, c in pivot_row.items()}
-        for row in work:
-            factor = row.get(col)
-            if factor is not None:
-                vec_add(row, pivot_row, -factor)
-        for row in reduced:
-            factor = row.get(col)
-            if factor is not None:
-                vec_add(row, pivot_row, -factor)
+        pivots, prows, used = got
+        if best is not None and pivots != best:
+            if len(pivots) < len(best) or (len(pivots) == len(best) and pivots > best):
+                continue  # unlucky prime
+            best = None
+        # later primes eliminate only the rows that gave the pivots
+        basis = [basis[i] for i in used]
+        if best is None:
+            best, modulus, residues = pivots, p, prows
+        else:
+            _crt_into(residues, modulus, prows, p)
+            modulus *= p
+        exact = _reconstruct(residues, modulus)
+        if exact is None:
+            continue
+        den, nums = exact
+        if _spans(cleared, best, den, nums, ncols):
+            return best, _assemble(best, den, nums, ncols)
+        basis = cleared  # a wrong reconstruction or an unlucky pivot list
+
+
+# -- multimodular elimination ------------------------------------------------------
+
+# primes p = 1 (mod 4) below 2^30, descending, each with s, s^2 = -1 (mod p);
+# residues below 2^30 are single-digit Python ints, which keeps mod-p
+# arithmetic on CPython's fast path
+_PRIMES = [
+    (1073741789, 140687844), (1073741741, 289525921),
+    (1073741717, 33787048), (1073741689, 206100978),
+    (1073741621, 11297358), (1073741561, 487957686),
+    (1073741477, 331194902), (1073741441, 67419063),
+    (1073741381, 157434607), (1073741329, 326779353),
+    (1073741309, 402493037), (1073741237, 493397061),
+    (1073741213, 226942476), (1073741197, 298302353),
+    (1073741189, 56166142), (1073741173, 119965263),
+    (1073741101, 192453365), (1073741077, 50564075),
+    (1073740933, 147050931), (1073740909, 504713818),
+    (1073740853, 7176488), (1073740793, 37706739),
+    (1073740781, 399244162), (1073740697, 520010680),
+    (1073740693, 336264900), (1073740649, 228813244),
+    (1073740609, 462868367), (1073740541, 336766293),
+    (1073740537, 86530260), (1073740529, 476104086),
+    (1073740517, 120584034), (1073740501, 231709765),
+]
+_PRIMES_LOCK = threading.Lock()
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact below 3.2e9."""
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> tuple[int, int]:
+    """The k-th (p, s) of the table, extending it past its end on demand.
+    The lock keeps two threads from appending the same prime twice, which
+    would break the CRT."""
+    if k >= len(_PRIMES):
+        with _PRIMES_LOCK:
+            while k >= len(_PRIMES):
+                p = _PRIMES[-1][0] - 4
+                while not _is_prime(p):
+                    p -= 4
+                a = 2
+                while pow(a, (p - 1) // 2, p) != p - 1:
+                    a += 1
+                _PRIMES.append((p, pow(a, (p - 1) // 4, p)))
+    return _PRIMES[k]
+
+
+def _clear_denominators(rows: Iterable[Vec], ncols: int) -> tuple[list[dict], bool]:
+    """The nonzero rows, each scaled to Z[i] by the lcm of its denominators,
+    as int dicts: the real part of column c at key c, the imaginary part
+    at key c + ncols.  Also whether any entry is non-real."""
+    cleared = []
+    imaginary = False
+    for row in rows:
+        if not row:
+            continue
+        if min(row) < 0 or max(row) >= ncols:
+            raise ValueError(f"row entry outside columns 0..{ncols - 1}")
+        den = 1
+        non_real = False
+        for v in row.values():
+            if type(v.re) is not int:
+                den = lcm(den, v.re.denominator)
+            if v.im:
+                non_real = True
+                if type(v.im) is not int:
+                    den = lcm(den, v.im.denominator)
+        if not non_real:
+            if den == 1:
+                cleared.append({c: v.re for c, v in row.items()})
+            else:
+                cleared.append({c: int(v.re * den) for c, v in row.items()})
+            continue
+        imaginary = True
+        out = {}
+        for c, v in row.items():
+            if v.re:
+                out[c] = int(v.re * den)
+            if v.im:
+                out[c + ncols] = int(v.im * den)
+        cleared.append(out)
+    return cleared, imaginary
+
+
+def _rref_mod(cleared: list[dict], ncols: int, p: int, s: int | None):
+    """RREF of the cleared rows mod p: (pivots, rows, used), or None when
+    the two embeddings disagree.  Rows hold the non-pivot entries only, in
+    the key layout of _clear_denominators; used lists the positions of the
+    rows that gave the pivots.  Real input (s None) is reduced once;
+    otherwise under i -> s and i -> -s, and an entry a + bi is recovered as
+    a = (u + v)/2, b = (u - v)/(2s) from its images u, v."""
+    if s is None:
+        return _echelon_mod(_residues(cleared, ncols, p, None), ncols, p)
+    pivots, plus, used = _echelon_mod(_residues(cleared, ncols, p, s), ncols, p)
+    other, minus, _ = _echelon_mod(_residues(cleared, ncols, p, p - s), ncols, p)
+    if pivots != other:
+        return None
+    half = (p + 1) >> 1
+    inv_2s = pow(2 * s, -1, p)
+    rows = []
+    for u, v in zip(plus, minus):
+        row = {}
+        for c in u.keys() | v.keys():
+            a, b = u.get(c, 0), v.get(c, 0)
+            re = (a + b) * half % p
+            im = (a - b) * inv_2s % p
+            if re:
+                row[c] = re
+            if im:
+                row[c + ncols] = im
+        rows.append(row)
+    return pivots, rows, used
+
+
+def _residues(cleared: list[dict], ncols: int, p: int, s: int | None) -> list[dict]:
+    """The cleared rows mod p, zeros dropped; i maps to s (s None: real)."""
+    out = []
+    for row in cleared:
+        if s is None:
+            red = {c: x % p for c, x in row.items()}
+        else:
+            red = {}
+            for c, x in row.items():
+                if c >= ncols:
+                    c -= ncols
+                    x *= s
+                red[c] = red.get(c, 0) + x
+            red = {c: x % p for c, x in red.items()}
+        if 0 in red.values():
+            red = {c: x for c, x in red.items() if x}
+        out.append(red)
+    return out
+
+
+def _echelon_mod(rows: list[dict], ncols: int, p: int):
+    """Gauss-Jordan mod p on rows of nonzero residues, which it consumes.
+
+    Returns the pivot columns, the reduced pivot rows without their pivot
+    entry, and the input positions of the rows that became pivots.  Rows
+    are bucketed by their first column, so a pivot search reads one bucket;
+    the shortest row of a bucket becomes the pivot, which keeps fill-in low."""
+    buckets: dict[int, list] = {}
+    for k, row in enumerate(rows):
+        if row:
+            buckets.setdefault(min(row), []).append((k, row))
+    pivots: list[int] = []
+    prows: list[dict] = []
+    used: list[int] = []
+    for col in range(ncols):
+        bucket = buckets.pop(col, None)
+        if bucket is None:
+            continue
+        pick = 0
+        if len(bucket) > 1:
+            pick = min(range(len(bucket)), key=lambda k: len(bucket[k][1]))
+        k, prow = bucket.pop(pick)
+        inv = pow(prow.pop(col), -1, p)
+        if inv != 1:
+            prow = {c: v * inv % p for c, v in prow.items()}
+        for entry in bucket:
+            row = entry[1]
+            _subtract_mod(row, row.pop(col), prow, p)
+            if row:
+                buckets.setdefault(min(row), []).append(entry)
         pivots.append(col)
-        reduced.append(pivot_row)
-        work = [r for r in work if r]
-        if not work:
+        prows.append(prow)
+        used.append(k)
+        if not buckets:
             break
-    return pivots, reduced
+    # back substitution, last row first: the rows below are already free of
+    # every pivot column, so subtracting them adds no pivot entries
+    where = dict(zip(pivots, prows))
+    for row in reversed(prows):
+        for col in [c for c in row if c in where]:
+            _subtract_mod(row, row.pop(col), where[col], p)
+    return pivots, prows, used
+
+
+def _subtract_mod(row: dict, factor: int, other: dict, p: int) -> None:
+    """row -= factor * other (mod p), in place, dropping zeros."""
+    f = p - factor
+    get = row.get
+    for c, v in other.items():
+        x = (get(c, 0) + f * v) % p
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _crt_into(residues: list[dict], modulus: int, rows: list[dict], p: int) -> None:
+    """Combine residues mod modulus with rows mod p, in place, to mod modulus*p."""
+    inv = pow(modulus, -1, p)
+    for old, new in zip(residues, rows):
+        for c in old.keys() | new.keys():
+            a = old.get(c, 0)
+            old[c] = a + modulus * ((new.get(c, 0) - a) * inv % p)
+
+
+def _ratrecon(x: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(n, d) with n = d x (mod m), |n| <= bound, 0 < d <= bound and
+    gcd(n, d) = 1, or None; unique when 2 bound^2 < m."""
+    r0, r1 = m, x
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        t1, r1 = -t1, -r1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _reconstruct(residues: list[dict], m: int) -> tuple[int, list[dict]] | None:
+    """Rational reconstruction of every residue: (den, nums) with entry
+    nums[j][c] / den, or None when some residue has no reconstruction with
+    numerator and denominator at most sqrt(m/2).  A residue that times the
+    running common denominator is already small needs no extended gcd."""
+    bound = isqrt(m >> 1)
+    half = m >> 1
+    den = 1
+    nums: list[dict] = []
+    for res in residues:
+        num = {}
+        for c, x in res.items():
+            y = x * den % m if den != 1 else x
+            if y > half:
+                y -= m
+            if -bound <= y <= bound:
+                if y:
+                    num[c] = y
+                continue
+            got = _ratrecon(x, m, bound)
+            if got is None or not got[0]:
+                return None
+            n, d = got
+            grow = d // gcd(d, den)
+            den *= grow
+            if den > bound:
+                return None
+            for prev in nums:
+                for key in prev:
+                    prev[key] *= grow
+            for key in num:
+                num[key] *= grow
+            num[c] = n * (den // d)
+        nums.append(num)
+    return den, nums
+
+
+def _spans(cleared: list[dict], pivots: list[int], den: int, nums: list[dict], ncols: int) -> bool:
+    """Exact check that every cleared row m equals sum_j m[pivots[j]] R_j,
+    with R_j = nums[j] / den, in Gaussian-integer arithmetic.  Only the
+    non-pivot columns are compared: on pivot columns it holds by the shape
+    of R."""
+    where = {c: j for j, c in enumerate(pivots)}
+    for row in cleared:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c, x in row.items():
+            if c < ncols:
+                j = where.get(c)
+                if j is None:
+                    acc[c] = get(c, 0) + den * x
+                else:
+                    for key, v in nums[j].items():
+                        acc[key] = get(key, 0) - x * v
+                continue
+            # x is the imaginary part of column c - ncols: i * (a + bi) = -b + ai
+            j = where.get(c - ncols)
+            if j is None:
+                acc[c] = get(c, 0) + den * x
+                continue
+            for key, v in nums[j].items():
+                if key < ncols:
+                    acc[key + ncols] = get(key + ncols, 0) - x * v
+                else:
+                    acc[key - ncols] = get(key - ncols, 0) + x * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _assemble(pivots: list[int], den: int, nums: list[dict], ncols: int) -> list[Vec]:
+    """The certified rows as GaussRat dicts in ascending column order."""
+    memo: dict[tuple[int, int], GaussRat] = {}
+    out = []
+    for pcol, num in zip(pivots, nums):
+        row: Vec = {pcol: _ONE}
+        for c in sorted({c % ncols for c in num}):
+            key = (num.get(c, 0), num.get(c + ncols, 0))
+            value = memo.get(key)
+            if value is None:
+                re, im = key
+                if den != 1:
+                    re, im = Fraction(re, den), Fraction(im, den)
+                value = memo[key] = GaussRat(re, im)
+            row[c] = value
+        out.append(row)
+    return out
 
 
 def rank(rows: Iterable[Vec], ncols: int) -> int:

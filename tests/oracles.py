@@ -3,9 +3,10 @@
 Everything here recomputes results from definitions with dense data and
 direct evaluation: the differential is evaluated tuple by tuple from its
 formula (not pushed forward), ranks come from a plain dense elimination,
-normal ordering rewrites a randomly chosen inversion instead of the first
-one, and Laurent polynomials are sparse {exponent: GaussRat} dicts with
-term-by-term arithmetic.  None of this shares code paths with src/lieq
+reduced row echelon forms from exact GaussRat elimination (the library
+eliminates modulo primes), normal ordering rewrites a randomly chosen
+inversion instead of the first one, and Laurent polynomials are sparse
+{exponent: GaussRat} dicts with term-by-term arithmetic.  None of this shares code paths with src/lieq
 beyond the scalar type."""
 
 from __future__ import annotations
@@ -41,6 +42,51 @@ def dense_rank(rows: list[list[GaussRat]]) -> int:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+def _vec_add(dst: dict, src: dict, factor: GaussRat | None = None) -> None:
+    """In-place dst += factor * src (factor None means 1)."""
+    for idx, value in src.items():
+        term = value if factor is None else factor * value
+        acc = dst.get(idx)
+        acc = term if acc is None else acc + term
+        if acc:
+            dst[idx] = acc
+        else:
+            dst.pop(idx, None)
+
+
+def oracle_rref(rows, ncols: int) -> tuple[list[int], list[dict]]:
+    """Reduced row echelon form by exact GaussRat elimination on sparse
+    rows.  Returns (pivot columns, reduced rows)."""
+    work = [dict(r) for r in rows if r]
+    pivots: list[int] = []
+    reduced: list[dict] = []
+    for col in range(ncols):
+        hit = None
+        for k, row in enumerate(work):
+            if col in row:
+                hit = k
+                break
+        if hit is None:
+            continue
+        pivot_row = work.pop(hit)
+        inv = pivot_row[col].inv()
+        pivot_row = {i: inv * c for i, c in pivot_row.items()}
+        for row in work:
+            factor = row.get(col)
+            if factor is not None:
+                _vec_add(row, pivot_row, -factor)
+        for row in reduced:
+            factor = row.get(col)
+            if factor is not None:
+                _vec_add(row, pivot_row, -factor)
+        pivots.append(col)
+        reduced.append(pivot_row)
+        work = [r for r in work if r]
+        if not work:
+            break
+    return pivots, reduced
 
 
 def dense_nullity(rows: list[list[GaussRat]], ncols: int) -> int:

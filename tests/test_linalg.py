@@ -1,9 +1,13 @@
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from lieq import linalg
 from lieq.exactnum import GaussRat, ONE, ZERO
 from lieq.linalg import SparseMatrix, Subspace, nullspace, rank, rref
 
@@ -18,6 +22,144 @@ def test_rref_known_matrix():
     assert pivots == [0, 1]
     assert reduced[0] == {0: ONE, 2: g(-2)}
     assert reduced[1] == {1: ONE, 2: ONE}
+
+
+small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def rref_inputs(draw):
+    """Sparse rows over Q(i): real or complex entries with small
+    denominators, some rows zero and some combinations of earlier rows."""
+    ncols = draw(st.integers(0, 7))
+    imaginary = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            # a combination of two earlier rows
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            fa, fb = GaussRat(draw(small_fractions)), GaussRat(draw(small_fractions))
+            row = {}
+            for c in set(a) | set(b):
+                value = fa * a.get(c, ZERO) + fb * b.get(c, ZERO)
+                if value:
+                    row[c] = value
+            rows.append(row)
+            continue
+        row = {}
+        for c in range(ncols):
+            if draw(st.integers(0, 2)) == 0:
+                im = draw(small_fractions) if imaginary else 0
+                value = GaussRat(draw(small_fractions), im)
+                if value:
+                    row[c] = value
+        rows.append(row)
+    return rows, ncols
+
+
+@given(rref_inputs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_oracle(case, as_generator):
+    rows, ncols = case
+    expected = oracles.oracle_rref(rows, ncols)
+    got = rref((dict(r) for r in rows) if as_generator else rows, ncols)
+    assert got == expected
+    for row in got[1]:
+        assert list(row) == sorted(row)
+        assert all(row.values())
+
+
+def test_rref_zero_columns_and_rows():
+    assert rref([], 0) == ([], [])
+    assert rref([{}, {}], 0) == ([], [])
+    assert rref([{}, {}], 3) == ([], [])
+    with pytest.raises(ValueError):
+        rref([{3: g(1)}], 3)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # both entries of column 0 vanish mod p: too few pivots
+        [{0: "P", 1: "1"}, {1: "1"}],
+        # column 0 vanishes mod p: the same count of pivots, a later column
+        [{0: "P", 1: "1"}],
+        # non-real: the row vanishes under both embeddings
+        [{0: "P", 1: "P*i"}, {0: "1"}],
+    ],
+)
+def test_rref_survives_unlucky_first_prime(rows):
+    p = linalg._prime(0)[0]
+    rows = [{c: GaussRat(v.replace("P", str(p)).replace("*", "")) for c, v in r.items()}
+            for r in rows]
+    assert rref(rows, 2) == oracles.oracle_rref(rows, 2)
+
+
+def test_rref_many_primes():
+    """Entries above 2^300 give reduced entries of about 900 bits, which
+    take about 60 primes: more than the table holds, so further primes are
+    generated on demand."""
+    rng = random.Random(300)
+    big = [rng.getrandbits(300) | (1 << 300) for _ in range(6)]
+    rows = [
+        {0: g(big[0]), 1: g(big[1]), 2: g(1)},
+        {0: g(big[2]), 1: g(big[3]), 3: GaussRat(big[4], 1)},
+        {1: g(1), 2: g(big[5]), 3: g(-1)},
+    ]
+    assert rref(rows, 4) == oracles.oracle_rref(rows, 4)
+
+
+def test_prime_table():
+    """Every prime, listed or generated, is p = 1 (mod 4) with s^2 = -1."""
+    listed = len(linalg._PRIMES)
+    primes = [linalg._prime(k) for k in range(listed + 3)]
+    for p, s in primes:
+        assert p % 4 == 1 and p < 2**30 and s * s % p == p - 1
+        assert all(p % d for d in range(3, int(p**0.5) + 1, 2))
+    assert [p for p, _ in primes] == sorted({p for p, _ in primes}, reverse=True)
+
+
+def test_prime_table_extension_is_thread_safe(monkeypatch):
+    """Threads that all run past a short table extend it once: a prime
+    appended twice would break the CRT."""
+    monkeypatch.setattr(linalg, "_PRIMES", linalg._PRIMES[:2])
+    rows = [{0: g(2**200 + 1), 1: g(3**120), 3: g(1)}, {0: g(5**90), 1: g(7**70)}, {2: g(1), 3: g(-2)}]
+    expected = oracles.oracle_rref(rows, 4)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(rref(rows, 4))) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 8
+    primes = [p for p, _ in linalg._PRIMES]
+    assert len(primes) > 2 and len(set(primes)) == len(primes)
+
+
+def test_wrong_reconstruction_is_caught(monkeypatch):
+    """The first reconstruction is corrupted; the certificate rejects it
+    and the next prime gives the exact answer."""
+    original = linalg._reconstruct
+    calls = []
+
+    def corrupted(residues, m):
+        got = original(residues, m)
+        calls.append(got is not None)
+        if len(calls) == 1 and got is not None:
+            den, nums = got
+            nums[0][2] = nums[0].get(2, 0) + den
+        return got
+
+    monkeypatch.setattr(linalg, "_reconstruct", corrupted)
+    rows = [{0: g(1), 1: g(2), 2: g(3)}, {0: g(4), 1: g(5), 2: g(6)}]
+    assert rref(rows, 3) == oracles.oracle_rref(rows, 3)
+    assert calls[0] and len(calls) >= 2
 
 
 def test_rank_and_nullspace():
