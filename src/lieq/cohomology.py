@@ -12,6 +12,9 @@ Conventions, fixed once:
   lexicographic order; inside a tuple slot, module coordinates run 0..m-1.
   That ordering is part of the wire format, so matrices of d are
   reproducible across runs.
+* d_k is built once, as D * d_k over Z[i] (D the common denominator of the
+  structure constants and of rho's matrices), in the row layout of
+  linalg.certified_rref, so ranks and d^2 = 0 never leave the integers.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ import math
 from typing import Mapping, Sequence
 
 from .exactnum import GaussRat, LieqError, ZERO, gauss
-from .liealg import LieAlgebra, signed_pair
+from .liealg import LieAlgebra, doc_field, signed_pair
 from .linalg import (
     SparseMatrix,
     Subspace,
     Vec,
+    add_multiple,
+    certified_rref,
+    exact_view,
     nullspace,
     nullspace_with_free,
-    rank,
     vec_add,
 )
 
@@ -176,11 +181,13 @@ class Cochain:
 
     @classmethod
     def from_doc(cls, source: LieAlgebra, doc: Mapping) -> "Cochain":
-        coords = {}
-        for key, values in doc.get("coords", {}).items():
+        raw, coords = doc_field(doc, "coords", dict, "cochain document", {}), {}
+        for key in raw:
             idx = tuple(int(part) - 1 for part in str(key).split(",")) if str(key) else ()
+            values = doc_field(raw, key, list, "cochain coords")
             coords[idx] = {i: GaussRat(s) for i, s in enumerate(values)}
-        return cls(source, int(doc["degree"]), int(doc["module_dim"]), coords)
+        dims = (doc_field(doc, key, int, "cochain document") for key in ("degree", "module_dim"))
+        return cls(source, *dims, coords)
 
 
 def _insert_sorted(base: tuple[int, ...], item: int) -> tuple[tuple[int, ...], int]:
@@ -191,25 +198,25 @@ def _insert_sorted(base: tuple[int, ...], item: int) -> tuple[tuple[int, ...], i
     return base[:pos] + (item,) + base[pos:], pos
 
 
-def _slot_terms(g: LieAlgebra, key: tuple[int, ...]):
+def _slot_terms(dim: int, brackets: Mapping, key: tuple[int, ...]):
     """The differential pushed forward from the single slot key: d of the
-    cochain with value v at key is the sum, over the yielded
-    (target, factor, a), of factor * w at target, where w = rho(e_a) v for a
-    module-action term and w = v for a bracket term (a is None).  Pushing
-    forward instead of evaluating over all output tuples makes the cost
-    track the sparsity of the cochain and of the bracket."""
+    cochain with value v at key is the sum, over the yielded (target, sign,
+    a, coeff), of sign * w at target, where w = rho(e_a) v for a module-action
+    term and w = coeff * v, coeff a value of brackets, for a bracket term (a
+    is None).  Pushing forward instead of evaluating over all output tuples
+    makes the cost track the sparsity of the cochain and of the bracket."""
     in_key = set(key)
     # module-action terms: insert a fresh index a
-    for a in range(g.dim):
+    for a in range(dim):
         if a not in in_key:
             target, pos = _insert_sorted(key, a)
-            yield target, GaussRat(-1 if pos % 2 else 1), a
+            yield target, -1 if pos % 2 else 1, a, None
     # bracket terms: replace one slot l by a bracket pair (a, b)
     for pos_l, l in enumerate(key):
         rest = key[:pos_l] + key[pos_l + 1 :]
         rest_set = set(rest)
         sign_l = -1 if pos_l % 2 else 1
-        for (a, b), bvec in g.brackets.items():
+        for (a, b), bvec in brackets.items():
             coeff = bvec.get(l)
             if coeff is None or a in rest_set or b in rest_set:
                 continue
@@ -217,7 +224,7 @@ def _slot_terms(g: LieAlgebra, key: tuple[int, ...]):
             target, pb = _insert_sorted(with_a, b)
             # 1-based positions of a and b inside the target tuple
             sign_ab = -1 if (pa + 1 + pb + 1) % 2 else 1
-            yield target, coeff * (sign_ab * sign_l), None
+            yield target, sign_ab * sign_l, None, coeff
 
 
 def differential(c: Cochain, rep: Representation) -> Cochain:
@@ -231,9 +238,10 @@ def differential(c: Cochain, rep: Representation) -> Cochain:
     g = c.source
     out: dict[tuple[int, ...], Vec] = {}
     for key, vec in c.coords.items():
-        for target, factor, a in _slot_terms(g, key):
+        for target, sign, a, coeff in _slot_terms(g.dim, g.brackets, key):
             slot = out.setdefault(target, {})
-            vec_add(slot, vec if a is None else rep.apply(a, vec), factor)
+            w = vec if a is None else rep.apply(a, vec)
+            vec_add(slot, w, GaussRat(sign) if coeff is None else coeff * sign)
             if not slot:
                 del out[target]
     return Cochain(g, c.degree + 1, c.module_dim, out)
@@ -261,30 +269,49 @@ def cochain_from_coordinates(g: LieAlgebra, k: int, m: int, flat: Vec) -> Cochai
     return Cochain(g, k, m, coords)
 
 
-def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[Vec]:
-    """Matrix of d : C^k -> C^{k+1} as a list of sparse columns, one per
-    coordinate of C^k in the canonical ordering."""
-    m = rep.module_dim
-    if k >= g.dim:
+def _common_denominator(g: LieAlgebra, rep: Representation) -> int:
+    """D: the lcm of the denominators of g's constants and rho's entries."""
+    values = [v for vec in g.brackets.values() for v in vec.values()]
+    values += [v for mat in rep.matrices for row in mat.rows for v in row.values()]
+    return math.lcm(1, *(x.denominator for v in values for x in (v.re, v.im) if type(x) is not int))
+
+
+def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict]:
+    """D * d_k, for d_k : C^k -> C^{k+1} and D = _common_denominator(g, rep),
+    as integer columns, one per coordinate of C^k in the canonical ordering.
+    The real part of row r sits at key r and the imaginary part at key
+    r + dim C^{k+1}, the Z[i] layout of linalg._clear_denominators."""
+    n, m = g.dim, rep.module_dim
+    if k >= n:
         # C^{k+1} vanishes, so d is the zero map
-        return [{} for _ in range(cochain_space_dim(g.dim, k, m))]
-    offset = {key: pos * m for pos, key in enumerate(cochain_tuples(g.dim, k + 1))}
-    unit = [{i: GaussRat(1)} for i in range(m)]
-    # action[a][i] = rho(e_a) e_i, a column of the module action
-    action = [
-        [{r: row[i] for r, row in enumerate(mat.rows) if i in row} for i in range(m)]
-        for mat in rep.matrices
-    ]
-    columns: list[Vec] = []
-    for key in cochain_tuples(g.dim, k):
-        terms = list(_slot_terms(g, key))
+        return [{} for _ in range(cochain_space_dim(n, k, m))]
+    den = _common_denominator(g, rep)
+    width = cochain_space_dim(n, k + 1, m)
+    offset = {key: pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
+    brackets = {
+        pair: {l: (int(v.re * den), int(v.im * den)) for l, v in vec.items()}
+        for pair, vec in g.brackets.items()
+    }
+    # action[a][i] lists (r, re, im) for the entries D * rho(e_a)[r][i]
+    action = [[[] for _ in range(m)] for _ in rep.matrices]
+    for cols, mat in zip(action, rep.matrices):
+        for r, row in enumerate(mat.rows):
+            for i, v in row.items():
+                cols[i].append((r, int(v.re * den), int(v.im * den)))
+    columns: list[dict] = []
+    for key in cochain_tuples(n, k):
+        terms = [(offset[t], sign, a, coeff) for t, sign, a, coeff in _slot_terms(n, brackets, key)]
         for i in range(m):
-            col: Vec = {}
-            for target, factor, a in terms:
-                base = offset[target]
-                moved = unit[i] if a is None else action[a][i]
-                vec_add(col, {base + r: value for r, value in moved.items()}, factor)
-            columns.append(col)
+            col: dict[int, int] = {}
+            get = col.get
+            for base, sign, a, coeff in terms:
+                for r, re, im in ((i, *coeff),) if a is None else action[a][i]:
+                    r += base
+                    if re:
+                        col[r] = get(r, 0) + sign * re
+                    if im:
+                        col[r + width] = get(r + width, 0) + sign * im
+            columns.append({r: x for r, x in col.items() if x} if 0 in col.values() else col)
     return columns
 
 
@@ -299,34 +326,41 @@ class CochainComplex:
     def __init__(self, g: LieAlgebra, rep: Representation):
         self.g = g
         self.rep = rep
-        self._columns: dict[int, list[Vec]] = {}
+        self.den = _common_denominator(g, rep)
+        self._columns: dict[int, list[dict]] = {}
         self._ranks: dict[int, int] = {}
+        self._memo: dict[tuple[int, int], GaussRat] = {}
 
     def dim(self, k: int) -> int:
         """dim C^k."""
         return cochain_space_dim(self.g.dim, k, self.rep.module_dim)
 
-    def columns(self, k: int) -> list[Vec]:
-        """d_k as sparse columns (see differential_matrix)."""
+    def columns(self, k: int) -> list[dict]:
+        """D * d_k as integer columns (see differential_matrix)."""
         if k not in self._columns:
             self._columns[k] = differential_matrix(k, self.g, self.rep)
         return self._columns[k]
 
-    def rows(self, k: int) -> list[Vec]:
-        """The nonzero rows of d_k in ascending row order, which reduces
-        much faster than the order in which rows first appear in columns."""
-        by_row: dict[int, Vec] = {}
+    def _integer_rows(self, k: int) -> list[dict]:
+        """The nonzero rows of D * d_k for certified_rref, in ascending row
+        order, which reduces much faster than order of first appearance."""
+        width, ncols = self.dim(k + 1), self.dim(k)
+        by_row: dict[int, dict] = {}
         for c, col in enumerate(self.columns(k)):
-            for r, value in col.items():
-                by_row.setdefault(r, {})[c] = value
+            for r, x in col.items():
+                by_row.setdefault(r % width, {})[c if r < width else c + ncols] = x
         return [by_row[r] for r in sorted(by_row)]
+
+    def rows(self, k: int) -> list[Vec]:
+        """The nonzero rows of d_k in ascending row order, over Q(i)."""
+        return [exact_view(row, self.den, self.dim(k), self._memo) for row in self._integer_rows(k)]
 
     def rank(self, k: int) -> int:
         """rank d_k, which is zero from the top degree on."""
         if k >= self.g.dim:
             return 0
         if k not in self._ranks:
-            self._ranks[k] = rank(self.rows(k), self.dim(k))
+            self._ranks[k] = len(certified_rref(self._integer_rows(k), self.dim(k))[0])
         return self._ranks[k]
 
     def cocycle_dim(self, k: int) -> int:
@@ -348,18 +382,21 @@ class CochainComplex:
         """B^k = image of d on C^{k-1}; B^0 = 0."""
         if k == 0:
             return Subspace.zero(self.dim(k))
-        return Subspace(self.dim(k), [col for col in self.columns(k - 1) if col])
+        width = self.dim(k)
+        cols = [exact_view(col, self.den, width, self._memo) for col in self.columns(k - 1) if col]
+        return Subspace(width, cols)
 
     def d_squared_zero(self, k: int) -> bool:
-        """Compose d at degrees k and k+1 and test for the zero matrix."""
+        """Compose D * d at degrees k and k+1 and test for the zero matrix."""
         if k + 1 > self.g.dim:
             return True
         second = self.columns(k + 1)
+        mid, out = self.dim(k + 1), self.dim(k + 2)
         for col in self.columns(k):
-            composed: Vec = {}
-            for r, value in col.items():
-                vec_add(composed, second[r], value)
-            if composed:
+            composed: dict[int, int] = {}
+            for r, x in col.items():
+                add_multiple(composed, x, r >= mid, second[r % mid], out)
+            if any(composed.values()):
                 return False
         return True
 

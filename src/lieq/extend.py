@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .cohomology import Cochain, cyclic_failure
 from .exactnum import GaussRat, LieqError, gauss
-from .liealg import LieAlgebra, Quotient, signed_pair
+from .liealg import LieAlgebra, Quotient, doc_field, pairs_from_doc, signed_pair
 from .linalg import SparseMatrix, Subspace, Vec, nullspace, vec_add
 
 
@@ -75,11 +75,8 @@ class CentralCocycle:
 
     @classmethod
     def from_doc(cls, source: LieAlgebra, doc: Mapping) -> "CentralCocycle":
-        values = {}
-        for entry in doc.get("values", []):
-            pair = (int(entry["i"]) - 1, int(entry["j"]) - 1)
-            values[pair] = {int(k) - 1: GaussRat(s) for k, s in entry["out"].items()}
-        return cls(source, int(doc["target_dim"]), values)
+        values = pairs_from_doc(doc_field(doc, "values", list, "cocycle document", []))
+        return cls(source, doc_field(doc, "target_dim", int, "cocycle document"), values)
 
 
 def central_extension(g: LieAlgebra, theta: CentralCocycle) -> LieAlgebra:

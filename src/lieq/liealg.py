@@ -367,15 +367,46 @@ class LieAlgebra:
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LieAlgebra":
-        dim = int(doc["dim"])
-        brackets = {}
-        for entry in doc.get("brackets", []):
-            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-            vec = {int(k) - 1: GaussRat(s) for k, s in entry["out"].items()}
-            if (i, j) in brackets:
-                raise ValueError(f"duplicate bracket pair ({i + 1}, {j + 1})")
-            brackets[(i, j)] = vec
+        dim = doc_field(doc, "dim", int, "algebra document")
+        brackets = pairs_from_doc(doc_field(doc, "brackets", list, "algebra document", []))
         return cls(dim, brackets, doc.get("labels"))
+
+
+def doc_field(doc, key: str, kind: type, what: str, default=None):
+    """doc[key] of a lieq-1 document, or default when the key is absent.
+
+    Raises ValueError, which the CLI reports as a usage error, when doc is
+    not a JSON object, when the key is absent and there is no default, or
+    when the value is not a kind (for int: not convertible to one)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"{what} has no {key!r} field")
+        return default
+    value = doc[key]
+    wrong = f"{what} field {key!r} must be a JSON {{}}, not {type(value).__name__}"
+    if kind is int:
+        try:
+            return int(value)
+        except TypeError:
+            raise ValueError(wrong.format("integer")) from None
+    if not isinstance(value, kind):
+        raise ValueError(wrong.format("object" if kind is dict else "array"))
+    return value
+
+
+def pairs_from_doc(entries: list) -> dict[tuple[int, int], Vec]:
+    """{(i, j): vector} from lieq-1 entries {"i": .., "j": .., "out": {..}},
+    whose basis indices count from 1."""
+    pairs = {}
+    for entry in entries:
+        i, j = (doc_field(entry, key, int, "bracket entry") - 1 for key in ("i", "j"))
+        out = doc_field(entry, "out", dict, "bracket entry")
+        if (i, j) in pairs:
+            raise ValueError(f"duplicate bracket pair ({i + 1}, {j + 1})")
+        pairs[(i, j)] = {int(k) - 1: GaussRat(s) for k, s in out.items()}
+    return pairs
 
 
 class Quotient:

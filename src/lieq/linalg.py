@@ -28,6 +28,9 @@ while it runs, even when the final RREF is small.  So:
   which is checked exactly on the non-pivot columns over one common
   denominator; that gives rank <= r and the same row span, so R is the
   canonical RREF.  When the check fails, another prime is added.
+
+rref is _clear_denominators, certified_rref (where rank stops and where
+callers holding Z[i] rows start) and _assemble.
 """
 
 from __future__ import annotations
@@ -74,9 +77,17 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
     at its pivot, zeros at the other pivots, and its entries in ascending
     column order.  It is computed modulo primes and certified exactly (see
     the module docstring)."""
-    cleared, imaginary = _clear_denominators(rows, ncols)
+    pivots, den, nums = certified_rref(_clear_denominators(rows, ncols), ncols)
+    return pivots, _assemble(pivots, den, nums, ncols)
+
+
+def certified_rref(cleared: list[dict], ncols: int) -> tuple[list[int], int, list[dict]]:
+    """The certified RREF of nonzero Z[i] rows in the layout of
+    _clear_denominators: (pivots, den, nums), reduced row j being a 1 at
+    pivots[j] plus nums[j] / den.  Scaling a row changes nothing."""
     if not cleared:
-        return [], []
+        return [], 1, []
+    imaginary = any(max(row) >= ncols for row in cleared)
     best: list[int] | None = None
     basis = cleared
     for k in count():
@@ -101,7 +112,7 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
             continue
         den, nums = exact
         if _spans(cleared, best, den, nums, ncols):
-            return best, _assemble(best, den, nums, ncols)
+            return best, den, nums
         basis = cleared  # a wrong reconstruction or an unlucky pivot list
 
 
@@ -167,12 +178,11 @@ def _prime(k: int) -> tuple[int, int]:
     return _PRIMES[k]
 
 
-def _clear_denominators(rows: Iterable[Vec], ncols: int) -> tuple[list[dict], bool]:
+def _clear_denominators(rows: Iterable[Vec], ncols: int) -> list[dict]:
     """The nonzero rows, each scaled to Z[i] by the lcm of its denominators,
     as int dicts: the real part of column c at key c, the imaginary part
-    at key c + ncols.  Also whether any entry is non-real."""
+    at key c + ncols."""
     cleared = []
-    imaginary = False
     for row in rows:
         if not row:
             continue
@@ -193,7 +203,6 @@ def _clear_denominators(rows: Iterable[Vec], ncols: int) -> tuple[list[dict], bo
             else:
                 cleared.append({c: int(v.re * den) for c, v in row.items()})
             continue
-        imaginary = True
         out = {}
         for c, v in row.items():
             if v.re:
@@ -201,7 +210,7 @@ def _clear_denominators(rows: Iterable[Vec], ncols: int) -> tuple[list[dict], bo
             if v.im:
                 out[c + ncols] = int(v.im * den)
         cleared.append(out)
-    return cleared, imaginary
+    return cleared
 
 
 def _rref_mod(cleared: list[dict], ncols: int, p: int, s: int | None):
@@ -380,52 +389,56 @@ def _spans(cleared: list[dict], pivots: list[int], den: int, nums: list[dict], n
     where = {c: j for j, c in enumerate(pivots)}
     for row in cleared:
         acc: dict[int, int] = {}
-        get = acc.get
         for c, x in row.items():
-            if c < ncols:
-                j = where.get(c)
-                if j is None:
-                    acc[c] = get(c, 0) + den * x
-                else:
-                    for key, v in nums[j].items():
-                        acc[key] = get(key, 0) - x * v
-                continue
-            # x is the imaginary part of column c - ncols: i * (a + bi) = -b + ai
-            j = where.get(c - ncols)
+            j = where.get(c % ncols)
             if j is None:
-                acc[c] = get(c, 0) + den * x
-                continue
-            for key, v in nums[j].items():
-                if key < ncols:
-                    acc[key + ncols] = get(key + ncols, 0) - x * v
-                else:
-                    acc[key - ncols] = get(key - ncols, 0) + x * v
+                acc[c] = acc.get(c, 0) + den * x
+            else:
+                add_multiple(acc, -x, c >= ncols, nums[j], ncols)
         if any(acc.values()):
             return False
     return True
 
 
+def add_multiple(acc: dict, x: int, imag: bool, vec: dict, ncols: int) -> None:
+    """In-place acc += x * vec, or acc += x * i * vec when imag, for Z[i]
+    vectors in the layout of _clear_denominators: i * (a + bi) = -b + ai."""
+    get = acc.get
+    if not imag:
+        for key, v in vec.items():
+            acc[key] = get(key, 0) + x * v
+        return
+    for key, v in vec.items():
+        if key < ncols:
+            acc[key + ncols] = get(key + ncols, 0) + x * v
+        else:
+            acc[key - ncols] = get(key - ncols, 0) - x * v
+
+
 def _assemble(pivots: list[int], den: int, nums: list[dict], ncols: int) -> list[Vec]:
     """The certified rows as GaussRat dicts in ascending column order."""
     memo: dict[tuple[int, int], GaussRat] = {}
-    out = []
-    for pcol, num in zip(pivots, nums):
-        row: Vec = {pcol: _ONE}
-        for c in sorted({c % ncols for c in num}):
-            key = (num.get(c, 0), num.get(c + ncols, 0))
-            value = memo.get(key)
-            if value is None:
-                re, im = key
-                if den != 1:
-                    re, im = Fraction(re, den), Fraction(im, den)
-                value = memo[key] = GaussRat(re, im)
-            row[c] = value
-        out.append(row)
-    return out
+    return [{pcol: _ONE, **exact_view(num, den, ncols, memo)} for pcol, num in zip(pivots, nums)]
+
+
+def exact_view(num: dict, den: int, ncols: int, memo: dict) -> Vec:
+    """num / den in ascending column order, for num in the Z[i] layout of
+    _clear_denominators; memo maps (re, im) numerators to their GaussRat."""
+    row: Vec = {}
+    for c in sorted({c % ncols for c in num}):
+        key = (num.get(c, 0), num.get(c + ncols, 0))
+        value = memo.get(key)
+        if value is None:
+            re, im = key
+            if den != 1:
+                re, im = Fraction(re, den), Fraction(im, den)
+            value = memo[key] = GaussRat(re, im)
+        row[c] = value
+    return row
 
 
 def rank(rows: Iterable[Vec], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+    return len(certified_rref(_clear_denominators(rows, ncols), ncols)[0])
 
 
 def nullspace_with_free(rows: Iterable[Vec], ncols: int) -> tuple[list[Vec], list[int]]:

@@ -200,14 +200,27 @@ def dense_differential_value(
     return out
 
 
-def dense_differential_matrix(k: int, g: LieAlgebra, rho_kind: str) -> list[list[GaussRat]]:
-    """Rows = coordinates of C^{k+1}, columns = coordinates of C^k."""
+def _module_dim(g: LieAlgebra, rho_kind: str, module_dim: int, matrices) -> int:
+    if rho_kind == "adjoint":
+        return g.dim
+    return len(matrices[0]) if rho_kind == "explicit" else module_dim
+
+
+def dense_differential_matrix(
+    k: int, g: LieAlgebra, rho_kind: str, module_dim: int = 1, matrices=None
+) -> list[list[GaussRat]]:
+    """Rows = coordinates of C^{k+1}, columns = coordinates of C^k.
+
+    rho_kind is "adjoint", "trivial" (on a module of dimension module_dim)
+    or "explicit": matrices[i] is rho(e_i) as a dense list of rows."""
     n = g.dim
-    m = n if rho_kind == "adjoint" else 1
+    m = _module_dim(g, rho_kind, module_dim, matrices)
 
     def rho(i: int, vec: list[GaussRat]) -> list[GaussRat]:
         if rho_kind == "trivial":
             return [ZERO] * m
+        if rho_kind == "explicit":
+            return [sum((a * b for a, b in zip(row, vec)), ZERO) for row in matrices[i]]
         return bracket_dense(g, basis_vector(n, i), vec)
 
     src_tuples = list(itertools.combinations(range(n), k))
@@ -223,20 +236,25 @@ def dense_differential_matrix(k: int, g: LieAlgebra, rho_kind: str) -> list[list
     return rows
 
 
-def oracle_cohomology_dims(g: LieAlgebra, k: int, rho_kind: str = "adjoint") -> tuple[int, int, int]:
-    """(dim Z^k, dim B^k, dim H^k) by dense evaluation and elimination."""
+def oracle_cohomology_dims(
+    g: LieAlgebra, k: int, rho_kind: str = "adjoint", module_dim: int = 1, matrices=None
+) -> tuple[int, int, int]:
+    """(dim Z^k, dim B^k, dim H^k) by dense evaluation and elimination;
+    the representation is given as for dense_differential_matrix."""
     import math
 
-    m = g.dim if rho_kind == "adjoint" else 1
-    dim_ck = math.comb(g.dim, k) * m
+    def d(j):
+        return dense_differential_matrix(j, g, rho_kind, module_dim, matrices)
+
+    dim_ck = math.comb(g.dim, k) * _module_dim(g, rho_kind, module_dim, matrices)
     if k >= g.dim:
         z_dim = dim_ck
     else:
-        z_dim = dim_ck - dense_rank(dense_differential_matrix(k, g, rho_kind))
+        z_dim = dim_ck - dense_rank(d(k))
     if k == 0:
         b_dim = 0
     else:
-        b_dim = dense_rank(dense_differential_matrix(k - 1, g, rho_kind))
+        b_dim = dense_rank(d(k - 1))
     return z_dim, b_dim, z_dim - b_dim
 
 

@@ -288,3 +288,41 @@ def test_verify_all_runs_the_subset_sum_check(capsys, monkeypatch):
     assert code == 1
     verdicts = {item["name"]: item["verdict"] for item in doc["items"]}
     assert verdicts["q_identity_suite"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "algebra document must be a JSON object"),
+        ("h(1)", "algebra document must be a JSON object"),
+        ({}, "algebra document has no 'dim' field"),
+        ({"dim": 3, "brackets": {"i": 1, "j": 2}}, "field 'brackets' must be a JSON array"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2}]}, "bracket entry has no 'out' field"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [1]}]}, "field 'out' must be a JSON object"),
+    ],
+    ids=["array", "string", "no-dim", "brackets-object", "no-out", "out-array"],
+)
+def test_malformed_algebra_document_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["algebra", "--algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [([1], "document must be a JSON object"), ({"degree": 2}, "document has no ")],
+    ids=["array", "degree-only"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["deform", "check", "--algebra", "h(1)", "--phi"], ["extend", "--algebra", "h(1)", "--cocycle"]],
+    ids=["deform-phi", "extend-cocycle"],
+)
+def test_malformed_cochain_document_is_usage_error(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err

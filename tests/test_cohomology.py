@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ import oracles
 from lieq import catalog
 from lieq.cohomology import (
     Cochain,
+    CochainComplex,
     NotARepresentation,
     Representation,
     SourceMismatch,
@@ -30,7 +32,7 @@ from lieq.cohomology import (
 from lieq.exactnum import GaussRat, ONE, ZERO
 from lieq.extend import CentralCocycle, central_extension
 from lieq.liealg import LieAlgebra, abelian
-from lieq.linalg import SparseMatrix, vec_add
+from lieq.linalg import SparseMatrix, exact_view, vec_add
 
 SMALL = ["n_3_1", "n_3_2", "n_4_2", "n_4_3", "n_5_5", "n_5_7", "sl2", "a_sh"]
 
@@ -337,3 +339,55 @@ def test_random_nilpotent_matches_dense_oracle(g):
                 cohomology_dim(k, g, rep),
             )
             assert got == oracles.oracle_cohomology_dims(g, k, coeffs), (coeffs, k)
+
+
+# basis rescalings f_a = s_a e_a that make the constants fractional and non-real
+SCALES = [GaussRat(1), GaussRat(2), GaussRat(Fraction(1, 3)), GaussRat(0, 1), GaussRat(1, 1)]
+UP_TO_DIM_5 = [name for name in catalog.list_names() if get(name).dim <= 5]
+# rho(e_a) for h(1), [e1, e2] = e3, on C^3: E12, E23 and E13 conjugated by
+# diag(1, 1/2, 1/3), so its matrices are fractional
+H1_REP = [{(0, 1): 2}, {(1, 2): Fraction(3, 2)}, {(0, 2): 3}]
+
+
+def rescaled(g, scales):
+    """g in the basis f_a = s_a e_a: [f_a, f_b] = sum_l s_a s_b c^l_ab / s_l f_l."""
+    brackets = {
+        (a, b): {l: scales[a] * scales[b] * c / scales[l] for l, c in vec.items()}
+        for (a, b), vec in g.brackets.items()
+    }
+    return LieAlgebra(g.dim, brackets)
+
+
+@st.composite
+def rescaled_catalog_cases(draw):
+    """(algebra, rep, oracle arguments): a rescaled catalog entry of dim <= 5
+    with adjoint or 2-dim trivial coefficients, or rescaled h(1) with H1_REP."""
+    coeffs = draw(st.sampled_from(["adjoint", "trivial", "explicit"]))
+    g = get("h(1)" if coeffs == "explicit" else draw(st.sampled_from(UP_TO_DIM_5)))
+    scales = draw(st.lists(st.sampled_from(SCALES), min_size=g.dim, max_size=g.dim))
+    h = rescaled(g, scales)
+    if coeffs == "adjoint":
+        return h, adjoint_rep(h), {"rho_kind": "adjoint"}
+    if coeffs == "trivial":
+        return h, trivial_rep(h, 2), {"rho_kind": "trivial", "module_dim": 2}
+    mats = [SparseMatrix(3, {rc: scales[a] * v for rc, v in H1_REP[a].items()}) for a in range(3)]
+    dense = [[[m.get(r, c) for c in range(3)] for r in range(3)] for m in mats]
+    return h, Representation(h, mats, kind="explicit"), {"rho_kind": "explicit", "matrices": dense}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rescaled_catalog_cases(), st.integers(0, 3))
+def test_rescaled_catalog_matches_dense_oracle(case, k):
+    h, rep, oracle_args = case
+    k = min(k, h.dim)
+    complex_ = CochainComplex(h, rep)
+    width = complex_.dim(k + 1)
+    dense = oracles.dense_differential_matrix(k, h, **oracle_args)
+    for c, col in enumerate(complex_.columns(k)):
+        view = exact_view(col, complex_.den, width, {})
+        assert [view.get(r, ZERO) for r in range(width)] == [row[c] for row in dense], (k, c)
+    for z in complex_.cocycles(k).rows:
+        assert all(not sum((row[c] * v for c, v in z.items()), ZERO) for row in dense)
+    got = (complex_.cocycles(k).dim, complex_.coboundaries(k).dim, complex_.cohomology_dim(k))
+    assert got == oracles.oracle_cohomology_dims(h, k, **oracle_args)
+    assert complex_.d_squared_zero(k)

@@ -4,7 +4,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lieq import linalg
@@ -67,6 +67,35 @@ def test_rref_matches_oracle(case, as_generator):
     for row in got[1]:
         assert list(row) == sorted(row)
         assert all(row.values())
+
+
+def times_gaussian(row, a, b, ncols):
+    """(a + bi) * row for a Z[i] row with imaginary parts at column + ncols."""
+    out = {}
+    for c in {c % ncols for c in row}:
+        x, y = row.get(c, 0), row.get(c + ncols, 0)
+        out[c], out[c + ncols] = a * x - b * y, a * y + b * x
+    return {c: v for c, v in out.items() if v}
+
+
+nonzero_gaussian_ints = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+
+@given(rref_inputs(), st.lists(nonzero_gaussian_ints, min_size=7, max_size=7))
+@example(([], 3), [(1, 0)] * 7)
+@example(([{}, {}, {}], 4), [(1, 0)] * 7)
+@settings(max_examples=200, deadline=None)
+def test_certified_core_matches_rref(case, factors):
+    """The core on cleared rows, each scaled by its own nonzero Gaussian
+    integer, gives the pivots and rows of rref."""
+    rows, ncols = case
+    cleared = linalg._clear_denominators(rows, ncols)
+    scaled = [times_gaussian(row, a, b, ncols) for row, (a, b) in zip(cleared, factors)]
+    pivots, den, nums = linalg.certified_rref(scaled, ncols)
+    expected = rref(rows, ncols)
+    assert len(pivots) == len(expected[0])
+    assert pivots == expected[0]
+    assert [{p: ONE, **linalg.exact_view(num, den, ncols, {})} for p, num in zip(pivots, nums)] == expected[1]
 
 
 def test_rref_zero_columns_and_rows():
