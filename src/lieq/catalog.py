@@ -12,7 +12,7 @@ tests/golden)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exactnum import LieqError
 from .liealg import LieAlgebra, Signature, abelian
@@ -42,12 +42,11 @@ def _alg(dim: int, relations: dict[tuple[int, int], dict[int, int]], labels=None
     return LieAlgebra(dim, brackets, labels)
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     algebra: LieAlgebra
-    expected: dict = field(default_factory=dict)
-    notes: str = ""
+    expected: dict
+    notes: str
 
     def signature(self) -> Signature:
         return self.algebra.invariant_signature()
@@ -171,27 +170,16 @@ def get(name: str) -> CatalogEntry:
         n = int(name[len("abelian(") : -1])
         if n < 0:
             raise UnknownName(f"unknown catalog entry {name!r}")
-        entry = CatalogEntry(name, abelian(n), {}, f"abelian of dimension {n}")
-        entry.expected = {
-            "dim": n,
-            "abelian": True,
-            "center_dim": n,
-            "nilpotency_class": 1 if n else 0,
-        }
-        return entry
+        expected = {"dim": n, "abelian": True, "center_dim": n, "nilpotency_class": 1 if n else 0}
+        return CatalogEntry(name, abelian(n), expected, f"abelian of dimension {n}")
     if name.startswith("h(") and name.endswith(")"):
         m = int(name[len("h(") : -1])
         if m < 1:
             raise UnknownName(f"unknown catalog entry {name!r}")
-        entry = CatalogEntry(name, heisenberg(m), {}, f"Heisenberg algebra of dimension {2 * m + 1}")
-        entry.expected = {
-            "dim": 2 * m + 1,
-            "center_dim": 1,
-            "nilpotency_class": 2,
-            "lower_central_dims": (2 * m + 1, 1, 0),
-            "abelian": False,
-        }
-        return entry
+        expected = {"dim": 2 * m + 1, "center_dim": 1, "nilpotency_class": 2,
+                    "lower_central_dims": (2 * m + 1, 1, 0), "abelian": False}
+        return CatalogEntry(name, heisenberg(m), expected,
+                            f"Heisenberg algebra of dimension {2 * m + 1}")
     if name in _FIXED:
         return _FIXED[name]
     raise UnknownName(f"unknown catalog entry {name!r}")
@@ -205,8 +193,7 @@ def list_names() -> list[str]:
     return names
 
 
-@dataclass
-class VerifyItem:
+class VerifyItem(NamedTuple):
     entry: str
     check: str
     expected: object
@@ -217,8 +204,7 @@ class VerifyItem:
         return self.expected == self.actual
 
 
-@dataclass
-class CatalogReport:
+class CatalogReport(NamedTuple):
     items: list[VerifyItem]
 
     @property

@@ -3,6 +3,12 @@
 One binary, subcommand style.  Every machine-readable output carries
 "format": "lieq-1"; exit code 0 means every reported item passed, 1 means
 at least one failed, 2 is a usage error (argparse's default).
+
+Each command is usually its own fresh process, so start-up is part of
+every call.  This module therefore imports at its top only what every
+command needs (``exactnum``, ``liealg``, ``linalg``, which ``lieq``
+loads anyway); each command and each helper imports the engine modules it
+runs when it is called.  A new subcommand imports its engine the same way.
 """
 
 from __future__ import annotations
@@ -10,24 +16,30 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import catalog, cohomology, deform, extend, fock, qheis
 from .exactnum import GaussRat, LieqError
 from .liealg import LieAlgebra
 from .linalg import SparseMatrix
 
+if TYPE_CHECKING:  # names used in annotations only
+    import random
 
-@dataclass
+    from . import fock
+
+
 class Report:
-    command: str
-    items: list = field(default_factory=list)  # (name, expected, actual, verdict)
-    timing_ms: int = 0
-    started: float = field(default_factory=time.monotonic)
+    """The (name, expected, actual, verdict) items of one command; the
+    clock starts when the report is created."""
+
+    def __init__(self, command: str):
+        self.command = command
+        self.items: list = []
+        self.timing_ms = 0
+        self.started = time.monotonic()
 
     def add(self, name, expected, actual, ok: bool | None = None):
         if ok is None:
@@ -96,10 +108,14 @@ def _load_algebra(spec: str) -> LieAlgebra:
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as handle:
             return LieAlgebra.from_doc(json.load(handle))
+    from . import catalog
+
     return catalog.get(spec).algebra
 
 
 def _size_cap() -> int:
+    from . import fock
+
     raw = os.environ.get("LIEQ_SIZE_CAP")
     return int(raw) if raw else fock.DEFAULT_SIZE_CAP
 
@@ -113,6 +129,8 @@ def _matrix_doc(mat: SparseMatrix) -> dict:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.action == "list":
         names = catalog.list_names()
         _emit(args, {"format": "lieq-1", "names": names}, "\n".join(names))
@@ -146,6 +164,8 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from . import cohomology
+
     report = Report("cohomology")
     if args.k is not None and args.k < 0:
         raise ValueError(f"--k must be a non-negative degree, got {args.k}")
@@ -166,6 +186,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_deform_check(args) -> int:
+    from . import cohomology, deform
+
     report = Report("deform check")
     g = _load_algebra(args.algebra)
     phis = []
@@ -200,6 +222,8 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
+    from . import deform
+
     report = Report("rigidity")
     g = _load_algebra(args.algebra)
     rr = deform.rigidity_report(g)
@@ -209,6 +233,8 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from . import extend
+
     g = _load_algebra(args.algebra)
     with open(args.cocycle, "r", encoding="utf-8") as handle:
         theta = extend.CentralCocycle.from_doc(g, json.load(handle))
@@ -221,6 +247,8 @@ def cmd_extend(args) -> int:
 def _round_trip(g: LieAlgebra):
     """(quotient, theta, ok): g / Z(g) with the induced cocycle, and whether
     the central extension they define has the signature of g."""
+    from . import extend
+
     quot, theta = extend.induced_cocycle(g)
     rebuilt = extend.central_extension(quot.algebra, theta)
     return quot, theta, rebuilt.invariant_signature() == g.invariant_signature()
@@ -235,6 +263,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_qheis_normalize(args) -> int:
+    from . import qheis
+
     expr = qheis.parse_qexpr(args.expr)
     q_value = GaussRat(args.q) if args.q is not None else None
     nf = qheis.normal_order(expr, q_value)
@@ -249,6 +279,8 @@ def cmd_qheis_normalize(args) -> int:
 def _q_identity_items(top: int):
     """(name, ok) for each q-identity check up to size ``top``, lazily, so a
     caller that only wants the conjunction stops at the first failure."""
+    from . import qheis
+
     for n in range(1, min(top, 20) + 1):
         yield (f"binomial_recursion_vs_closed n={n}",
                all(qheis.q_binomial(n, k) == qheis.q_binomial_closed(n, k) for k in range(n + 1)))
@@ -284,6 +316,8 @@ def cmd_qheis_verify(args) -> int:
 
 
 def cmd_fock_build(args) -> int:
+    from . import fock
+
     n = args.n
     if n * n > _size_cap():
         raise fock.SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
@@ -320,6 +354,8 @@ def _as_float(text: str) -> float:
 def _truncation_items(q0: GaussRat, n: int):
     """(name, ok) for the size-n monomial pair: the q-CCR defect sits in the
     corner only, and the number operator has the closed-form spectrum."""
+    from . import fock
+
     a, b = fock.monomial_rep(q0, n)
     yield "defect_corner_only", fock.defect_is_corner_only(fock.qccr_defect(a, b, q0), q0)
     yield ("spectrum_closed_form",
@@ -329,12 +365,16 @@ def _truncation_items(q0: GaussRat, n: int):
 def _biorthogonal_items(system: fock.BiorthogonalSystem):
     """(name, ok): the pairing matrix is the identity, and each squared
     ladder coefficient is {m+1}_q."""
+    from . import qheis
+
     yield "biorthogonality", system.pairing_matrix() == SparseMatrix.identity(system.n)
     rungs = qheis.q_integers_at(system.n - 1, system.q0)[1:]
     yield "squared_ladder", system.squared_ladder_coefficients() == rungs
 
 
 def cmd_fock_verify(args) -> int:
+    from . import fock
+
     report = Report("fock verify")
     q0 = GaussRat(args.q)
     n = args.n
@@ -357,6 +397,8 @@ def _defects_on_top_degree(ct: fock.CuntzToeplitz) -> bool:
 
 
 def cmd_fock_cuntz(args) -> int:
+    from . import fock
+
     report = Report("fock cuntz")
     ct = fock.cuntz_toeplitz(args.d, args.depth, _size_cap())
     report.add("dim", None, ct.dim, ok=True)
@@ -365,6 +407,11 @@ def cmd_fock_cuntz(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    import random
+
+    from . import catalog, cohomology, deform, fock
+    from .liealg import abelian
+
     report = Report("verify-all")
     rng = random.Random(args.seed)
 
@@ -396,8 +443,6 @@ def cmd_verify_all(args) -> int:
             continue
         ss_ok = ss_ok and _round_trip(g)[2]
     report.add("skjelbred_sund_round_trip", True, ss_ok)
-
-    from .liealg import abelian
 
     base = abelian(3)
     phi = cohomology.Cochain(base, 2, 3, {(0, 1): {2: 1}})

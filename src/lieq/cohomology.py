@@ -24,7 +24,7 @@ import math
 from typing import Mapping, Sequence
 
 from .exactnum import GaussRat, LieqError, ZERO, gauss
-from .liealg import LieAlgebra, doc_field, signed_pair
+from .liealg import LieAlgebra, doc_field, doc_value, signed_pair
 from .linalg import (
     SparseMatrix,
     Subspace,
@@ -185,7 +185,8 @@ class Cochain:
         for key in raw:
             idx = tuple(int(part) - 1 for part in str(key).split(",")) if str(key) else ()
             values = doc_field(raw, key, list, "cochain coords")
-            coords[idx] = {i: GaussRat(s) for i, s in enumerate(values)}
+            coords[idx] = {i: doc_value(s, GaussRat, "cochain coordinate")
+                           for i, s in enumerate(values)}
         dims = (doc_field(doc, key, int, "cochain document") for key in ("degree", "module_dim"))
         return cls(source, *dims, coords)
 

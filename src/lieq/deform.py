@@ -8,7 +8,6 @@ to cancel, the polynomial is computed and reported as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cohomology import (
@@ -37,24 +36,22 @@ class DeformationDefect(NamedTuple):
     residual: Vec
 
 
-@dataclass(frozen=True)
 class DeformedBracket:
     """mu_t = mu + t phi_1 + ... + t^k phi_k."""
 
-    base: LieAlgebra
-    perturbations: tuple[Cochain, ...]
-    parameter: str = "t"
-
-    def __post_init__(self):
-        if not self.perturbations:
+    def __init__(self, base: LieAlgebra, perturbations: tuple[Cochain, ...], parameter: str = "t"):
+        if not perturbations:
             raise ValueError("need at least one perturbation cochain")
-        for phi in self.perturbations:
+        for phi in perturbations:
             if phi.degree != 2:
                 raise SourceMismatch("perturbations must be degree-2 cochains")
-            if phi.module_dim != self.base.dim:
+            if phi.module_dim != base.dim:
                 raise SourceMismatch("perturbation values must lie in the algebra")
-            if phi.source is not self.base and not phi.source.same_constants(self.base):
+            if phi.source is not base and not phi.source.same_constants(base):
                 raise SourceMismatch("perturbation attached to a different algebra")
+        self.base = base
+        self.perturbations = perturbations
+        self.parameter = parameter
 
     @property
     def order(self) -> int:
@@ -157,8 +154,7 @@ def evaluate_at(d: DeformedBracket, t0, allow_non_lie: bool = False) -> LieAlgeb
     return LieAlgebra(g.dim, brackets, g.labels)
 
 
-@dataclass
-class CandidateReport:
+class CandidateReport(NamedTuple):
     """Z^2(g, g; ad) plus the per-basis-cocycle outcome of the honest full
     Jacobi filter (cocycle membership alone does not make mu + t*phi Lie)."""
 
@@ -181,8 +177,7 @@ def linear_deformation_candidates(g: LieAlgebra) -> CandidateReport:
     return CandidateReport(space, basis, survivors)
 
 
-@dataclass
-class RigidityReport:
+class RigidityReport(NamedTuple):
     orbit_tangent_dim: int
     dim_b2: int
     dim_h2: int
@@ -190,13 +185,7 @@ class RigidityReport:
     tangent_equals_b2: bool
 
     def to_doc(self) -> dict:
-        return {
-            "orbit_tangent_dim": self.orbit_tangent_dim,
-            "dim_b2": self.dim_b2,
-            "dim_h2": self.dim_h2,
-            "nr_rigid": self.nr_rigid,
-            "tangent_equals_b2": self.tangent_equals_b2,
-        }
+        return self._asdict()
 
 
 def rigidity_report(g: LieAlgebra) -> RigidityReport:

@@ -9,8 +9,7 @@ construction only moves by a coboundary when the complement section changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cohomology import Cochain, cyclic_failure
 from .exactnum import GaussRat, LieqError, gauss
@@ -119,8 +118,7 @@ def cocycle_kernel(theta: CentralCocycle) -> Subspace:
     return Subspace(g.dim, nullspace(rows, g.dim))
 
 
-@dataclass
-class ShiftIso:
+class ShiftIso(NamedTuple):
     """Explicit isomorphism g_theta' -> g_theta, theta' = theta - c' o bracket,
     given by (x, v) -> (x, v + c'(x))."""
 

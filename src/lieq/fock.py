@@ -14,9 +14,8 @@ nowhere else.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import GaussRat, LieqError, ONE, ZERO, gauss
 from .linalg import SparseMatrix, Vec
@@ -123,8 +122,7 @@ def weighted_adjoint(x: SparseMatrix, q0, n: int) -> SparseMatrix:
     return SparseMatrix(n, data)
 
 
-@dataclass
-class ShiftedPair:
+class ShiftedPair(NamedTuple):
     """The pseudoboson quadruple A = C - alpha, B = C-dagger - conj(beta)
     plus the two weighted adjoints, with its full commutator table.
 
@@ -196,8 +194,7 @@ def shifted_pair(alpha, beta, n: int, q0=1) -> ShiftedPair:
     return ShiftedPair(n=n, alpha=alpha, beta=beta, operators=ops, commutators=comms)
 
 
-@dataclass
-class BiorthogonalSystem:
+class BiorthogonalSystem(NamedTuple):
     """Vector families phi_n = t_n e_n and psi_n = e_n / t_n together with
     the ladder pair transported by T = diag(t)."""
 
@@ -274,8 +271,7 @@ def biorthogonal_pair(weights: Sequence, q0, n: int | None = None) -> Biorthogon
     )
 
 
-@dataclass
-class TransportResult:
+class TransportResult(NamedTuple):
     transported: list[tuple[SparseMatrix, SparseMatrix]]
     defects_source: dict
     defects_transported: dict
@@ -328,8 +324,7 @@ def car_pair_2x2() -> tuple[SparseMatrix, SparseMatrix]:
     return c, c.conj_transpose()
 
 
-@dataclass
-class CuntzToeplitz:
+class CuntzToeplitz(NamedTuple):
     """Truncated creation operators on the full Fock space over d letters,
     words of length <= depth; the isometry relation l_i+ l_j = delta_ij I
     holds on words shorter than the depth, the defect sits on top-degree

@@ -369,31 +369,48 @@ class LieAlgebra:
     def from_doc(cls, doc: Mapping) -> "LieAlgebra":
         dim = doc_field(doc, "dim", int, "algebra document")
         brackets = pairs_from_doc(doc_field(doc, "brackets", list, "algebra document", []))
-        return cls(dim, brackets, doc.get("labels"))
+        labels = doc.get("labels")
+        if labels is not None:
+            labels = [doc_value(label, str, "algebra label")
+                      for label in doc_value(labels, list, "algebra document field 'labels'")]
+        return cls(dim, brackets, labels)
 
 
 def doc_field(doc, key: str, kind: type, what: str, default=None):
-    """doc[key] of a lieq-1 document, or default when the key is absent.
+    """doc[key] of a lieq-1 document checked by ``doc_value``, or default
+    when the key is absent.
 
     Raises ValueError, which the CLI reports as a usage error, when doc is
     not a JSON object, when the key is absent and there is no default, or
-    when the value is not a kind (for int: not convertible to one)."""
+    when the value is not a kind."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
     if key not in doc:
         if default is None:
             raise ValueError(f"{what} has no {key!r} field")
         return default
-    value = doc[key]
-    wrong = f"{what} field {key!r} must be a JSON {{}}, not {type(value).__name__}"
-    if kind is int:
-        try:
+    return doc_value(doc[key], kind, f"{what} field {key!r}")
+
+
+_JSON_KINDS = {int: "integer", dict: "object", list: "array", str: "string",
+               GaussRat: "scalar string or number"}
+
+
+def doc_value(value, kind: type, what: str):
+    """value of a lieq-1 document as a kind: int (anything int() takes),
+    dict, list, str, or GaussRat (a scalar string such as "1/2-i", or a
+    JSON number; returned parsed).  Raises ValueError otherwise."""
+    try:
+        if kind is int:
             return int(value)
-        except TypeError:
-            raise ValueError(wrong.format("integer")) from None
-    if not isinstance(value, kind):
-        raise ValueError(wrong.format("object" if kind is dict else "array"))
-    return value
+        if kind is GaussRat:
+            if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+                return GaussRat(value)
+        elif isinstance(value, kind):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, not {type(value).__name__}")
 
 
 def pairs_from_doc(entries: list) -> dict[tuple[int, int], Vec]:
@@ -405,7 +422,8 @@ def pairs_from_doc(entries: list) -> dict[tuple[int, int], Vec]:
         out = doc_field(entry, "out", dict, "bracket entry")
         if (i, j) in pairs:
             raise ValueError(f"duplicate bracket pair ({i + 1}, {j + 1})")
-        pairs[(i, j)] = {int(k) - 1: GaussRat(s) for k, s in out.items()}
+        pairs[(i, j)] = {int(k) - 1: doc_value(s, GaussRat, "bracket entry 'out' value")
+                         for k, s in out.items()}
     return pairs
 
 

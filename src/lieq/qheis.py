@@ -15,9 +15,8 @@ denominator monomials first, which is lossless over the polynomial ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exactnum import (
     GaussRat,
@@ -89,8 +88,7 @@ def q_integer_at(n: int, q0: GaussRat) -> GaussRat:
     return q_integers_at(n, q0)[-1]
 
 
-@dataclass
-class ReciprocalReport:
+class ReciprocalReport(NamedTuple):
     """Outcome of the 1/q identities at a sample point.
 
     ``factorial_printed_matches`` evaluates the printed form of the
@@ -139,8 +137,7 @@ def q_reciprocal_checks(n: int, k: int, q0) -> ReciprocalReport:
     )
 
 
-@dataclass
-class SubsetSumReport:
+class SubsetSumReport(NamedTuple):
     """Subset expansion of the Gaussian binomial.
 
     The exponent-shifted form sum_S q^{(sum S) - k(k+1)/2} over k-subsets of

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,8 +303,13 @@ def test_verify_all_runs_the_subset_sum_check(capsys, monkeypatch):
         ({"dim": 3, "brackets": {"i": 1, "j": 2}}, "field 'brackets' must be a JSON array"),
         ({"dim": 3, "brackets": [{"i": 1, "j": 2}]}, "bracket entry has no 'out' field"),
         ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [1]}]}, "field 'out' must be a JSON object"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": None}}]},
+         "'out' value must be a JSON scalar string or number, not NoneType"),
+        ({"dim": 3, "labels": 5}, "field 'labels' must be a JSON array, not int"),
+        ({"dim": 3, "labels": [1, 2, 3]}, "algebra label must be a JSON string, not int"),
     ],
-    ids=["array", "string", "no-dim", "brackets-object", "no-out", "out-array"],
+    ids=["array", "string", "no-dim", "brackets-object", "no-out", "out-array", "out-null",
+         "labels-number", "labels-not-strings"],
 )
 def test_malformed_algebra_document_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "g.json"
@@ -310,10 +319,22 @@ def test_malformed_algebra_document_is_usage_error(tmp_path, capsys, doc, messag
     assert err.startswith("usage error:") and message in err
 
 
+def _bad_scalar_doc(scalar):
+    """A document whose one scalar is malformed both as a cochain coordinate
+    (read by deform check --phi) and as a cocycle value (extend --cocycle)."""
+    return {"degree": 2, "module_dim": 3, "coords": {"1,2": [scalar, "0", "0"]},
+            "target_dim": 1, "values": [{"i": 1, "j": 2, "out": {"1": scalar}}]}
+
+
 @pytest.mark.parametrize(
     "doc, message",
-    [([1], "document must be a JSON object"), ({"degree": 2}, "document has no ")],
-    ids=["array", "degree-only"],
+    [
+        ([1], "document must be a JSON object"),
+        ({"degree": 2}, "document has no "),
+        (_bad_scalar_doc(None), "must be a JSON scalar string or number, not NoneType"),
+        (_bad_scalar_doc([1]), "must be a JSON scalar string or number, not list"),
+    ],
+    ids=["array", "degree-only", "null-scalar", "array-scalar"],
 )
 @pytest.mark.parametrize(
     "argv",
@@ -326,3 +347,66 @@ def test_malformed_cochain_document_is_usage_error(tmp_path, capsys, argv, doc, 
     assert cli.run(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
+
+
+# -- each subcommand in a fresh interpreter ------------------------------------
+
+# Runs one command the way the console script does and reports the exit code
+# and the lieq modules (and dataclasses) that the process loaded.
+_FRESH = """
+import contextlib, io, json, sys
+from lieq import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(json.loads(sys.argv[1]))
+loaded = sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("lieq."))
+print(json.dumps({"code": code, "modules": loaded}))
+"""
+
+_COHOMOLOGY = {"catalog", "cohomology"}
+_FOCK = {"fock", "qheis"}
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (["catalog", "list"], {"catalog"}),
+        (["catalog", "show", "n_5_4"], {"catalog"}),
+        (["algebra", "--algebra", "n_5_6"], _COHOMOLOGY),
+        (["cohomology", "--algebra", "h(2)", "--coeffs", "trivial"], _COHOMOLOGY),
+        (["rigidity", "--algebra", "n_5_6"], _COHOMOLOGY | {"deform"}),
+        (["reconstruct", "--algebra", "h(2)"], _COHOMOLOGY | {"extend"}),
+        (["deform", "check", "--algebra", "abelian(3)", "--phi", "{phi}"], _COHOMOLOGY | {"deform"}),
+        (["extend", "--algebra", "abelian(2)", "--cocycle", "{theta}"], _COHOMOLOGY | {"extend"}),
+        (["qheis", "normalize", "A^3*B^3"], {"qheis"}),
+        (["qheis", "verify", "--max-n", "4"], {"qheis"}),
+        (["fock", "build", "--q", "1/2", "--n", "4"], _FOCK),
+        (["fock", "verify", "--q", "1/2", "--n", "8"], _FOCK),
+        (["fock", "cuntz", "--d", "2", "--depth", "3"], _FOCK),
+        (["verify-all"], _COHOMOLOGY | _FOCK | {"deform", "extend"}),
+    ],
+    ids=["catalog-list", "catalog-show", "algebra", "cohomology", "rigidity", "reconstruct",
+         "deform-check", "extend", "qheis-normalize", "qheis-verify", "fock-build", "fock-verify",
+         "fock-cuntz", "verify-all"],
+)
+def test_fresh_process_loads_only_its_engine(tmp_path, argv, engines):
+    """Each command imports only the engine modules it runs, and nothing
+    imports dataclasses.  A fresh interpreter per command also catches a
+    missing local import that an earlier in-process test would hide."""
+    files = {
+        "phi": {"degree": 2, "module_dim": 3, "coords": {"1,2": ["0", "0", "1"]}},
+        "theta": {"target_dim": 1, "values": [{"i": 1, "j": 2, "out": {"1": "1"}}]},
+    }
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    base = {"cli", "exactnum", "liealg", "linalg"}
+    assert result["modules"] == sorted(f"lieq.{name}" for name in base | engines)
