@@ -24,7 +24,7 @@ import math
 from typing import Mapping, Sequence
 
 from .exactnum import GaussRat, LieqError, ZERO, gauss
-from .liealg import LieAlgebra, doc_field, doc_value, signed_pair
+from .liealg import LieAlgebra, doc_field, doc_index, doc_value, signed_pair
 from .linalg import (
     SparseMatrix,
     Subspace,
@@ -183,7 +183,8 @@ class Cochain:
     def from_doc(cls, source: LieAlgebra, doc: Mapping) -> "Cochain":
         raw, coords = doc_field(doc, "coords", dict, "cochain document", {}), {}
         for key in raw:
-            idx = tuple(int(part) - 1 for part in str(key).split(",")) if str(key) else ()
+            idx = tuple(doc_index(part, source.dim, f"cochain coords key {key!r} index")
+                        for part in str(key).split(",")) if str(key) else ()
             values = doc_field(raw, key, list, "cochain coords")
             coords[idx] = {i: doc_value(s, GaussRat, "cochain coordinate")
                            for i, s in enumerate(values)}

@@ -8,6 +8,9 @@ negative exponents are first-class so reciprocal identities in 1/q stay
 exact.  A Laurent polynomial is stored densely, as integer arrays of real
 and imaginary numerators over one shared denominator, so its arithmetic is
 integer convolution and one-pass long division with no per-term GaussRat.
+A polynomial with nonnegative integer coefficients can also be packed into
+one Python int (``pack``), so that its products and exact quotients are
+single big-integer operations.
 
 Values are immutable after construction and can be shared freely between
 threads (a polynomial's ``coeffs`` view is filled in on first read, the
@@ -16,6 +19,8 @@ same way by every reader).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -587,3 +592,68 @@ class LaurentPoly:
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LaurentPoly":
         return cls(doc.get("var", "q"), {int(e): GaussRat(s) for e, s in doc["coeffs"].items()})
+
+
+# -- Kronecker packing ---------------------------------------------------------
+#
+# A polynomial with nonnegative integer coefficients below 2^w is the same
+# thing as its value at q = 2^w: the coefficient of q^j sits in bits
+# [j*w, (j+1)*w) of one Python int, so a product or an exact quotient of
+# such polynomials is one big-integer operation (Kronecker substitution; see
+# D. Harvey, J. Symbolic Comput. 44 (2009) 1502-1510).  Slot widths are
+# multiples of 64 bits, so a slot is a whole number of 64-bit limbs.
+
+
+def slot_width(bound: int) -> int:
+    """The smallest multiple of 64 bits whose slots hold 0..bound."""
+    return max(64, -(-bound.bit_length() // 64) * 64)
+
+
+def pack(poly: LaurentPoly, width: int) -> int:
+    """poly at q = 2^width.  poly must have nonnegative integer
+    coefficients below 2^width and no negative exponent, and width must be
+    a multiple of 64; anything else raises ValueError."""
+    if poly.den != 1 or poly.im is not None or poly.low < 0 or width % 64:
+        raise ValueError(f"cannot pack {poly} at width {width}")
+    try:
+        if width == 64:
+            slots = array("Q", poly.re)
+            if sys.byteorder == "big":
+                slots.byteswap()
+            data = slots.tobytes()
+        else:
+            data = b"".join(c.to_bytes(width // 8, "little") for c in poly.re)
+    except OverflowError:
+        raise ValueError(f"cannot pack {poly} at width {width}") from None
+    return int.from_bytes(data, "little") << (poly.low * width)
+
+
+def unpack(value: int, width: int) -> LaurentPoly:
+    """The polynomial in q whose coefficient of q^j is bits [j*width,
+    (j+1)*width) of a nonnegative value; width a multiple of 64."""
+    data = value.to_bytes((value.bit_length() + 63) // 64 * 8, "little")
+    if width == 64:
+        slots = array("Q", data)
+        if sys.byteorder == "big":
+            slots.byteswap()
+    else:
+        step, view = width // 8, memoryview(data)
+        slots = [int.from_bytes(view[at : at + step], "little") for at in range(0, len(data), step)]
+    return _poly("q", 0, slots, None, 1)
+
+
+def packed_divexact(num: int, div: int, width: int) -> LaurentPoly:
+    """N / D for the polynomials N = unpack(num) and D = unpack(div).
+
+    The quotient Q is unpacked from num // div and certified: every
+    coefficient of Q*D is at most Q(1)*D(1), so when that is below
+    2^width, packing Q*D carries nowhere and its packed value num means
+    Q*D = N.  A remainder or a failed certificate raises NonDivisible."""
+    if not div:
+        raise DivisionByZero("division by zero polynomial")
+    quot, rem = divmod(num, div)
+    if not rem:
+        poly = unpack(quot, width)
+        if not (sum(poly.re) * sum(unpack(div, width).re)) >> width:
+            return poly
+    raise NonDivisible(f"{unpack(num, width)} is not divisible by {unpack(div, width)}")

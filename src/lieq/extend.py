@@ -74,8 +74,9 @@ class CentralCocycle:
 
     @classmethod
     def from_doc(cls, source: LieAlgebra, doc: Mapping) -> "CentralCocycle":
-        values = pairs_from_doc(doc_field(doc, "values", list, "cocycle document", []))
-        return cls(source, doc_field(doc, "target_dim", int, "cocycle document"), values)
+        target_dim = doc_field(doc, "target_dim", int, "cocycle document")
+        values = doc_field(doc, "values", list, "cocycle document", [])
+        return cls(source, target_dim, pairs_from_doc(values, source.dim, target_dim))
 
 
 def central_extension(g: LieAlgebra, theta: CentralCocycle) -> LieAlgebra:

@@ -368,7 +368,7 @@ class LieAlgebra:
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LieAlgebra":
         dim = doc_field(doc, "dim", int, "algebra document")
-        brackets = pairs_from_doc(doc_field(doc, "brackets", list, "algebra document", []))
+        brackets = pairs_from_doc(doc_field(doc, "brackets", list, "algebra document", []), dim, dim)
         labels = doc.get("labels")
         if labels is not None:
             labels = [doc_value(label, str, "algebra label")
@@ -393,36 +393,52 @@ def doc_field(doc, key: str, kind: type, what: str, default=None):
 
 
 _JSON_KINDS = {int: "integer", dict: "object", list: "array", str: "string",
-               GaussRat: "scalar string or number"}
+               GaussRat: "scalar string or integer"}
 
 
 def doc_value(value, kind: type, what: str):
-    """value of a lieq-1 document as a kind: int (anything int() takes),
-    dict, list, str, or GaussRat (a scalar string such as "1/2-i", or a
-    JSON number; returned parsed).  Raises ValueError otherwise."""
-    try:
-        if kind is int:
-            return int(value)
-        if kind is GaussRat:
-            if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-                return GaussRat(value)
-        elif isinstance(value, kind):
-            return value
-    except (TypeError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    """value of a lieq-1 document as a kind: int (a JSON integer), dict,
+    list, str, or GaussRat (a scalar string such as "1/2-i", or a JSON
+    integer; returned parsed).  Raises ValueError otherwise: JSON booleans
+    are not integers, and a JSON number with a fraction or an exponent is
+    refused rather than rounded."""
+    if kind is GaussRat:
+        if type(value) in (str, int):
+            return GaussRat(value)
+    elif type(value) is kind:
+        return value
+    hint = '; write it as a string such as "1/10"' if kind is GaussRat and type(value) is float else ""
+    raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, not {type(value).__name__}{hint}")
 
 
-def pairs_from_doc(entries: list) -> dict[tuple[int, int], Vec]:
+def doc_index(value, size: int, what: str) -> int:
+    """A basis index of a lieq-1 document, which counts from 1, checked
+    against 1..size and returned counting from 0.  value is an int or the
+    decimal text of a JSON object key; raises ValueError otherwise."""
+    if type(value) is str and value.isdecimal():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not a basis index")
+    if not 1 <= value <= size:
+        raise ValueError(f"{what} {value} outside 1..{size}")
+    return value - 1
+
+
+def pairs_from_doc(entries: list, dim: int, out_dim: int) -> dict[tuple[int, int], Vec]:
     """{(i, j): vector} from lieq-1 entries {"i": .., "j": .., "out": {..}},
-    whose basis indices count from 1."""
+    whose basis indices count from 1: 1 <= i < j <= dim, and the keys of
+    out in 1..out_dim.  Raises ValueError on any other index."""
     pairs = {}
     for entry in entries:
-        i, j = (doc_field(entry, key, int, "bracket entry") - 1 for key in ("i", "j"))
+        i, j = (doc_index(doc_field(entry, key, int, "bracket entry"), dim, f"bracket entry {key!r}")
+                for key in ("i", "j"))
         out = doc_field(entry, "out", dict, "bracket entry")
+        if i >= j:
+            raise ValueError(f"bracket entry ({i + 1}, {j + 1}) needs i < j")
         if (i, j) in pairs:
             raise ValueError(f"duplicate bracket pair ({i + 1}, {j + 1})")
-        pairs[(i, j)] = {int(k) - 1: doc_value(s, GaussRat, "bracket entry 'out' value")
+        pairs[(i, j)] = {doc_index(k, out_dim, "bracket entry 'out' key"):
+                         doc_value(s, GaussRat, "bracket entry 'out' value")
                          for k, s in out.items()}
     return pairs
 

@@ -5,7 +5,11 @@ The algebra has two generators A, B subject to AB - qBA = 1.  Elements are
 formal sums of words; normal ordering multiplies each word out from the
 left, one letter at a time, with the right-multiplication rules for the
 B^m A^n monomial basis.  Nothing recurses and nothing is kept between
-calls.
+calls.  With symbolic q the coefficients met while a word is read have
+nonnegative integer coefficients of at most (1 + #A)^#B, and each is
+carried as one packed Python int (exactnum.pack) at a slot width above
+that bound; the closed q-binomial is one exact division of packed
+factorials.
 
 Identities stated with denominators like (q-1)^n or q^binom(n,2) are
 verified in denominator-cleared form: both sides are multiplied by the
@@ -15,6 +19,7 @@ denominator monomials first, which is lossless over the polynomial ring.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -22,10 +27,13 @@ from .exactnum import (
     GaussRat,
     LaurentPoly,
     LieqError,
-    NonDivisible,
     ONE,
     ZERO,
     gauss,
+    pack,
+    packed_divexact,
+    slot_width,
+    unpack,
 )
 
 
@@ -65,11 +73,16 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
 
 
 def q_binomial_closed(n: int, k: int) -> LaurentPoly:
-    """{n}_q! / ({k}_q! {n-k}_q!) by exact polynomial division; a division
-    remainder would mean an implementation bug and raises NonDivisible."""
+    """{n}_q! / ({k}_q! {n-k}_q!) by one exact integer division of the
+    factorials packed at a slot width above n! (see exactnum.pack); a
+    remainder or a failed certificate would mean an implementation bug
+    and raises NonDivisible."""
     if k < 0 or k > n:
         return LaurentPoly.zero("q")
-    return q_factorial(n).divexact(q_factorial(k) * q_factorial(n - k))
+    # the coefficients of {n}_q! sum to n!, those of the divisor to k!(n-k)!
+    width = slot_width(math.factorial(n))
+    div = pack(q_factorial(k), width) * pack(q_factorial(n - k), width)
+    return packed_divexact(pack(q_factorial(n), width), div, width)
 
 
 def q_integers_at(n: int, q0: GaussRat) -> list[GaussRat]:
@@ -389,43 +402,79 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
         B^m A^n * A = B^m A^{n+1}
         B^m A^n * B = q^n B^{m+1} A^n + {n}_q B^m A^{n-1}
 
-    With q_value None the coefficients stay symbolic Laurent polynomials;
-    otherwise q is instantiated exactly at the given scalar before
-    multiplying (an honest independent path, used to cross-check
-    specialization coherence)."""
+    With q_value None the coefficients stay symbolic.  While a word is
+    read they are polynomials with nonnegative integer coefficients, each
+    packed in one int at a slot width w (exactnum.pack): q^n is a shift by
+    n*w bits and {n}_q one big-integer product.  At q = 1 a B letter
+    multiplies the sum of all coefficients by at most 1 + n, n at most the
+    number of A letters read so far, so no coefficient exceeds the product
+    of those factors, itself at most (1 + #A)^#B; w is the smallest
+    multiple of 64 bits with 2^w above that product for every word, so no
+    slot carries.  Each finished coefficient is unpacked once and
+    multiplied by its word's coefficient.
+
+    Otherwise q is instantiated exactly at the given scalar and the same
+    loop runs on Gaussian rationals (an honest independent path, used to
+    cross-check specialization coherence)."""
+    for word in expr.terms:
+        if any(ch not in "AB" for ch in word):
+            raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
+    # B^m A^n only ever has n up to the number of A letters in the word
+    top = max((word.count("A") for word in expr.terms), default=0)
+    # raise_q(c, powers[n]) is c * q^n and integers[n] is {n}_q
     if q_value is None:
-        q_poly = LaurentPoly.gen("q")
+        width = slot_width(max((_state_bound(word) for word in expr.terms), default=1))
+        zero, one, raise_q = 0, 1, operator.lshift
+        powers = [n * width for n in range(top + 1)]
+        integers = [((1 << shift) - 1) // ((1 << width) - 1) for shift in powers]
+
+        def finish(c):
+            return unpack(c, width)
     else:
         scalar = gauss(q_value)
         if scalar is None:
             raise TypeError(f"bad q value {q_value!r}")
-        q_poly = LaurentPoly.const(scalar, "q")
-    # B^m A^n only ever has n up to the number of A letters in the word
-    powers = [LaurentPoly.const(1, "q")]  # powers[n] = q^n
-    integers = [LaurentPoly.zero("q")]  # integers[n] = {n}_q
-    for _ in range(max((word.count("A") for word in expr.terms), default=0)):
-        integers.append(integers[-1] + powers[-1])
-        powers.append(powers[-1] * q_poly)
+        zero, one, raise_q = ZERO, ONE, operator.mul
+        powers = [scalar ** n for n in range(top + 1)]
+        integers = q_integers_at(top, scalar)
+
+        def finish(c):
+            return LaurentPoly.const(c, "q")
     out: dict[tuple[int, int], LaurentPoly] = {}
     for word, coeff in expr.terms.items():
-        if any(ch not in "AB" for ch in word):
-            raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
         if q_value is not None and not coeff.is_constant():
-            coeff = LaurentPoly.const(coeff.eval(q_value), "q")
-        state = {(0, 0): powers[0]}
+            coeff = LaurentPoly.const(coeff.eval(scalar), "q")
+        state = {(0, 0): one}
         for letter in word:
             if letter == "A":
                 state = {(m, n + 1): c for (m, n), c in state.items()}
                 continue
-            nxt: dict[tuple[int, int], LaurentPoly] = {}
+            nxt: dict = {}
             for (m, n), c in state.items():
-                _accumulate(nxt, (m + 1, n), powers[n] * c)
+                if not c:  # a scalar q can cancel a coefficient
+                    continue
+                key = (m + 1, n)
+                nxt[key] = nxt.get(key, zero) + raise_q(c, powers[n])
                 if n:
-                    _accumulate(nxt, (m, n - 1), integers[n] * c)
+                    key = (m, n - 1)
+                    nxt[key] = nxt.get(key, zero) + integers[n] * c
             state = nxt
-        for key, base in state.items():
-            _accumulate(out, key, coeff * base)
+        for key, c in state.items():
+            _accumulate(out, key, coeff * finish(c))
     return NormalForm(out)
+
+
+def _state_bound(word: str) -> int:
+    """The product, over the B letters of a word, of 1 + the number of A
+    letters before it: no coefficient normal_order meets while reading the
+    word exceeds it."""
+    bound = seen = 1
+    for letter in word:
+        if letter == "A":
+            seen += 1
+        else:
+            bound *= seen
+    return bound
 
 
 def verify_identity(lhs: QExpr, rhs: QExpr, q_value=None) -> bool:

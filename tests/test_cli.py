@@ -304,12 +304,38 @@ def test_verify_all_runs_the_subset_sum_check(capsys, monkeypatch):
         ({"dim": 3, "brackets": [{"i": 1, "j": 2}]}, "bracket entry has no 'out' field"),
         ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [1]}]}, "field 'out' must be a JSON object"),
         ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": None}}]},
-         "'out' value must be a JSON scalar string or number, not NoneType"),
+         "'out' value must be a JSON scalar string or integer, not NoneType"),
         ({"dim": 3, "labels": 5}, "field 'labels' must be a JSON array, not int"),
         ({"dim": 3, "labels": [1, 2, 3]}, "algebra label must be a JSON string, not int"),
+        ({"dim": 3.7}, "field 'dim' must be a JSON integer, not float"),
+        ({"dim": 3.0}, "field 'dim' must be a JSON integer, not float"),
+        ({"dim": True}, "field 'dim' must be a JSON integer, not bool"),
+        ({"dim": "3"}, "field 'dim' must be a JSON integer, not str"),
+        ({"dim": 3, "brackets": [{"i": True, "j": 2, "out": {"3": "1"}}]},
+         "field 'i' must be a JSON integer, not bool"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2.5, "out": {"3": "1"}}]},
+         "field 'j' must be a JSON integer, not float"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": 0.1}}]},
+         'not float; write it as a string such as "1/10"'),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": 2.0}}]},
+         'not float; write it as a string such as "1/10"'),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": False}}]},
+         "'out' value must be a JSON scalar string or integer, not bool"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"9": "1"}}]},
+         "bracket entry 'out' key 9 outside 1..3"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"0": "1"}}]},
+         "bracket entry 'out' key 0 outside 1..3"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3.0": "1"}}]},
+         "bracket entry 'out' key '3.0' is not a basis index"),
+        ({"dim": 3, "brackets": [{"i": 0, "j": 2, "out": {"3": "1"}}]}, "bracket entry 'i' 0 outside 1..3"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 4, "out": {"3": "1"}}]}, "bracket entry 'j' 4 outside 1..3"),
+        ({"dim": 3, "brackets": [{"i": 2, "j": 1, "out": {"3": "1"}}]}, "bracket entry (2, 1) needs i < j"),
     ],
     ids=["array", "string", "no-dim", "brackets-object", "no-out", "out-array", "out-null",
-         "labels-number", "labels-not-strings"],
+         "labels-number", "labels-not-strings", "dim-fraction", "dim-float", "dim-bool",
+         "dim-string", "i-bool", "j-float", "out-float", "out-integral-float", "out-bool",
+         "out-key-above-dim", "out-key-zero", "out-key-not-integer", "i-zero", "j-above-dim",
+         "i-after-j"],
 )
 def test_malformed_algebra_document_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "g.json"
@@ -331,10 +357,14 @@ def _bad_scalar_doc(scalar):
     [
         ([1], "document must be a JSON object"),
         ({"degree": 2}, "document has no "),
-        (_bad_scalar_doc(None), "must be a JSON scalar string or number, not NoneType"),
-        (_bad_scalar_doc([1]), "must be a JSON scalar string or number, not list"),
+        (_bad_scalar_doc(None), "must be a JSON scalar string or integer, not NoneType"),
+        (_bad_scalar_doc([1]), "must be a JSON scalar string or integer, not list"),
+        (_bad_scalar_doc(0.1), 'not float; write it as a string such as "1/10"'),
+        (_bad_scalar_doc(True), "must be a JSON scalar string or integer, not bool"),
+        ({**_bad_scalar_doc("1"), "degree": 2.0, "target_dim": 1.0}, "must be a JSON integer, not float"),
     ],
-    ids=["array", "degree-only", "null-scalar", "array-scalar"],
+    ids=["array", "degree-only", "null-scalar", "array-scalar", "float-scalar", "bool-scalar",
+         "float-size"],
 )
 @pytest.mark.parametrize(
     "argv",
@@ -345,6 +375,43 @@ def test_malformed_cochain_document_is_usage_error(tmp_path, capsys, argv, doc, 
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"degree": 2, "module_dim": 3, "coords": {"1,4": ["1", "0", "0"]}},
+         "cochain coords key '1,4' index 4 outside 1..3"),
+        ({"degree": 2, "module_dim": 3, "coords": {"0,2": ["1", "0", "0"]}},
+         "cochain coords key '0,2' index 0 outside 1..3"),
+        ({"degree": 2, "module_dim": 3, "coords": {"1,x": ["1", "0", "0"]}},
+         "cochain coords key '1,x' index 'x' is not a basis index"),
+    ],
+    ids=["above-dim", "zero", "not-integer"],
+)
+def test_out_of_range_cochain_key_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["deform", "check", "--algebra", "h(1)", "--phi", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"i": 1, "j": 7, "out": {"1": "1"}}, "bracket entry 'j' 7 outside 1..3"),
+        ({"i": 2, "j": 1, "out": {"1": "1"}}, "bracket entry (2, 1) needs i < j"),
+        ({"i": 1, "j": 2, "out": {"2": "1"}}, "bracket entry 'out' key 2 outside 1..1"),
+    ],
+    ids=["pair-above-dim", "pair-reversed", "target-above-dim"],
+)
+def test_out_of_range_cocycle_index_is_usage_error(tmp_path, capsys, entry, message):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"target_dim": 1, "values": [entry]}), encoding="utf-8")
+    assert cli.run(["extend", "--algebra", "h(1)", "--cocycle", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
 

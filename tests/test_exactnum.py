@@ -12,6 +12,10 @@ from lieq.exactnum import (
     NonDivisible,
     ONE,
     ZERO,
+    pack,
+    packed_divexact,
+    slot_width,
+    unpack,
 )
 
 rationals = st.fractions(
@@ -276,3 +280,96 @@ def test_divisor_of_higher_degree_is_not_divisible():
         (1 + q()).divexact(1 + q() ** 2)
     with pytest.raises(NonDivisible):
         LaurentPoly.const(3).divexact(LaurentPoly("q", DIVISOR))
+
+
+# -- Kronecker packing ---------------------------------------------------------
+
+LIMB = 2**64
+
+
+@pytest.mark.parametrize("width", [64, 128, 192])
+@pytest.mark.parametrize(
+    "value",
+    [0, 1, LIMB - 1, LIMB, LIMB + 1, LIMB**2 - 1, LIMB**2, 5 * LIMB**3 + 7, 7 << 256, (LIMB - 1) << 640],
+    ids=["0", "1", "2^64-1", "2^64", "2^64+1", "2^128-1", "2^128", "three-limb", "zero-low-slots",
+         "top-limb-full"],
+)
+def test_unpack_then_pack_round_trips(value, width):
+    poly = unpack(value, width)
+    assert pack(poly, width) == value
+    assert all(0 <= c < 2**width for c in poly.re) and poly.den == 1 and poly.im is None
+    assert poly.eval(2**width) == GaussRat(value)
+
+
+@pytest.mark.parametrize(
+    "coeffs, width",
+    [
+        ({0: LIMB - 1}, 64),
+        ({0: LIMB - 1, 3: 1}, 64),
+        ({2: 1, 5: LIMB - 1}, 64),
+        ({0: LIMB}, 128),
+        ({0: LIMB**2 - 1, 1: LIMB, 4: 3}, 128),
+        ({1: LIMB**3 - 1, 2: 1}, 192),
+    ],
+)
+def test_pack_then_unpack_round_trips(coeffs, width):
+    poly = LaurentPoly("q", coeffs)
+    assert unpack(pack(poly, width), width) == poly
+    assert pack(poly, width) == sum(c << (e * width) for e, c in coeffs.items())
+
+
+def test_slot_width_is_the_smallest_limb_multiple_above_the_bound():
+    assert [slot_width(b) for b in (0, 1, LIMB - 1, LIMB, LIMB**2 - 1, LIMB**2)] == [64, 64, 64, 128, 128, 192]
+
+
+@pytest.mark.parametrize(
+    "poly, width",
+    [
+        (LaurentPoly("q", {0: -1}), 64),
+        (LaurentPoly("q", {0: LIMB}), 64),
+        (LaurentPoly("q", {1: LIMB**2}), 128),
+        (LaurentPoly("q", {0: GaussRat("1/2")}), 64),
+        (LaurentPoly("q", {0: I}), 64),
+        (LaurentPoly("q", {-1: 1}), 64),
+        (LaurentPoly("q", {0: 1}), 96),
+    ],
+    ids=["negative", "2^64-at-64", "2^128-at-128", "fraction", "imaginary", "negative-exponent",
+         "width-not-limbs"],
+)
+def test_pack_rejects_what_has_no_slots(poly, width):
+    with pytest.raises(ValueError):
+        pack(poly, width)
+
+
+def test_packed_divexact_raises_on_a_remainder():
+    num, div = LaurentPoly("q", {0: 1, 2: 1}), LaurentPoly("q", {0: 1, 1: 1})
+    with pytest.raises(NonDivisible):
+        packed_divexact(pack(num, 64), pack(div, 64), 64)
+
+
+def test_packed_divexact_certificate_catches_a_non_integral_quotient():
+    # 2^64 // 2 is exact, but q / 2 has no integer coefficients
+    num, div = pack(LaurentPoly.gen("q"), 64), pack(LaurentPoly.const(2), 64)
+    assert num % div == 0
+    with pytest.raises(NonDivisible):
+        packed_divexact(num, div, 64)
+
+
+def test_packed_divexact_by_zero():
+    with pytest.raises(DivisionByZero):
+        packed_divexact(1, 0, 64)
+
+
+nonneg_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=2**70), min_size=1, max_size=6
+).map(lambda terms: LaurentPoly("q", terms))
+
+
+@given(nonneg_polys, nonneg_polys)
+@settings(max_examples=80, deadline=None)
+def test_packed_divexact_inverts_products(p, d):
+    product = p * d
+    width = slot_width(sum(p.re) * sum(d.re))
+    assert pack(p, width) * pack(d, width) == pack(product, width)
+    assert packed_divexact(pack(product, width), pack(d, width), width) == p
+    assert packed_divexact(pack(product, width), pack(d, width), width) == product.divexact(d)

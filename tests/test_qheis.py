@@ -210,10 +210,63 @@ def test_normal_order_is_multiplicative(w1, w2):
 @given(words)
 @settings(max_examples=40, deadline=None)
 def test_specialization_coherence(word):
-    for q0 in (GaussRat("1/2"), GaussRat(-1), GaussRat(3)):
+    for q0 in (GaussRat(0), GaussRat(-1), GaussRat("1/2"), GaussRat("1+i"), GaussRat(3)):
         symbolic = normal_order(QExpr.word(word)).evaluate(q0)
         direct = normal_order(QExpr.word(word), q_value=q0)
         assert symbolic == direct
+
+
+def _closed_anbn(b: int, c: int) -> NormalForm:
+    """A^b B^c = sum_k q^{(b-k)(c-k)} {b,k}_q {c,k}_q {k}_q! B^{c-k} A^{b-k},
+    from the Pascal q-binomials."""
+    return NormalForm({
+        (c - k, b - k): LaurentPoly.monomial((b - k) * (c - k))
+        * (q_factorial(k) * q_binomial(b, k) * q_binomial(c, k))
+        for k in range(min(b, c) + 1)
+    })
+
+
+def test_anbn_matches_closed_form():
+    for b in range(13):
+        for c in range(13):
+            assert normal_order(A() ** b * B() ** c) == _closed_anbn(b, c), (b, c)
+
+
+def test_anbn_diagonal_matches_closed_form():
+    # of all words with n A's and n B's, A^n B^n has the largest slot bound, (1 + n)^n
+    for n in range(13, 33):
+        assert normal_order(A() ** n * B() ** n) == _closed_anbn(n, n), n
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+laurent_coeffs = st.dictionaries(
+    st.integers(min_value=-2, max_value=2),
+    st.builds(GaussRat, small_rationals, small_rationals),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: LaurentPoly("q", terms))
+
+
+@given(
+    st.dictionaries(st.text(alphabet="AB", max_size=14), laurent_coeffs, min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_normal_order_of_sums_matches_random_order(terms, seed):
+    rng = random.Random(seed)
+    expected = {}
+    for word, coeff in terms.items():
+        for key, value in oracles.random_order_normal_form(word, rng).items():
+            expected[key] = expected.get(key, 0) + coeff * value
+    assert normal_order(QExpr(terms)) == NormalForm(expected)
+
+
+@given(st.dictionaries(st.text(alphabet="AB", max_size=10), laurent_coeffs, min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_specialization_coherence_with_laurent_coefficients(terms):
+    symbolic = normal_order(QExpr(terms))
+    for q0 in (GaussRat(-1), GaussRat("1/2"), GaussRat("1+i")):
+        assert symbolic.evaluate(q0) == normal_order(QExpr(terms), q_value=q0)
 
 
 def test_q_equal_one_collapses_to_weyl():
