@@ -163,19 +163,26 @@ _EXPECTED: dict[str, dict] = {
 _FIXED: dict[str, CatalogEntry] = _build_fixed()
 
 
+def _parameter(name: str, prefix: str, least: int) -> int:
+    """n in a name prefix + "n)"; UnknownName unless n is an integer >= least."""
+    try:
+        n = int(name[len(prefix) : -1])
+    except ValueError:
+        n = least - 1
+    if n < least:
+        raise UnknownName(f"unknown catalog entry {name!r}")
+    return n
+
+
 def get(name: str) -> CatalogEntry:
     """Look up an entry; abelian(n) and h(m) accept any positive parameter."""
     name = name.strip()
     if name.startswith("abelian(") and name.endswith(")"):
-        n = int(name[len("abelian(") : -1])
-        if n < 0:
-            raise UnknownName(f"unknown catalog entry {name!r}")
+        n = _parameter(name, "abelian(", 0)
         expected = {"dim": n, "abelian": True, "center_dim": n, "nilpotency_class": 1 if n else 0}
         return CatalogEntry(name, abelian(n), expected, f"abelian of dimension {n}")
     if name.startswith("h(") and name.endswith(")"):
-        m = int(name[len("h(") : -1])
-        if m < 1:
-            raise UnknownName(f"unknown catalog entry {name!r}")
+        m = _parameter(name, "h(", 1)
         expected = {"dim": 2 * m + 1, "center_dim": 1, "nilpotency_class": 2,
                     "lower_central_dims": (2 * m + 1, 1, 0), "abelian": False}
         return CatalogEntry(name, heisenberg(m), expected,
@@ -204,18 +211,7 @@ class VerifyItem(NamedTuple):
         return self.expected == self.actual
 
 
-class CatalogReport(NamedTuple):
-    items: list[VerifyItem]
-
-    @property
-    def ok(self) -> bool:
-        return all(item.ok for item in self.items)
-
-    def failures(self) -> list[VerifyItem]:
-        return [item for item in self.items if not item.ok]
-
-
-def verify_all() -> CatalogReport:
+def verify_all() -> list[VerifyItem]:
     """Jacobi + expected-field assertions for every entry, the documented
     coincidences, and pairwise distinctness of the nine dim-5 entries."""
     items: list[VerifyItem] = []
@@ -292,4 +288,4 @@ def verify_all() -> CatalogReport:
                     sigs[dim5[a]] != sigs[dim5[b]],
                 )
             )
-    return CatalogReport(items)
+    return items

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cohomology import (
-    Cochain,
-    CochainComplex,
-    adjoint_rep,
-    cochain_from_coordinates,
-    cocycle_space,
-)
+from .cohomology import Cochain, CochainComplex, adjoint_rep
 from .exactnum import LaurentPoly, LieqError, gauss
 from .liealg import LieAlgebra, signed_pair
-from .linalg import Subspace, Vec, vec_add
+from .linalg import Vec, vec_add
 
 
 class SourceMismatch(LieqError):
@@ -44,9 +38,9 @@ class DeformedBracket:
             raise ValueError("need at least one perturbation cochain")
         for phi in perturbations:
             if phi.degree != 2:
-                raise SourceMismatch("perturbations must be degree-2 cochains")
+                raise SourceMismatch(f"perturbations must be degree-2 cochains, not {phi.degree}")
             if phi.module_dim != base.dim:
-                raise SourceMismatch("perturbation values must lie in the algebra")
+                raise SourceMismatch(f"perturbation module_dim {phi.module_dim} is not dim g = {base.dim}")
             if phi.source is not base and not phi.source.same_constants(base):
                 raise SourceMismatch("perturbation attached to a different algebra")
         self.base = base
@@ -152,29 +146,6 @@ def evaluate_at(d: DeformedBracket, t0, allow_non_lie: bool = False) -> LieAlgeb
             if vec:
                 brackets[(i, j)] = vec
     return LieAlgebra(g.dim, brackets, g.labels)
-
-
-class CandidateReport(NamedTuple):
-    """Z^2(g, g; ad) plus the per-basis-cocycle outcome of the honest full
-    Jacobi filter (cocycle membership alone does not make mu + t*phi Lie)."""
-
-    space: Subspace
-    basis: list[Cochain]
-    survivors: list[bool]
-
-    @property
-    def surviving_count(self) -> int:
-        return sum(self.survivors)
-
-
-def linear_deformation_candidates(g: LieAlgebra) -> CandidateReport:
-    space = cocycle_space(2, g, adjoint_rep(g))
-    basis = [cochain_from_coordinates(g, 2, g.dim, row) for row in space.rows]
-    survivors = []
-    for phi in basis:
-        d = make_linear_deformation(g, phi)
-        survivors.append(deformation_is_lie(d) is None)
-    return CandidateReport(space, basis, survivors)
 
 
 class RigidityReport(NamedTuple):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .cohomology import Cochain, cyclic_failure
+from .cohomology import Cochain, differential, trivial_rep
 from .exactnum import GaussRat, LieqError, gauss
 from .liealg import LieAlgebra, Quotient, doc_field, pairs_from_doc, signed_pair
-from .linalg import SparseMatrix, Subspace, Vec, nullspace, vec_add
+from .linalg import SparseMatrix, Vec, vec_add
 
 
 class CocycleViolation(LieqError):
@@ -27,7 +27,7 @@ class TrivialCenter(LieqError):
 
 class CentralCocycle:
     """Alternating bilinear map g x g -> V given on basis pairs i < j,
-    verified against the cyclic condition at construction."""
+    verified to be a 2-cocycle for the trivial action at construction."""
 
     def __init__(self, source: LieAlgebra, target_dim: int, values: Mapping[tuple[int, int], Mapping] | None):
         if target_dim < 1:
@@ -58,9 +58,14 @@ class CentralCocycle:
         return signed_pair(self.values, i, j)
 
     def _verify_cyclic(self):
-        triple = cyclic_failure(self.source, self.values)
-        if triple is not None:
-            i, j, k = triple
+        """d theta = 0 for the trivial action on V, i.e. the cyclic condition
+        on every basis triple; vacuous when dim g < 3, where C^3 is zero."""
+        g, m = self.source, self.target_dim
+        if g.dim < 3:
+            return
+        d_theta = differential(Cochain(g, 2, m, self.values), trivial_rep(g, m))
+        if d_theta.coords:
+            i, j, k = min(d_theta.coords)
             raise CocycleViolation(f"cyclic condition fails on triple ({i + 1}, {j + 1}, {k + 1})")
 
     def to_doc(self) -> dict:
@@ -101,22 +106,6 @@ def central_extension(g: LieAlgebra, theta: CentralCocycle) -> LieAlgebra:
     if out.check_jacobi() is not None:
         raise CocycleViolation("extension failed the Jacobi identity")
     return out
-
-
-def cocycle_kernel(theta: CentralCocycle) -> Subspace:
-    """theta^+ = {x : theta(x, y) = 0 for all y}, the radical of theta."""
-    g = theta.source
-    rows: list[Vec] = []
-    for j in range(g.dim):
-        for out_coord in range(theta.target_dim):
-            row: Vec = {}
-            for i in range(g.dim):
-                value = theta.pair(i, j).get(out_coord)
-                if value:
-                    row[i] = value
-            if row:
-                rows.append(row)
-    return Subspace(g.dim, nullspace(rows, g.dim))
 
 
 class ShiftIso(NamedTuple):

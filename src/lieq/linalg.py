@@ -516,9 +516,6 @@ class Subspace:
                 vec_add(residual, row, -factor)
         return None if residual else coords
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -18,6 +18,10 @@ def test_unknown_name():
         catalog.get("n_6_1")
     with pytest.raises(UnknownName):
         catalog.get("h(0)")
+    # a parameter that is not an integer names no entry either
+    for name in ("h(x)", "abelian(1.5)", "h()", "abelian(-1)"):
+        with pytest.raises(UnknownName, match="unknown catalog entry"):
+            catalog.get(name)
 
 
 def test_n_5_6_relations():
@@ -53,8 +57,8 @@ def test_heisenberg_coincidences():
 
 
 def test_verify_all_passes():
-    report = catalog.verify_all()
-    assert report.ok, report.failures()[:3]
+    failures = [item for item in catalog.verify_all() if not item.ok]
+    assert not failures, failures[:3]
 
 
 def test_a_sh_matches_n52_not_h2():
@@ -119,6 +123,6 @@ def test_verify_all_computes_each_signature_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(LieAlgebra, "invariant_signature", counting)
-    assert catalog.verify_all().ok
+    assert all(item.ok for item in catalog.verify_all())
     # every listed entry once, plus the direct sum h(1) + i + i
     assert len(computed) == len(catalog.list_names()) + 1 == 28

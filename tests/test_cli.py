@@ -388,8 +388,15 @@ def test_malformed_cochain_document_is_usage_error(tmp_path, capsys, argv, doc, 
          "cochain coords key '0,2' index 0 outside 1..3"),
         ({"degree": 2, "module_dim": 3, "coords": {"1,x": ["1", "0", "0"]}},
          "cochain coords key '1,x' index 'x' is not a basis index"),
+        # well-formed cochains that cannot be a perturbation of h(1)
+        ({"degree": 1, "module_dim": 3, "coords": {"1": ["1", "0", "0"]}},
+         "perturbations must be degree-2 cochains, not 1"),
+        ({"degree": 3, "module_dim": 3, "coords": {"1,2,3": ["1", "0", "0"]}},
+         "perturbations must be degree-2 cochains, not 3"),
+        ({"degree": 2, "module_dim": 1, "coords": {"1,2": ["1"]}},
+         "perturbation module_dim 1 is not dim g = 3"),
     ],
-    ids=["above-dim", "zero", "not-integer"],
+    ids=["above-dim", "zero", "not-integer", "degree-1", "degree-3", "module-dim-1"],
 )
 def test_out_of_range_cochain_key_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "phi.json"
@@ -477,3 +484,30 @@ def test_fresh_process_loads_only_its_engine(tmp_path, argv, engines):
     assert result["code"] == 0
     base = {"cli", "exactnum", "liealg", "linalg"}
     assert result["modules"] == sorted(f"lieq.{name}" for name in base | engines)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module under lieq imports is read in the scope that
+    imports it (the module, or the function for a local import); the
+    package's re-exports in __init__.__all__ are exempt."""
+    import ast
+
+    unused = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                    for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            scope = parent[node]
+            while scope is not tree and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parent[scope]
+            read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused

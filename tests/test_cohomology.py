@@ -15,7 +15,6 @@ from lieq.cohomology import (
     SourceMismatch,
     adjoint_h2_dim,
     adjoint_rep,
-    coboundary_space,
     cochain_from_coordinates,
     cochain_space_dim,
     cochain_tuples,
@@ -30,7 +29,7 @@ from lieq.cohomology import (
     trivial_rep,
 )
 from lieq.exactnum import GaussRat, ONE, ZERO
-from lieq.extend import CentralCocycle, central_extension
+from lieq.extend import CentralCocycle, CocycleViolation, central_extension
 from lieq.liealg import LieAlgebra, abelian
 from lieq.linalg import SparseMatrix, exact_view, vec_add
 
@@ -137,7 +136,7 @@ def test_cohomology_dims_match_dense_oracle(name, k, coeffs):
     z, b, h = oracles.oracle_cohomology_dims(g, k, coeffs)
     rep = adjoint_rep(g) if coeffs == "adjoint" else trivial_rep(g, 1)
     assert cocycle_space(k, g, rep).dim == z
-    assert coboundary_space(k, g, rep).dim == b
+    assert CochainComplex(g, rep).coboundaries(k).dim == b
     assert cohomology_dim(k, g, rep) == h
 
 
@@ -174,14 +173,14 @@ def test_z1_is_derivations():
 def test_b1_is_inner_derivations():
     g = get("h(1)")
     rep = adjoint_rep(g)
-    b1 = coboundary_space(1, g, rep)
+    b1 = CochainComplex(g, rep).coboundaries(1)
     da = derivation_algebra(g)
     assert b1.dim == da.inner.dim == 2
 
 
 def test_b2_trivial_coefficients_h1():
     g = get("h(1)")
-    assert coboundary_space(2, g, trivial_rep(g, 1)).dim == 1
+    assert CochainComplex(g, trivial_rep(g, 1)).coboundaries(2).dim == 1
 
 
 def test_sl2_numbers():
@@ -191,7 +190,7 @@ def test_sl2_numbers():
     assert cohomology_dim(1, g, adjoint_rep(g)) == 0
     assert adjoint_h2_dim(g) == 0
     assert cocycle_space(2, g, adjoint_rep(g)).dim == 6
-    assert coboundary_space(2, g, adjoint_rep(g)).dim == 6
+    assert CochainComplex(g, adjoint_rep(g)).coboundaries(2).dim == 6
 
 
 def test_abelian_derivations_and_schur():
@@ -268,7 +267,7 @@ def test_dim_z_at_least_dim_b():
         g = get(name)
         rep = adjoint_rep(g)
         for k in range(g.dim + 1):
-            assert cocycle_space(k, g, rep).dim >= coboundary_space(k, g, rep).dim
+            assert cocycle_space(k, g, rep).dim >= CochainComplex(g, rep).coboundaries(k).dim
 
 
 def test_two_cocycle_cyclic_condition():
@@ -286,6 +285,46 @@ def test_two_cocycle_cyclic_condition():
     assert not is_two_cocycle_trivial_coeffs(bad)
     good = Cochain(n43, 2, 1, {(0, 1): {0: 1}})
     assert is_two_cocycle_trivial_coeffs(good)
+
+
+def test_cocycle_condition_matches_dense_oracle():
+    """Random degree-2 cochains, and random combinations of a Z^2 basis, on
+    every catalog entry: is_two_cocycle_trivial_coeffs agrees with the dense
+    differential under the zero action, and CentralCocycle names the least
+    failing triple, 1-based.  Below dim 3 every cochain is a cocycle.  Every
+    dim-3 catalog entry has d = 0 on C^2, so r_3 ([e1,e2] = e2, [e1,e3] = e3,
+    d theta(e1,e2,e3) = -2 theta(e2,e3)) is added to test dim 3."""
+    rng = random.Random(7)
+    r3 = LieAlgebra(3, {(0, 1): {1: 1}, (0, 2): {2: 1}})
+    for g in [get(name) for name in ["abelian(0)"] + catalog.list_names()] + [r3]:
+        for m in (1, 2):
+            if g.dim < 2:
+                assert CentralCocycle(g, m, {}).values == {}
+                continue
+            pairs = cochain_tuples(g.dim, 2)
+            z2 = cocycle_space(2, g, trivial_rep(g, m)).rows
+            for draw in range(8):
+                if draw % 2:
+                    flat = {}
+                    for row in rng.sample(z2, min(3, len(z2))):
+                        vec_add(flat, row, GaussRat(rng.randint(-2, 2)))
+                    theta = cochain_from_coordinates(g, 2, m, flat)
+                else:
+                    keys = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+                    theta = Cochain(g, 2, m, {key: {rng.randrange(m): rng.choice([-2, -1, 1, 3])}
+                                              for key in keys})
+                dense = {key: [vec.get(i, ZERO) for i in range(m)] for key, vec in theta.coords.items()}
+                failing = [
+                    t for t in cochain_tuples(g.dim, 3)
+                    if any(oracles.dense_differential_value(g, lambda a, v: [ZERO] * m, dense, m, t))
+                ]
+                assert is_two_cocycle_trivial_coeffs(theta) == (not failing), (g.brackets, theta.coords)
+                if failing:
+                    named = ", ".join(str(x + 1) for x in failing[0])
+                    with pytest.raises(CocycleViolation, match=rf"on triple \({named}\)$"):
+                        CentralCocycle(g, m, theta.coords)
+                else:
+                    assert CentralCocycle(g, m, theta.coords).values == theta.coords
 
 
 def test_degree_zero_cocycles_are_invariants():
@@ -335,7 +374,7 @@ def test_random_nilpotent_matches_dense_oracle(g):
         for k in range(4):
             got = (
                 cocycle_space(k, g, rep).dim,
-                coboundary_space(k, g, rep).dim,
+                CochainComplex(g, rep).coboundaries(k).dim,
                 cohomology_dim(k, g, rep),
             )
             assert got == oracles.oracle_cohomology_dims(g, k, coeffs), (coeffs, k)

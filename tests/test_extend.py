@@ -11,7 +11,6 @@ from lieq.extend import (
     TrivialCenter,
     central_extension,
     coboundary_shift_iso,
-    cocycle_kernel,
     induced_cocycle,
 )
 from lieq.liealg import Subspace, abelian
@@ -74,16 +73,6 @@ def test_short_exact_sequence():
     assert quotient.project({4: ONE}) == {}
     assert quotient.algebra.dim + v_span.dim == g.dim
     assert quotient.algebra.same_constants(base)
-
-
-def test_cocycle_kernel_examples():
-    theta = CentralCocycle(abelian(2), 1, {(0, 1): {0: 1}})
-    assert cocycle_kernel(theta).dim == 0
-    zero = CentralCocycle(abelian(3), 1, {})
-    assert cocycle_kernel(zero).dim == 3
-    partial = CentralCocycle(abelian(3), 1, {(0, 1): {0: 1}})
-    kernel = cocycle_kernel(partial)
-    assert kernel.dim == 1 and kernel.contains({2: ONE})
 
 
 def test_shift_by_zero_is_identity():
