@@ -156,7 +156,15 @@ def cmd_catalog(args) -> int:
 def cmd_algebra(args) -> int:
     report = Report("algebra")
     g = _load_algebra(args.algebra)
-    report.add("jacobi", None, g.check_jacobi())
+    witness = g.check_jacobi()
+    if witness is not None:  # no signature: its cohomology needs a Lie algebra
+        shown = {
+            "triple": [x + 1 for x in witness.triple],
+            "residual": {str(k + 1): str(v) for k, v in sorted(witness.residual.items())},
+        }
+        report.add("jacobi", None, shown, False)
+        return _finish(args, report)
+    report.add("jacobi", None, None)
     sig = g.invariant_signature()
     for key, value in sig._asdict().items():
         report.add(key, _plain(value), _plain(value), ok=True)
@@ -387,7 +395,7 @@ def cmd_fock_verify(args) -> int:
         report.add(name, True, ok)
     weights = [GaussRat(k + 1) for k in range(min(n, 12))]
     try:
-        for name, ok in _biorthogonal_items(fock.biorthogonal_pair(weights, q0, len(weights))):
+        for name, ok in _biorthogonal_items(fock.biorthogonal_pair(weights, q0)):
             report.add(name, True, ok)
     except LieqError as err:
         report.add("biorthogonality", "constructible", str(err), ok=False)

@@ -87,12 +87,18 @@ class Representation:
         return self.matrices[i].apply(v)
 
 
+def require_jacobi(g: LieAlgebra) -> None:
+    """Raise NotARepresentation, naming the first failing basis triple
+    counted from 1, unless g satisfies the Jacobi identity."""
+    witness = g.check_jacobi()
+    if witness is not None:
+        raise NotARepresentation(f"Jacobi fails at triple {tuple(x + 1 for x in witness.triple)}")
+
+
 def adjoint_rep(g: LieAlgebra) -> Representation:
     """ad(e_i) with columns [e_i, e_j]; a representation exactly when
     Jacobi holds, so unverified algebras are rejected."""
-    witness = g.check_jacobi()
-    if witness is not None:
-        raise NotARepresentation(f"Jacobi fails at triple {witness.triple}")
+    require_jacobi(g)
     matrices = []
     for i in range(g.dim):
         rows: list[Vec] = [dict() for _ in range(g.dim)]
@@ -323,9 +329,12 @@ class CochainComplex:
     Each d_k is built at most once, by differential_matrix, and its rank is
     computed at most once, so every dimension read off the same complex
     shares that work.  The object caches nothing beyond its own lifetime.
+    It is a complex (d^2 = 0) only over a Lie algebra, so g must pass
+    require_jacobi whatever the coefficients.
     """
 
     def __init__(self, g: LieAlgebra, rep: Representation):
+        require_jacobi(g)
         self.g = g
         self.rep = rep
         self.den = _common_denominator(g, rep)
@@ -502,10 +511,21 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     return DerivationAlgebra(der, matrices, inner)
 
 
+def trivial_cocycle_failure(g: LieAlgebra, module_dim: int, values: Mapping) -> tuple[int, int, int] | None:
+    """The least basis triple on which the alternating 2-form ``values``
+    ({(i, j): vector} on pairs i < j, in a module_dim-dimensional module
+    with trivial action) has d theta != 0, or None when it is a 2-cocycle.
+
+    Vacuous when dim g < 3, where C^3 is zero; this also covers dim g < 2,
+    where a degree-2 Cochain cannot be built."""
+    if g.dim < 3:
+        return None
+    d_theta = differential(Cochain(g, 2, module_dim, values), trivial_rep(g, module_dim))
+    return min(d_theta.coords, default=None)
+
+
 def is_two_cocycle_trivial_coeffs(theta: Cochain) -> bool:
-    """d theta = 0 for trivial coefficients in theta's module; vacuous when
-    dim g < 3, where C^3 is zero and differential refuses the input."""
+    """d theta = 0 for trivial coefficients in theta's module."""
     if theta.degree != 2:
         raise ValueError("needs a degree-2 cochain")
-    g = theta.source
-    return g.dim < 3 or differential(theta, trivial_rep(g, theta.module_dim)).is_zero()
+    return trivial_cocycle_failure(theta.source, theta.module_dim, theta.coords) is None

@@ -8,11 +8,12 @@ to cancel, the polynomial is computed and reported as-is.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .cohomology import Cochain, CochainComplex, adjoint_rep
 from .exactnum import LaurentPoly, LieqError, gauss
-from .liealg import LieAlgebra, signed_pair
+from .liealg import LieAlgebra, jacobi_sum
 from .linalg import Vec, vec_add
 
 
@@ -31,9 +32,10 @@ class DeformationDefect(NamedTuple):
 
 
 class DeformedBracket:
-    """mu_t = mu + t phi_1 + ... + t^k phi_k."""
+    """mu_t = mu + t phi_1 + ... + t^k phi_k, held as the tables
+    (mu, phi_1, ..., phi_k) of its graded components."""
 
-    def __init__(self, base: LieAlgebra, perturbations: tuple[Cochain, ...], parameter: str = "t"):
+    def __init__(self, base: LieAlgebra, perturbations: tuple[Cochain, ...]):
         if not perturbations:
             raise ValueError("need at least one perturbation cochain")
         for phi in perturbations:
@@ -44,25 +46,11 @@ class DeformedBracket:
             if phi.source is not base and not phi.source.same_constants(base):
                 raise SourceMismatch("perturbation attached to a different algebra")
         self.base = base
-        self.perturbations = perturbations
-        self.parameter = parameter
+        self.tables = (base.brackets,) + tuple(phi.coords for phi in perturbations)
 
     @property
     def order(self) -> int:
-        return len(self.perturbations)
-
-    def level(self, a: int, i: int, j: int) -> Vec:
-        """Graded component a of the bracket on basis pair (i, j), signed."""
-        if a == 0:
-            return self.base.pair(i, j)
-        return signed_pair(self.perturbations[a - 1].coords, i, j)
-
-    def level_vec(self, a: int, i: int, w: Vec) -> Vec:
-        """Graded component a of [e_i, w] for a sparse vector w."""
-        out: Vec = {}
-        for l, coeff in w.items():
-            vec_add(out, self.level(a, i, l), coeff)
-        return out
+        return len(self.tables) - 1
 
 
 def make_linear_deformation(g: LieAlgebra, phi: Cochain) -> DeformedBracket:
@@ -72,37 +60,21 @@ def make_linear_deformation(g: LieAlgebra, phi: Cochain) -> DeformedBracket:
 
 def jacobi_polynomial(d: DeformedBracket) -> dict[tuple[int, int, int], list[LaurentPoly]]:
     """Full graded expansion of the Jacobi sum of mu_t on every basis triple,
-    as a length-n vector of polynomials in t per triple.  All cross terms
-    between grading levels are retained."""
-    g = d.base
-    n = g.dim
-    k = d.order
+    as a length-n vector of polynomials in t per triple: the coefficient of
+    t^c is the sum of jacobi_sum(mu_a, mu_b) over a + b = c, so every cross
+    term between grading levels is retained."""
+    n = d.base.dim
     out: dict[tuple[int, int, int], list[LaurentPoly]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                by_degree: dict[int, Vec] = {}
-                for a in range(k + 1):
-                    for b in range(k + 1):
-                        term: Vec = {}
-                        vec_add(term, d.level_vec(a, i, d.level(b, j, l)))
-                        vec_add(term, d.level_vec(a, j, d.level(b, l, i)))
-                        vec_add(term, d.level_vec(a, l, d.level(b, i, j)))
-                        if term:
-                            slot = by_degree.setdefault(a + b, {})
-                            vec_add(slot, term)
-                            if not slot:
-                                del by_degree[a + b]
-                polys = [LaurentPoly.zero(d.parameter) for _ in range(n)]
-                touched = False
-                for degree, vec in by_degree.items():
-                    for coord, value in vec.items():
-                        polys[coord] = polys[coord] + LaurentPoly.monomial(
-                            degree, value, d.parameter
-                        )
-                        touched = True
-                if touched:
-                    out[(i, j, l)] = polys
+    for triple in itertools.combinations(range(n), 3):
+        by_degree: dict[int, Vec] = {}
+        for a, outer in enumerate(d.tables):
+            for b, inner in enumerate(d.tables):
+                vec_add(by_degree.setdefault(a + b, {}), jacobi_sum(outer, inner, *triple))
+        if any(by_degree.values()):
+            out[triple] = [
+                LaurentPoly("t", {c: vec[coord] for c, vec in by_degree.items() if coord in vec})
+                for coord in range(n)
+            ]
     return out
 
 
@@ -129,7 +101,6 @@ def evaluate_at(d: DeformedBracket, t0, allow_non_lie: bool = False) -> LieAlgeb
     set, the graded Jacobi polynomial is evaluated at t0 and a nonzero
     residual raises NotLieAtParameter."""
     t0 = gauss(t0)
-    g = d.base
     if not allow_non_lie:
         for triple, polys in jacobi_polynomial(d).items():
             for p in polys:
@@ -138,14 +109,10 @@ def evaluate_at(d: DeformedBracket, t0, allow_non_lie: bool = False) -> LieAlgeb
                         f"Jacobi residual at triple {tuple(x + 1 for x in triple)} for t = {t0}"
                     )
     brackets: dict[tuple[int, int], Vec] = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            vec: Vec = dict(g.brackets.get((i, j), {}))
-            for a in range(1, d.order + 1):
-                vec_add(vec, d.level(a, i, j), t0 ** a)
-            if vec:
-                brackets[(i, j)] = vec
-    return LieAlgebra(g.dim, brackets, g.labels)
+    for a, table in enumerate(d.tables):
+        for pair, vec in table.items():
+            vec_add(brackets.setdefault(pair, {}), vec, t0 ** a)
+    return LieAlgebra(d.base.dim, brackets, d.base.labels)
 
 
 class RigidityReport(NamedTuple):

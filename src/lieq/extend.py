@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .cohomology import Cochain, differential, trivial_rep
+from .cohomology import Cochain, differential, trivial_cocycle_failure, trivial_rep
 from .exactnum import GaussRat, LieqError, gauss
-from .liealg import LieAlgebra, Quotient, doc_field, pairs_from_doc, signed_pair
+from .liealg import LieAlgebra, Quotient, doc_field, pairs_from_doc, pairs_to_doc, signed_pair
 from .linalg import SparseMatrix, Vec, vec_add
 
 
@@ -51,31 +51,16 @@ class CentralCocycle:
                     vec[k] = s
             if vec:
                 clean[(i, j)] = vec
+        failure = trivial_cocycle_failure(source, target_dim, clean)
+        if failure is not None:
+            raise CocycleViolation(f"cyclic condition fails on triple {tuple(x + 1 for x in failure)}")
         self.values = clean
-        self._verify_cyclic()
 
     def pair(self, i: int, j: int) -> Vec:
         return signed_pair(self.values, i, j)
 
-    def _verify_cyclic(self):
-        """d theta = 0 for the trivial action on V, i.e. the cyclic condition
-        on every basis triple; vacuous when dim g < 3, where C^3 is zero."""
-        g, m = self.source, self.target_dim
-        if g.dim < 3:
-            return
-        d_theta = differential(Cochain(g, 2, m, self.values), trivial_rep(g, m))
-        if d_theta.coords:
-            i, j, k = min(d_theta.coords)
-            raise CocycleViolation(f"cyclic condition fails on triple ({i + 1}, {j + 1}, {k + 1})")
-
     def to_doc(self) -> dict:
-        entries = []
-        for (i, j) in sorted(self.values):
-            vec = self.values[(i, j)]
-            entries.append(
-                {"i": i + 1, "j": j + 1, "out": {str(k + 1): str(vec[k]) for k in sorted(vec)}}
-            )
-        return {"format": "lieq-1", "target_dim": self.target_dim, "values": entries}
+        return {"format": "lieq-1", "target_dim": self.target_dim, "values": pairs_to_doc(self.values)}
 
     @classmethod
     def from_doc(cls, source: LieAlgebra, doc: Mapping) -> "CentralCocycle":
@@ -130,15 +115,11 @@ def coboundary_shift_iso(g: LieAlgebra, theta: CentralCocycle, c_prime: Cochain)
     if c_prime.degree != 1 or c_prime.module_dim != theta.target_dim:
         raise ValueError("shift needs a degree-1 cochain with values in V")
     n, v = g.dim, theta.target_dim
-    shifted_values: dict[tuple[int, int], Vec] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = dict(theta.pair(i, j))
-            # theta'(x, y) = theta(x, y) - c'([x, y])
-            for l, coeff in g.pair(i, j).items():
-                vec_add(vec, c_prime.value((l,)), -coeff)
-            if vec:
-                shifted_values[(i, j)] = vec
+    # theta' = theta + d c'; C^2 is zero when dim g < 2, and so is d c'
+    d_c = differential(c_prime, trivial_rep(g, v)).coords if n > 1 else {}
+    shifted_values = {pair: dict(vec) for pair, vec in theta.values.items()}
+    for pair, vec in d_c.items():
+        vec_add(shifted_values.setdefault(pair, {}), vec)
     shifted = CentralCocycle(g, v, shifted_values)
     g_theta = central_extension(g, theta)
     g_shifted = central_extension(g, shifted)

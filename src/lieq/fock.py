@@ -168,8 +168,8 @@ class ShiftedPair(NamedTuple):
         return out
 
 
-def shifted_pair(alpha, beta, n: int, q0=1) -> ShiftedPair:
-    """Shift the exact monomial pair by two different constants.
+def shifted_pair(alpha, beta, n: int) -> ShiftedPair:
+    """Shift the exact q = 1 monomial pair by two different constants.
 
     With alpha != beta the five operators {A, B, B+, A+, I} close, on the
     truncation interior, onto the shifted-oscillator algebra: the four
@@ -178,12 +178,12 @@ def shifted_pair(alpha, beta, n: int, q0=1) -> ShiftedPair:
     beta = gauss(beta)
     if alpha == beta:
         warnings.warn("alpha = beta collapses B to the true adjoint of A", AlphaEqualsBeta)
-    c_low, c_raise = monomial_rep(q0, n)
+    c_low, c_raise = monomial_rep(ONE, n)
     eye = SparseMatrix.identity(n)
     a_op = c_low - eye.scale(alpha)
     b_op = c_raise - eye.scale(beta.conj())
-    b_dag = weighted_adjoint(b_op, q0, n)
-    a_dag = weighted_adjoint(a_op, q0, n)
+    b_dag = weighted_adjoint(b_op, ONE, n)
+    a_dag = weighted_adjoint(a_op, ONE, n)
     ops = {"v1": a_op, "v2": b_op, "v3": b_dag, "v4": a_dag, "v": eye}
     comms = {}
     names = ShiftedPair.BASIS
@@ -241,9 +241,9 @@ def _pair(u: Vec, v: Vec) -> GaussRat:
     return total
 
 
-def biorthogonal_pair(weights: Sequence, q0, n: int | None = None) -> BiorthogonalSystem:
-    """Diagonal-similarity biorthogonal system with positive rational
-    weights; the pairing matrix is exactly the identity."""
+def biorthogonal_pair(weights: Sequence, q0) -> BiorthogonalSystem:
+    """Diagonal-similarity biorthogonal system of size len(weights), with
+    positive rational weights; the pairing matrix is exactly the identity."""
     q0 = gauss(q0)
     tvals = []
     for w in weights:
@@ -251,9 +251,8 @@ def biorthogonal_pair(weights: Sequence, q0, n: int | None = None) -> Biorthogon
         if value is None or value.im or value.re <= 0:
             raise NonpositiveWeight(f"weight {w!r} is not a positive rational")
         tvals.append(value)
-    if n is None:
-        n = len(tvals)
-    if n != len(tvals) or n < 2:
+    n = len(tvals)
+    if n < 2:
         raise ValueError("need one positive weight per basis vector, at least two")
     a_mon, b_mon = monomial_rep(q0, n)
     t_mat = SparseMatrix(n, {(i, i): tvals[i] for i in range(n)})

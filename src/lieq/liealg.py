@@ -8,6 +8,7 @@ built from the deterministic RREF of :mod:`lieq.linalg`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, NamedTuple, Sequence
 
 from .exactnum import GaussRat, LieqError, gauss
@@ -81,6 +82,19 @@ def signed_pair(table: Mapping[tuple[int, int], Vec], i: int, j: int) -> Vec:
     return {k: -v for k, v in flipped.items()} if flipped else {}
 
 
+def jacobi_sum(outer: Mapping, inner: Mapping, i: int, j: int, k: int) -> Vec:
+    """Sum over the cyclic orders (a, b, c) of (i, j, k) of
+    outer(e_a, inner(e_b, e_c)), for alternating bilinear maps stored as
+    {(i, j): Vec} tables on basis pairs i < j.  With outer = inner = the
+    bracket this is the Jacobi sum; in general it is the Gerstenhaber
+    composition of two 2-cochains, evaluated on one basis triple."""
+    out: Vec = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, coeff in signed_pair(inner, b, c).items():
+            vec_add(out, signed_pair(outer, a, l), coeff)
+    return out
+
+
 class LieAlgebra:
     """Structure-constant presentation of a finite-dimensional Lie algebra."""
 
@@ -118,13 +132,6 @@ class LieAlgebra:
         """[e_i, e_j] for basis indices, with the sign handled."""
         return signed_pair(self.brackets, i, j)
 
-    def ad_vec(self, i: int, w: Vec) -> Vec:
-        """[e_i, w] for a sparse vector w."""
-        out: Vec = {}
-        for l, coeff in w.items():
-            vec_add(out, self.pair(i, l), coeff)
-        return out
-
     def bracket(self, x, y) -> Vec:
         """Bilinear extension of the structure constants to vectors."""
         xv = _coerce_vec(x, self.dim)
@@ -144,24 +151,13 @@ class LieAlgebra:
         otherwise the first failing (i, j, k) with its residual vector."""
         if self._jacobi != "unchecked":
             return self._jacobi  # type: ignore[return-value]
-        witness = None
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w_ij = self.pair(i, j)
-                for k in range(j + 1, self.dim):
-                    residual: Vec = {}
-                    vec_add(residual, self.ad_vec(i, self.pair(j, k)))
-                    vec_add(residual, self.ad_vec(j, self.pair(k, i)))
-                    vec_add(residual, self.ad_vec(k, w_ij))
-                    if residual:
-                        witness = JacobiWitness((i, j, k), residual)
-                        break
-                if witness:
-                    break
-            if witness:
+        self._jacobi = None
+        for triple in itertools.combinations(range(self.dim), 3):
+            residual = jacobi_sum(self.brackets, self.brackets, *triple)
+            if residual:
+                self._jacobi = JacobiWitness(triple, residual)
                 break
-        self._jacobi = witness
-        return witness
+        return self._jacobi
 
     @property
     def verified(self) -> bool:
@@ -353,16 +349,11 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, pairs={len(self.brackets)})"
 
     def to_doc(self) -> dict:
-        entries = []
-        for (i, j) in sorted(self.brackets):
-            vec = self.brackets[(i, j)]
-            out = {str(k + 1): str(vec[k]) for k in sorted(vec)}
-            entries.append({"i": i + 1, "j": j + 1, "out": out})
         return {
             "format": "lieq-1",
             "dim": self.dim,
             "labels": list(self.labels),
-            "brackets": entries,
+            "brackets": pairs_to_doc(self.brackets),
         }
 
     @classmethod
@@ -441,6 +432,14 @@ def pairs_from_doc(entries: list, dim: int, out_dim: int) -> dict[tuple[int, int
                          doc_value(s, GaussRat, "bracket entry 'out' value")
                          for k, s in out.items()}
     return pairs
+
+
+def pairs_to_doc(pairs: Mapping[tuple[int, int], Vec]) -> list[dict]:
+    """The lieq-1 entries {"i": .., "j": .., "out": {..}} of a {(i, j): vector}
+    table, in pair order, with basis indices counting from 1; the inverse
+    of pairs_from_doc."""
+    return [{"i": i + 1, "j": j + 1, "out": {str(k + 1): str(vec[k]) for k in sorted(vec)}}
+            for (i, j), vec in sorted(pairs.items())]
 
 
 class Quotient:

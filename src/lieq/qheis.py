@@ -338,10 +338,6 @@ def B() -> QExpr:
     return QExpr.word("B")
 
 
-def unit() -> QExpr:
-    return QExpr.unit()
-
-
 class NormalForm:
     """Element of the q-deformed Heisenberg algebra written on the monomial
     basis: (m, n) -> coefficient of B^m A^n."""

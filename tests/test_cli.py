@@ -238,6 +238,46 @@ def test_cohomology_trivial_coefficients(capsys):
     assert by_name["H^2"]["dim_H"] == 1
 
 
+# [e1,e2] = e1, [e2,e3] = e2: the Jacobi sum on (e1, e2, e3) is e1
+NON_LIE_DOC = {
+    "format": "lieq-1",
+    "dim": 3,
+    "brackets": [{"i": 1, "j": 2, "out": {"1": "1"}}, {"i": 2, "j": 3, "out": {"2": "1"}}],
+}
+
+
+@pytest.fixture
+def non_lie_path(tmp_path):
+    path = tmp_path / "non_lie.json"
+    path.write_text(json.dumps(NON_LIE_DOC), encoding="utf-8")
+    return str(path)
+
+
+def test_algebra_reports_the_jacobi_witness_of_a_non_lie_document(non_lie_path, capsys):
+    code, doc = run_json(capsys, ["algebra", "--algebra", non_lie_path])
+    assert code == 1 and doc["status"] == "fail"
+    # the signature items need a Lie algebra, so the jacobi item is the report
+    assert doc["items"] == [{
+        "name": "jacobi",
+        "expected": None,
+        "actual": {"triple": [1, 2, 3], "residual": {"1": "1"}},
+        "verdict": "fail",
+    }]
+    assert cli.run(["algebra", "--algebra", non_lie_path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("algebra: fail (1 checks")
+    assert "jacobi  FAIL" in out and "'triple': [1, 2, 3]" in out
+
+
+@pytest.mark.parametrize("coeffs", ["ad", "trivial"])
+def test_cohomology_refuses_a_non_lie_document(non_lie_path, capsys, coeffs):
+    # trivial coefficients too: d^2 != 0 at k = 1 on this bracket
+    assert cli.run(["cohomology", "--algebra", non_lie_path, "--coeffs", coeffs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Jacobi fails at triple (1, 2, 3)\n"
+
+
 def test_deterministic_under_fixed_seed(capsys):
     def strip_timing(doc):
         doc = dict(doc)

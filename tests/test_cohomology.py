@@ -336,8 +336,13 @@ def test_degree_zero_cocycles_are_invariants():
 
 def test_adjoint_rejects_non_jacobi_algebra():
     bad = LieAlgebra(3, {(0, 1): {0: 1}, (1, 2): {1: 1}})
-    with pytest.raises(NotARepresentation):
+    with pytest.raises(NotARepresentation, match=r"^Jacobi fails at triple \(1, 2, 3\)$"):
         adjoint_rep(bad)
+    # d^2 != 0 at k = 1 even with trivial coefficients, so no complex either
+    rep = trivial_rep(bad, 1)
+    assert not differential(differential(Cochain(bad, 1, 1, {(0,): {0: 1}}), rep), rep).is_zero()
+    with pytest.raises(NotARepresentation, match=r"\(1, 2, 3\)"):
+        CochainComplex(bad, trivial_rep(bad, 1))
 
 
 def test_cochain_doc_round_trip():

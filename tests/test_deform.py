@@ -8,6 +8,7 @@ from lieq.cohomology import (
     adjoint_rep,
     cochain_from_coordinates,
     cocycle_space,
+    differential,
     is_two_cocycle_trivial_coeffs,
 )
 from lieq.deform import (
@@ -259,6 +260,40 @@ def test_cocycle_kills_linear_term_only():
                         if 2 in p.coeffs
                     }
                     assert got == want
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in catalog.list_names() if catalog.get(name).algebra.dim >= 3]
+)
+def test_first_order_jacobi_term_is_the_differential(name):
+    # Gerstenhaber: the t^1 coefficient of the Jacobi sum of mu + t phi is
+    # mu o phi + phi o mu = d phi with adjoint coefficients, for every phi
+    g = get(name)
+    assert g.verified
+    n = g.dim
+    rng = random.Random(f"first order {name}")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    z2 = z2_basis(g)
+    for trial in range(4):
+        coords = {}
+        for pair in rng.sample(pairs, rng.randint(1, min(4, len(pairs)))):
+            coords[pair] = {rng.randrange(n): GaussRat(rng.randint(-3, 3), rng.randint(-1, 1))}
+        if trial % 2:  # a cocycle: d phi = 0, so the t^1 term must vanish
+            coords = {}
+            for basis_phi in rng.sample(z2, min(3, len(z2))):
+                weight = GaussRat(rng.randint(-3, 3))
+                for key, vec in basis_phi.coords.items():
+                    slot = coords.setdefault(key, {})
+                    for pos, value in vec.items():
+                        slot[pos] = slot.get(pos, ZERO) + weight * value
+        phi = Cochain(g, 2, n, coords)
+        expansion = jacobi_polynomial(make_linear_deformation(g, phi))
+        first_order = {
+            triple: {coord: p.coeffs[1] for coord, p in enumerate(polys) if 1 in p.coeffs}
+            for triple, polys in expansion.items()
+        }
+        first_order = {triple: vec for triple, vec in first_order.items() if vec}
+        assert first_order == differential(phi, adjoint_rep(g)).coords, (name, trial)
 
 
 def test_candidates_sl2():

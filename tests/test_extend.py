@@ -4,7 +4,7 @@ import pytest
 
 from lieq import catalog
 from lieq.cohomology import Cochain
-from lieq.exactnum import GaussRat, ONE
+from lieq.exactnum import GaussRat, ONE, ZERO
 from lieq.extend import (
     CentralCocycle,
     CocycleViolation,
@@ -101,6 +101,10 @@ def test_shift_on_abelian_base_changes_nothing():
     c_prime = Cochain(g, 1, 1, {(0,): {0: 5}, (2,): {0: -2}})
     iso = coboundary_shift_iso(g, theta, c_prime)
     assert iso.shifted.values == theta.values
+    line = abelian(1)  # C^2 is zero, so d c' is not formed at all
+    iso = coboundary_shift_iso(line, CentralCocycle(line, 1, {}), Cochain(line, 1, 1, {(0,): {0: 3}}))
+    assert iso.shifted.values == {}
+    assert iso.apply({0: ONE}) == {0: ONE, 1: GaussRat(3)}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -122,7 +126,19 @@ def test_shift_iso_random(seed):
             coords[(i,)] = vec
     c_prime = Cochain(base, 1, v_dim, coords)
     # construction verifies the intertwining on every basis pair
-    coboundary_shift_iso(base, theta, c_prime)
+    iso = coboundary_shift_iso(base, theta, c_prime)
+    # theta + d c' is the hand formula theta'(x, y) = theta(x, y) - c'([x, y])
+    by_hand = {}
+    for i in range(base.dim):
+        for j in range(i + 1, base.dim):
+            vec = dict(theta.pair(i, j))
+            for l, coeff in base.pair(i, j).items():
+                for k, value in c_prime.value((l,)).items():
+                    vec[k] = vec.get(k, ZERO) - coeff * value
+            vec = {k: value for k, value in vec.items() if value}
+            if vec:
+                by_hand[(i, j)] = vec
+    assert iso.shifted.values == by_hand
 
 
 def test_induced_cocycle_h1():

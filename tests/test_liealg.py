@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from lieq import catalog
-from lieq.exactnum import GaussRat, ONE
+from lieq.exactnum import GaussRat, ONE, ZERO
 from lieq.liealg import (
     DimensionMismatch,
     LieAlgebra,
@@ -11,6 +12,7 @@ from lieq.liealg import (
     Subspace,
     abelian,
 )
+from oracles import basis_vector, bracket_dense
 
 
 @pytest.fixture
@@ -69,6 +71,31 @@ def test_jacobi_witness():
     witness = bad.check_jacobi()
     assert witness is not None
     assert witness.triple == (0, 1, 2)
+    assert witness.residual == {0: ONE}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_jacobi_witness_matches_dense_oracle(seed):
+    # sparse random constants, mostly not Lie, failing first on varied
+    # triples; the witness must be the lexicographically first failing
+    # triple with the dense Jacobi residual
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = LieAlgebra(n, {pair: {rng.randrange(n): GaussRat(rng.randint(-3, 3), rng.randint(-1, 1))}
+                       for pair in rng.sample(pairs, rng.randint(2, n))})
+    expected = None
+    for triple in itertools.combinations(range(n), 3):
+        total = [ZERO] * n
+        for a, b, c in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+            inner = bracket_dense(g, basis_vector(n, b), basis_vector(n, c))
+            term = bracket_dense(g, basis_vector(n, a), inner)
+            total = [x + y for x, y in zip(total, term)]
+        if any(total):
+            expected = (triple, {k: v for k, v in enumerate(total) if v})
+            break
+    witness = g.check_jacobi()
+    assert (witness and tuple(witness)) == expected
 
 
 def test_all_catalog_algebras_pass_jacobi():
