@@ -244,9 +244,10 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    from . import extend
+    from . import cohomology, extend
 
     g = _load_algebra(args.algebra)
+    cohomology.require_jacobi(g)
     with open(args.cocycle, "r", encoding="utf-8") as handle:
         theta = extend.CentralCocycle.from_doc(g, json.load(handle))
     bigger = extend.central_extension(g, theta)
@@ -266,8 +267,11 @@ def _round_trip(g: LieAlgebra):
 
 
 def cmd_reconstruct(args) -> int:
+    from . import cohomology
+
     report = Report("reconstruct")
     g = _load_algebra(args.algebra)
+    cohomology.require_jacobi(g)
     quot, theta, ok = _round_trip(g)
     report.add("round_trip_signature", True, ok)
     return _finish(args, report, {"quotient": quot.algebra.to_doc(), "cocycle": theta.to_doc()})

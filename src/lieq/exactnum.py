@@ -354,23 +354,30 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, var: str = "q") -> "LaurentPoly":
-        return cls(var, {})
+        return _poly(var, 0, (), None, 1)
 
     @classmethod
     def const(cls, value: ScalarLike, var: str = "q") -> "LaurentPoly":
+        if type(value) is int:
+            return _poly(var, 0, (value,), None, 1)
         return cls(var, {0: value})
 
     @classmethod
     def gen(cls, var: str = "q") -> "LaurentPoly":
-        return cls(var, {1: 1})
+        return _poly(var, 1, (1,), None, 1)
 
     @classmethod
     def monomial(cls, exp: int, coeff: ScalarLike = 1, var: str = "q") -> "LaurentPoly":
+        # a plain int (not a bool) is already a numerator over den 1
+        if type(coeff) is int:
+            return _poly(var, int(exp), (coeff,), None, 1)
         return cls(var, {exp: coeff})
 
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
+        if type(other) is int:
+            return LaurentPoly.const(other, self.var)
         scalar = gauss(other)
         if scalar is None:
             return None

@@ -4,12 +4,15 @@ the B^m A^n basis, and machine checks for the whole identity zoo.
 The algebra has two generators A, B subject to AB - qBA = 1.  Elements are
 formal sums of words; normal ordering multiplies each word out from the
 left, one letter at a time, with the right-multiplication rules for the
-B^m A^n monomial basis.  Nothing recurses and nothing is kept between
-calls.  With symbolic q the coefficients met while a word is read have
-nonnegative integer coefficients of at most (1 + #A)^#B, and each is
-carried as one packed Python int (exactnum.pack) at a slot width above
-that bound; the closed q-binomial is one exact division of packed
-factorials.
+B^m A^n monomial basis.  Words that share a coefficient are read into one
+running sum per basis monomial, which is multiplied by the coefficient
+once.  Nothing recurses and nothing is kept between calls.  With symbolic
+q the coefficients met while a word is read have nonnegative integer
+coefficients of at most _state_bound(word) <= (1 + #A)^#B, so a group's
+sums stay below the sum of those bounds over its words; each is carried
+as one packed Python int (exactnum.pack) at a slot width above the
+largest group's sum.  The closed q-binomial is one exact division of
+packed factorials.
 
 Identities stated with denominators like (q-1)^n or q^binom(n,2) are
 verified in denominator-cleared form: both sides are multiplied by the
@@ -238,7 +241,7 @@ class QExpr:
         out = dict(self.terms)
         for word, coeff in other.terms.items():
             _accumulate(out, word, coeff)
-        return QExpr(out)
+        return _expr(out)
 
     __radd__ = __add__
 
@@ -255,7 +258,7 @@ class QExpr:
         return other + (-self)
 
     def __neg__(self):
-        return QExpr({w: -c for w, c in self.terms.items()})
+        return _expr({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, QExpr):
@@ -263,17 +266,17 @@ class QExpr:
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     _accumulate(out, w1 + w2, c1 * c2)
-            return QExpr(out)
+            return _expr(out)
         poly = _as_poly_or_none(other)
         if poly is None:
             return NotImplemented
-        return QExpr({w: c * poly for w, c in self.terms.items()})
+        return _expr({w: c * poly for w, c in self.terms.items()} if poly else {})
 
     def __rmul__(self, other):
         poly = _as_poly_or_none(other)
         if poly is None:
             return NotImplemented
-        return QExpr({w: poly * c for w, c in self.terms.items()})
+        return _expr({w: poly * c for w, c in self.terms.items()} if poly else {})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -315,6 +318,8 @@ def _as_poly(value) -> LaurentPoly:
 def _as_poly_or_none(value) -> LaurentPoly | None:
     if isinstance(value, LaurentPoly):
         return value
+    if type(value) is int:
+        return LaurentPoly.const(value, "q")
     scalar = gauss(value)
     if scalar is None:
         return None
@@ -327,7 +332,15 @@ def _as_expr(value) -> QExpr | None:
     poly = _as_poly_or_none(value)
     if poly is None:
         return None
-    return QExpr({"": poly})
+    return _expr({"": poly} if poly else {})
+
+
+def _expr(terms: dict[str, LaurentPoly]) -> QExpr:
+    """The QExpr over terms the arithmetic built: nonzero LaurentPolys,
+    stored as they are, with no second pass through _as_poly."""
+    out = QExpr.__new__(QExpr)
+    out.terms = terms
+    return out
 
 
 def A() -> QExpr:
@@ -356,13 +369,16 @@ class NormalForm:
         return self.coeffs.get((m, n), LaurentPoly.zero("q"))
 
     def to_qexpr(self) -> QExpr:
-        return QExpr({"B" * m + "A" * n: poly for (m, n), poly in self.coeffs.items()})
+        return _expr({"B" * m + "A" * n: poly for (m, n), poly in self.coeffs.items()})
 
     def evaluate(self, q0) -> "NormalForm":
         q0 = gauss(q0)
-        return NormalForm(
-            {key: LaurentPoly.const(poly.eval(q0), poly.var) for key, poly in self.coeffs.items()}
-        )
+        out = {}
+        for key, poly in self.coeffs.items():
+            value = poly.eval(q0)
+            if value:
+                out[key] = LaurentPoly.const(value, poly.var)
+        return _normal_form(out)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -388,6 +404,13 @@ class NormalForm:
         return f"NormalForm({self})"
 
 
+def _normal_form(coeffs: dict[tuple[int, int], LaurentPoly]) -> NormalForm:
+    """The NormalForm over (m, n) -> nonzero LaurentPoly, stored as is."""
+    out = NormalForm.__new__(NormalForm)
+    out.coeffs = coeffs
+    return out
+
+
 def normal_order(expr: QExpr, q_value=None) -> NormalForm:
     """Collect an expression on the B^m A^n basis.
 
@@ -398,34 +421,44 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
         B^m A^n * A = B^m A^{n+1}
         B^m A^n * B = q^n B^{m+1} A^n + {n}_q B^m A^{n-1}
 
-    With q_value None the coefficients stay symbolic.  While a word is
+    The words are grouped by coefficient: the words of a group are read
+    into one running sum per basis monomial, and each sum is multiplied by
+    the group's coefficient once, so an expression such as [A,B]^k, with
+    2^k words and two coefficients, pays for two products per monomial.
+
+    With q_value None the coefficients stay symbolic.  While a group is
     read they are polynomials with nonnegative integer coefficients, each
     packed in one int at a slot width w (exactnum.pack): q^n is a shift by
     n*w bits and {n}_q one big-integer product.  At q = 1 a B letter
     multiplies the sum of all coefficients by at most 1 + n, n at most the
-    number of A letters read so far, so no coefficient exceeds the product
-    of those factors, itself at most (1 + #A)^#B; w is the smallest
-    multiple of 64 bits with 2^w above that product for every word, so no
-    slot carries.  Each finished coefficient is unpacked once and
-    multiplied by its word's coefficient.
+    number of A letters read so far, so no coefficient met while reading a
+    word exceeds _state_bound(word), and no running sum of a group exceeds
+    the sum of _state_bound over its words; w is the smallest multiple of
+    64 bits with 2^w above that sum for every group, so no slot carries.
+    Each finished sum is unpacked once.
 
     Otherwise q is instantiated exactly at the given scalar and the same
     loop runs on Gaussian rationals (an honest independent path, used to
-    cross-check specialization coherence)."""
-    for word in expr.terms:
+    cross-check specialization coherence); each group's coefficient is
+    evaluated once, and a sum that cancels to zero is dropped."""
+    groups: dict[tuple, tuple[LaurentPoly, list[str]]] = {}
+    for word, coeff in expr.terms.items():
         if any(ch not in "AB" for ch in word):
             raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
+        key = (coeff.var, coeff.low, coeff.re, coeff.im, coeff.den)
+        groups.setdefault(key, (coeff, []))[1].append(word)
     # B^m A^n only ever has n up to the number of A letters in the word
     top = max((word.count("A") for word in expr.terms), default=0)
     # raise_q(c, powers[n]) is c * q^n and integers[n] is {n}_q
     if q_value is None:
-        width = slot_width(max((_state_bound(word) for word in expr.terms), default=1))
+        bound = max((sum(map(_state_bound, words)) for _, words in groups.values()), default=1)
+        width = slot_width(bound)
         zero, one, raise_q = 0, 1, operator.lshift
         powers = [n * width for n in range(top + 1)]
         integers = [((1 << shift) - 1) // ((1 << width) - 1) for shift in powers]
 
-        def finish(c):
-            return unpack(c, width)
+        def finish(coeff, c):
+            return coeff * unpack(c, width)
     else:
         scalar = gauss(q_value)
         if scalar is None:
@@ -434,30 +467,35 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
         powers = [scalar ** n for n in range(top + 1)]
         integers = q_integers_at(top, scalar)
 
-        def finish(c):
-            return LaurentPoly.const(c, "q")
+        def finish(value, c):
+            return LaurentPoly.const(value * c, "q")
     out: dict[tuple[int, int], LaurentPoly] = {}
-    for word, coeff in expr.terms.items():
-        if q_value is not None and not coeff.is_constant():
-            coeff = LaurentPoly.const(coeff.eval(scalar), "q")
-        state = {(0, 0): one}
-        for letter in word:
-            if letter == "A":
-                state = {(m, n + 1): c for (m, n), c in state.items()}
-                continue
-            nxt: dict = {}
-            for (m, n), c in state.items():
-                if not c:  # a scalar q can cancel a coefficient
+    for coeff, words in groups.values():
+        if q_value is not None:
+            coeff = coeff.eval(scalar)
+        total: dict = {}
+        for word in words:
+            state = {(0, 0): one}
+            for letter in word:
+                if letter == "A":
+                    state = {(m, n + 1): c for (m, n), c in state.items()}
                     continue
-                key = (m + 1, n)
-                nxt[key] = nxt.get(key, zero) + raise_q(c, powers[n])
-                if n:
-                    key = (m, n - 1)
-                    nxt[key] = nxt.get(key, zero) + integers[n] * c
-            state = nxt
-        for key, c in state.items():
-            _accumulate(out, key, coeff * finish(c))
-    return NormalForm(out)
+                nxt: dict = {}
+                for (m, n), c in state.items():
+                    if not c:  # a scalar q can cancel a coefficient
+                        continue
+                    key = (m + 1, n)
+                    nxt[key] = nxt.get(key, zero) + raise_q(c, powers[n])
+                    if n:
+                        key = (m, n - 1)
+                        nxt[key] = nxt.get(key, zero) + integers[n] * c
+                state = nxt
+            for key, c in state.items():
+                total[key] = total.get(key, zero) + c
+        for key, c in total.items():
+            if c:
+                _accumulate(out, key, finish(coeff, c))
+    return _normal_form(out)
 
 
 def _state_bound(word: str) -> int:
@@ -664,7 +702,11 @@ class _Tokens:
 
 def parse_qexpr(text: str) -> QExpr:
     """Parse the small normalize grammar: letters A, B, I; the parameter q;
-    integers and fractions; operators * + - ^ and parentheses."""
+    integers and fractions; operators * + - ^ and parentheses.
+
+    A run of letters and letter powers joined by *, a space or nothing
+    (A*B*A, A^3 B, A^n) is read as one word string, so an n-letter word
+    costs one QExpr, not n - 1 products."""
     tokens = _Tokens(text)
     expr = _parse_sum(tokens)
     if tokens.peek() is not None:
@@ -682,16 +724,26 @@ def _parse_sum(tokens: _Tokens) -> QExpr:
 
 
 def _parse_term(tokens: _Tokens) -> QExpr:
-    out = _parse_factor(tokens)
+    out = word = None  # the product so far; the letter run being read
     while True:
+        if tokens.peek() in ("A", "B"):
+            word = (word or "") + tokens.take() * _parse_power(tokens)
+        else:
+            factor = _parse_factor(tokens)
+            if word is not None:
+                out = _times(out, QExpr.word(word))
+                word = None
+            out = _times(out, factor)
         nxt = tokens.peek()
         if nxt == "*":
             tokens.take()
-            out = out * _parse_factor(tokens)
-        elif nxt is not None and (nxt in "ABIq(" or nxt[0].isdigit()):
-            out = out * _parse_factor(tokens)
-        else:
-            return out
+        elif nxt is None or not (nxt in "ABIq(" or nxt[0].isdigit()):
+            break
+    return out if word is None else _times(out, QExpr.word(word))
+
+
+def _times(out: QExpr | None, factor: QExpr) -> QExpr:
+    return factor if out is None else out * factor
 
 
 def _parse_exponent(tokens: _Tokens) -> int:
@@ -715,7 +767,7 @@ def _parse_factor(tokens: _Tokens) -> QExpr:
             raise ValueError("missing closing parenthesis")
         base = inner
     elif tok in ("A", "B"):
-        base = QExpr.word(tok)
+        return QExpr.word(tok * _parse_power(tokens))
     elif tok == "I":
         base = QExpr.unit()
     elif tok == "q":
@@ -728,10 +780,17 @@ def _parse_factor(tokens: _Tokens) -> QExpr:
         base = QExpr.unit(GaussRat(tok))
     else:
         raise ValueError(f"unexpected token {tok!r}")
-    if tokens.peek() == "^":
-        tokens.take()
-        exp = _parse_exponent(tokens)
-        if exp < 0:
-            raise ValueError("negative powers only apply to q")
-        return base ** exp
-    return base
+    exp = _parse_power(tokens)
+    return base if exp == 1 else base ** exp
+
+
+def _parse_power(tokens: _Tokens) -> int:
+    """The exponent of an optional ^n after anything but q; 1 when there is
+    none."""
+    if tokens.peek() != "^":
+        return 1
+    tokens.take()
+    exp = _parse_exponent(tokens)
+    if exp < 0:
+        raise ValueError("negative powers only apply to q")
+    return exp

@@ -278,6 +278,27 @@ def test_cohomology_refuses_a_non_lie_document(non_lie_path, capsys, coeffs):
     assert captured.err == "error: Jacobi fails at triple (1, 2, 3)\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_extend_names_the_jacobi_failure_of_its_base(non_lie_path, tmp_path, capsys, json_flag):
+    # theta = e1^e2 is a cocycle only on a Lie base; the base is blamed, not theta
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"target_dim": 1, "values": [{"i": 1, "j": 2, "out": {"1": "1"}}]}),
+                     encoding="utf-8")
+    argv = ["extend", "--algebra", non_lie_path, "--cocycle", str(theta)] + json_flag
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Jacobi fails at triple (1, 2, 3)\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_reconstruct_names_the_jacobi_failure_of_its_base(non_lie_path, capsys, json_flag):
+    assert cli.run(["reconstruct", "--algebra", non_lie_path] + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Jacobi fails at triple (1, 2, 3)\n"
+
+
 def test_deterministic_under_fixed_seed(capsys):
     def strip_timing(doc):
         doc = dict(doc)

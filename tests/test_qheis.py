@@ -306,3 +306,94 @@ def test_normal_order_long_word_does_not_recurse():
     assert normal_order(A() * B() ** n) == NormalForm(
         {(n, 1): LaurentPoly.monomial(n), (n - 1, 0): q_integer(n)}
     )
+
+
+# -- words grouped by shared coefficient ----------------------------------------
+
+# few distinct coefficients, so that normal_order's groups hold many words
+COEFF_POOL = [
+    LaurentPoly.const(1),
+    LaurentPoly.const(-1),
+    q,
+    -q,
+    2 - q,
+    LaurentPoly.const(GaussRat("1/2", 1)),
+]
+
+
+def _oracle_sum(terms, rng) -> NormalForm:
+    expected = {}
+    for word, coeff in terms.items():
+        for key, value in oracles.random_order_normal_form(word, rng).items():
+            expected[key] = expected.get(key, 0) + coeff * value
+    return NormalForm(expected)
+
+
+@given(
+    st.dictionaries(st.text(alphabet="AB", max_size=10), st.sampled_from(COEFF_POOL), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_grouped_normal_order_matches_random_order(terms, seed):
+    symbolic = normal_order(QExpr(terms))
+    assert symbolic == _oracle_sum(terms, random.Random(seed))
+    for q0 in (GaussRat(-1), GaussRat("1/2"), GaussRat("1+i")):
+        assert normal_order(QExpr(terms), q_value=q0) == symbolic.evaluate(q0)
+
+
+def test_group_that_cancels_at_a_point_is_dropped():
+    # AB + BA = (1 + q) BA + 1, whose BA term vanishes at q = -1
+    expr = QExpr({"AB": 1, "BA": 1})
+    assert normal_order(expr) == NormalForm({(1, 1): 1 + q, (0, 0): 1})
+    assert normal_order(expr, q_value=-1) == NormalForm({(0, 0): 1})
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_power_of_the_defining_relation_is_one(k):
+    # AB - qBA = 1, so every power of the q-mutator normal-orders to 1
+    assert normal_order(q_mutator(A(), B()) ** k) == NormalForm({(0, 0): 1})
+
+
+def test_binomial_power_matches_random_order():
+    expr = (A() + B()) ** 8
+    assert len(expr.terms) == 256
+    assert normal_order(expr) == _oracle_sum(expr.terms, random.Random(8))
+
+
+# -- the parser -------------------------------------------------------------------
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from("AB"), st.one_of(st.none(), st.integers(0, 4))), min_size=1, max_size=8),
+    st.lists(st.sampled_from(["*", " ", ""]), min_size=7, max_size=7),
+)
+@settings(max_examples=40, deadline=None)
+def test_letter_runs_parse_to_products_of_letters(pieces, joins):
+    texts = [letter if exp is None else f"{letter}^{exp}" for letter, exp in pieces]
+    text = texts[0] + "".join(join + piece for join, piece in zip(joins, texts[1:]))
+    expected = QExpr.unit()
+    for letter, exp in pieces:
+        expected = expected * (A() if letter == "A" else B()) ** (1 if exp is None else exp)
+    assert parse_qexpr(text) == expected
+
+
+def test_letter_runs_keep_their_place_around_other_factors():
+    assert parse_qexpr("A B*(A - B)^2 B A^2 2q") == (
+        A() * B() * (A() - B()) ** 2 * B() * A() ** 2 * (2 * q)
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A^2^3", "trailing input near '^'"),
+        ("A*B^-1", "negative powers only apply to q"),
+        ("A*", "unexpected end of expression"),
+        ("*A", "unexpected token '*'"),
+        ("A**B", "unexpected token '*'"),
+    ],
+)
+def test_malformed_expressions_name_the_fault(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_qexpr(text)
+    assert str(err.value) == message
