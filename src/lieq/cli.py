@@ -114,10 +114,10 @@ def _load_algebra(spec: str) -> LieAlgebra:
 
 
 def _size_cap() -> int:
-    from . import fock
+    from .qheis import DEFAULT_SIZE_CAP
 
     raw = os.environ.get("LIEQ_SIZE_CAP")
-    return int(raw) if raw else fock.DEFAULT_SIZE_CAP
+    return int(raw) if raw else DEFAULT_SIZE_CAP
 
 
 def _matrix_doc(mat: SparseMatrix) -> dict:
@@ -280,7 +280,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_qheis_normalize(args) -> int:
     from . import qheis
 
-    expr = qheis.parse_qexpr(args.expr)
+    expr = qheis.parse_qexpr(args.expr, _size_cap())
     q_value = GaussRat(args.q) if args.q is not None else None
     nf = qheis.normal_order(expr, q_value)
     doc = {

@@ -19,9 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .exactnum import GaussRat, LieqError, ONE, ZERO, gauss
 from .linalg import SparseMatrix, Vec
-from .qheis import q_integer_at as q_int, q_integers_at
-
-DEFAULT_SIZE_CAP = 200_000
+from .qheis import DEFAULT_SIZE_CAP, q_integer_at as q_int, q_integers_at
 
 
 class SingularWeight(LieqError):

@@ -11,8 +11,11 @@ q the coefficients met while a word is read have nonnegative integer
 coefficients of at most _state_bound(word) <= (1 + #A)^#B, so a group's
 sums stay below the sum of those bounds over its words; each is carried
 as one packed Python int (exactnum.pack) at a slot width above the
-largest group's sum.  The closed q-binomial is one exact division of
-packed factorials.
+largest group's sum; q^n and {n}_q are made only for an n at which a B
+letter is read.  The closed q-binomial is a running product of packed
+q-integers with one short certified exact division per step, and the
+generalized Jacobi sums take [A,B]^k from bracket_powers, each power the
+normal form of the one before times [A,B].
 
 Identities stated with denominators like (q-1)^n or q^binom(n,2) are
 verified in denominator-cleared form: both sides are multiplied by the
@@ -38,6 +41,11 @@ from .exactnum import (
     slot_width,
     unpack,
 )
+
+
+# the default LIEQ_SIZE_CAP budget: matrix entries for the fock
+# truncations, letters in one word for parse_qexpr
+DEFAULT_SIZE_CAP = 200_000
 
 
 class QZero(LieqError):
@@ -76,16 +84,27 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
 
 
 def q_binomial_closed(n: int, k: int) -> LaurentPoly:
-    """{n}_q! / ({k}_q! {n-k}_q!) by one exact integer division of the
-    factorials packed at a slot width above n! (see exactnum.pack); a
-    remainder or a failed certificate would mean an implementation bug
-    and raises NonDivisible."""
+    """{n,k}_q as the running product {n,j}_q = {n,j-1}_q {n-j+1}_q / {j}_q
+    for j = 1..min(k, n-k), since {n,k}_q = {n,n-k}_q.  Each step is one
+    product and one certified exact division of ints packed at one slot
+    width (exactnum.packed_divexact); a remainder or a failed certificate
+    would mean an implementation bug and raises NonDivisible."""
     if k < 0 or k > n:
         return LaurentPoly.zero("q")
-    # the coefficients of {n}_q! sum to n!, those of the divisor to k!(n-k)!
-    width = slot_width(math.factorial(n))
-    div = pack(q_factorial(k), width) * pack(q_factorial(n - k), width)
-    return packed_divexact(pack(q_factorial(n), width), div, width)
+    k = min(k, n - k)
+    # step j divides a product whose coefficients sum to j binom(n, j),
+    # which grows with j up to n/2, so k binom(n, k) bounds every slot
+    width = slot_width(k * math.comb(n, k))
+    out = LaurentPoly.const(1, "q")
+    for j in range(1, k + 1):
+        num = pack(out, width) * _packed_q_integer(n - j + 1, width)
+        out = packed_divexact(num, _packed_q_integer(j, width), width)
+    return out
+
+
+def _packed_q_integer(n: int, width: int) -> int:
+    """{n}_q packed at a slot width (exactnum.pack): n ones, width bits apart."""
+    return ((1 << n * width) - 1) // ((1 << width) - 1)
 
 
 def q_integers_at(n: int, q0: GaussRat) -> list[GaussRat]:
@@ -447,15 +466,14 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
             raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
         key = (coeff.var, coeff.low, coeff.re, coeff.im, coeff.den)
         groups.setdefault(key, (coeff, []))[1].append(word)
-    # B^m A^n only ever has n up to the number of A letters in the word
-    top = max((word.count("A") for word in expr.terms), default=0)
-    # raise_q(c, powers[n]) is c * q^n and integers[n] is {n}_q
+    # raise_q(c, powers[n]) is c * q^n and integers[n] is {n}_q, each made
+    # for an n at which a B letter is read, the first time it is
     if q_value is None:
         bound = max((sum(map(_state_bound, words)) for _, words in groups.values()), default=1)
         width = slot_width(bound)
         zero, one, raise_q = 0, 1, operator.lshift
-        powers = [n * width for n in range(top + 1)]
-        integers = [((1 << shift) - 1) // ((1 << width) - 1) for shift in powers]
+        powers = _Table(lambda n: n * width)
+        integers = _Table(lambda n: _packed_q_integer(n, width))
 
         def finish(coeff, c):
             return coeff * unpack(c, width)
@@ -464,8 +482,11 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
         if scalar is None:
             raise TypeError(f"bad q value {q_value!r}")
         zero, one, raise_q = ZERO, ONE, operator.mul
-        powers = [scalar ** n for n in range(top + 1)]
-        integers = q_integers_at(top, scalar)
+        powers = _Table(lambda n: scalar ** n)
+        if scalar == ONE:
+            integers = _Table(GaussRat)
+        else:  # {n}_q = (q^n - 1) / (q - 1)
+            integers = _Table(lambda n: (powers[n] - ONE) / (scalar - ONE))
 
         def finish(value, c):
             return LaurentPoly.const(value * c, "q")
@@ -496,6 +517,18 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
             if c:
                 _accumulate(out, key, finish(coeff, c))
     return _normal_form(out)
+
+
+class _Table(dict):
+    """n -> make(n), each entry made the first time it is read."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, n):
+        self[n] = value = self.make(n)
+        return value
 
 
 def _state_bound(word: str) -> int:
@@ -568,28 +601,38 @@ def verify_powandprod_reciprocal(n: int, q0) -> bool:
     return first and second
 
 
+def bracket_powers(top: int) -> list[NormalForm]:
+    """[A,B]^k on the B^m A^n basis for k = 0..top.  [A,B] is normal-ordered
+    once, to (q-1) BA + 1, and each power is the normal form of the one
+    before times it: 2k + 2 words for the power k + 1, not 2^(k+1)."""
+    bracket = normal_order(commutator(A(), B())).to_qexpr()
+    powers = [NormalForm({(0, 0): 1})]
+    for _ in range(top):
+        powers.append(normal_order(powers[-1].to_qexpr() * bracket))
+    return powers
+
+
 def verify_generalized_jacobi(which: str, n: int, m: int | None = None) -> bool:
     """The generalized Jacobi family, in denominator-cleared form.
 
     bnan:  q^binom(n,2) (q-1)^n B^n A^n = sum_k (-1)^{n-k} q^binom(n-k,2) {n,k}_q [A,B]^k
     anbn:  (q-1)^n A^n B^n = sum_k (-1)^{n-k} q^binom(k+1,2) {n,k}_q [A,B]^k
     bracketBmAn:  [B, B^m A^n] = (1-q^n) B^{m+1} A^n - {n}_q B^m A^{n-1}
+
+    The sums over k are built from the normal forms of bracket_powers(n);
+    both sides are normal-ordered and compared exactly.
     """
-    q = LaurentPoly.gen("q")
-    bracket_power = commutator(A(), B())
-    if which == "bnan":
-        lhs = (LaurentPoly.monomial(math.comb(n, 2)) * (q - 1) ** n) * (B() ** n * A() ** n)
+    if which in ("bnan", "anbn"):
+        q = LaurentPoly.gen("q")
+        if which == "bnan":
+            lhs = (LaurentPoly.monomial(math.comb(n, 2)) * (q - 1) ** n) * (B() ** n * A() ** n)
+        else:
+            lhs = ((q - 1) ** n) * (A() ** n * B() ** n)
         rhs = QExpr.zero()
-        for k in range(n + 1):
-            coeff = LaurentPoly.monomial(math.comb(n - k, 2), (-1) ** (n - k)) * q_binomial(n, k)
-            rhs = rhs + coeff * bracket_power ** k
-        return verify_identity(lhs, rhs)
-    if which == "anbn":
-        lhs = ((q - 1) ** n) * (A() ** n * B() ** n)
-        rhs = QExpr.zero()
-        for k in range(n + 1):
-            coeff = LaurentPoly.monomial(math.comb(k + 1, 2), (-1) ** (n - k)) * q_binomial(n, k)
-            rhs = rhs + coeff * bracket_power ** k
+        for k, power in enumerate(bracket_powers(n)):
+            shift = math.comb(n - k, 2) if which == "bnan" else math.comb(k + 1, 2)
+            coeff = LaurentPoly.monomial(shift, (-1) ** (n - k)) * q_binomial(n, k)
+            rhs = rhs + coeff * power.to_qexpr()
         return verify_identity(lhs, rhs)
     if which == "bracketBmAn":
         if m is None:
@@ -668,7 +711,8 @@ def free_identity_check(which: str, q0=None) -> bool:
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_word: int):
+        self.max_word = max_word
         self.items: list[str] = []
         pos = 0
         while pos < len(text):
@@ -699,15 +743,23 @@ class _Tokens:
         self.pos += 1
         return tok
 
+    def fit(self, length: int) -> int:
+        """length, once it is known that a word that long is allowed."""
+        if length > self.max_word:
+            raise ValueError(f"a word of {length} letters exceeds LIEQ_SIZE_CAP = {self.max_word}")
+        return length
 
-def parse_qexpr(text: str) -> QExpr:
+
+def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
     """Parse the small normalize grammar: letters A, B, I; the parameter q;
     integers and fractions; operators * + - ^ and parentheses.
 
     A run of letters and letter powers joined by *, a space or nothing
     (A*B*A, A^3 B, A^n) is read as one word string, so an n-letter word
-    costs one QExpr, not n - 1 products."""
-    tokens = _Tokens(text)
+    costs one QExpr, not n - 1 products.  A letter power, a power of a
+    parenthesized expression or a product that would make a word longer
+    than max_word letters raises ValueError before the word is built."""
+    tokens = _Tokens(text, max_word)
     expr = _parse_sum(tokens)
     if tokens.peek() is not None:
         raise ValueError(f"trailing input near {tokens.peek()!r}")
@@ -727,23 +779,34 @@ def _parse_term(tokens: _Tokens) -> QExpr:
     out = word = None  # the product so far; the letter run being read
     while True:
         if tokens.peek() in ("A", "B"):
-            word = (word or "") + tokens.take() * _parse_power(tokens)
+            letter, exp = tokens.take(), _parse_power(tokens)
+            word = word or ""
+            tokens.fit(len(word) + exp)
+            word += letter * exp
         else:
             factor = _parse_factor(tokens)
             if word is not None:
-                out = _times(out, QExpr.word(word))
+                out = _times(tokens, out, QExpr.word(word))
                 word = None
-            out = _times(out, factor)
+            out = _times(tokens, out, factor)
         nxt = tokens.peek()
         if nxt == "*":
             tokens.take()
         elif nxt is None or not (nxt in "ABIq(" or nxt[0].isdigit()):
             break
-    return out if word is None else _times(out, QExpr.word(word))
+    return out if word is None else _times(tokens, out, QExpr.word(word))
 
 
-def _times(out: QExpr | None, factor: QExpr) -> QExpr:
-    return factor if out is None else out * factor
+def _times(tokens: _Tokens, out: QExpr | None, factor: QExpr) -> QExpr:
+    if out is None:
+        return factor
+    tokens.fit(_longest(out) + _longest(factor))
+    return out * factor
+
+
+def _longest(expr: QExpr) -> int:
+    """The number of letters in the longest word of expr."""
+    return max(map(len, expr.terms), default=0)
 
 
 def _parse_exponent(tokens: _Tokens) -> int:
@@ -767,7 +830,7 @@ def _parse_factor(tokens: _Tokens) -> QExpr:
             raise ValueError("missing closing parenthesis")
         base = inner
     elif tok in ("A", "B"):
-        return QExpr.word(tok * _parse_power(tokens))
+        return QExpr.word(tok * tokens.fit(_parse_power(tokens)))
     elif tok == "I":
         base = QExpr.unit()
     elif tok == "q":
@@ -781,6 +844,7 @@ def _parse_factor(tokens: _Tokens) -> QExpr:
     else:
         raise ValueError(f"unexpected token {tok!r}")
     exp = _parse_power(tokens)
+    tokens.fit(_longest(base) * exp)
     return base if exp == 1 else base ** exp
 
 

@@ -228,6 +228,19 @@ def test_size_cap_respected(monkeypatch, capsys):
     assert "LIEQ_SIZE_CAP" in err
 
 
+@pytest.mark.parametrize("expr", ["A^99999999999", "(A*B - q*B*A)^99999999999", "A^150000*B^50001"])
+def test_size_cap_bounds_word_length(expr, capsys):
+    assert cli.run(["qheis", "normalize", expr]) == 2
+    assert "exceeds LIEQ_SIZE_CAP = 200000" in capsys.readouterr().err
+
+
+def test_size_cap_setting_bounds_word_length(monkeypatch, capsys):
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "100")
+    assert cli.run(["qheis", "normalize", "A^50*B^51"]) == 2
+    assert "a word of 101 letters exceeds LIEQ_SIZE_CAP = 100" in capsys.readouterr().err
+    assert cli.run(["qheis", "normalize", "B^50*A^50"]) == 0
+
+
 def test_cohomology_trivial_coefficients(capsys):
     code, doc = run_json(
         capsys,

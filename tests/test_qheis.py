@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from lieq.qheis import (
     A,
     B,
     NormalForm,
+    bracket_powers,
     QExpr,
     QZero,
     commutator,
@@ -51,7 +53,7 @@ def test_q_binomial_examples():
     assert q_binomial(4, 2) == 1 + q + 2 * q**2 + q**3 + q**4
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(41))
 def test_binomial_recursion_equals_closed_form(n):
     for k in range(n + 1):
         assert q_binomial(n, k) == q_binomial_closed(n, k)
@@ -61,6 +63,16 @@ def test_binomial_symmetry():
     for n in range(1, 10):
         for k in range(n + 1):
             assert q_binomial(n, k) == q_binomial(n, n - k)
+    for n in range(41):
+        for k in range(n + 1):
+            assert q_binomial_closed(n, k) == q_binomial_closed(n, n - k)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_binomials_vanish_outside_zero_to_n(n):
+    for k in (-2, -1, n + 1, n + 2):
+        assert q_binomial(n, k).is_zero()
+        assert q_binomial_closed(n, k).is_zero()
 
 
 def test_reciprocal_checks():
@@ -354,6 +366,34 @@ def test_power_of_the_defining_relation_is_one(k):
     assert normal_order(q_mutator(A(), B()) ** k) == NormalForm({(0, 0): 1})
 
 
+def test_bracket_powers_match_the_expanded_words():
+    bracket = commutator(A(), B())
+    powers = bracket_powers(8)
+    assert len(powers) == 9
+    for k, power in enumerate(powers):
+        expanded = bracket ** k
+        assert len(expanded.terms) == 2**k
+        assert power == normal_order(expanded), k
+        # the rewriting oracle takes 5 s on the 256 words of k = 8
+        if k <= 7:
+            assert power == _oracle_sum(expanded.terms, random.Random(k)), k
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("A^50000", {(0, 50000): 1}),
+        ("B^2*A^50000", {(2, 50000): 1}),
+        ("A^3000*B", {(1, 3000): LaurentPoly.monomial(3000), (0, 2999): q_integer(3000)}),
+    ],
+)
+def test_long_a_runs_cost_only_the_b_letters_they_meet(text, expected):
+    # q^n and {n}_q are made only for an n at which a B letter is read
+    start = time.perf_counter()
+    assert normal_order(parse_qexpr(text)) == NormalForm(expected)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_binomial_power_matches_random_order():
     expr = (A() + B()) ** 8
     assert len(expr.terms) == 256
@@ -397,3 +437,27 @@ def test_malformed_expressions_name_the_fault(text, message):
     with pytest.raises(ValueError) as err:
         parse_qexpr(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, length",
+    [
+        ("A^11", 11),
+        ("B A^10", 11),
+        ("A^5*B^6", 11),
+        ("(A*B)^6", 12),
+        ("(A - q*B)^11", 11),
+        ("(A^6)(B^5)", 11),
+        ("A^6 (B^2 + A)^3", 12),
+        ("A^99999999999", 99999999999),
+    ],
+)
+def test_words_longer_than_the_cap_are_refused_before_they_are_built(text, length):
+    with pytest.raises(ValueError) as err:
+        parse_qexpr(text, max_word=10)
+    assert str(err.value) == f"a word of {length} letters exceeds LIEQ_SIZE_CAP = 10"
+
+
+def test_words_at_the_cap_parse():
+    assert parse_qexpr("A^5*B^5", max_word=10) == A() ** 5 * B() ** 5
+    assert parse_qexpr("(A*B)^5 + A^10", max_word=10) == (A() * B()) ** 5 + A() ** 10
