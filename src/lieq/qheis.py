@@ -466,14 +466,20 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
             raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
         key = (coeff.var, coeff.low, coeff.re, coeff.im, coeff.den)
         groups.setdefault(key, (coeff, []))[1].append(word)
-    # raise_q(c, powers[n]) is c * q^n and integers[n] is {n}_q, each made
-    # for an n at which a B letter is read, the first time it is
+    # B^m A^n * B needs q^n and {n}_q, with n at most the number of A letters
+    # before a word's last B.  make(n) sets powers[n] (raise_q(c, powers[n])
+    # is c * q^n) and integers[n] ({n}_q) the first time a B letter is read
+    # at that n, so A letters that no B follows cost no entries.
+    top = max((word[: word.rfind("B") + 1].count("A") for word in expr.terms), default=0)
+    powers, integers = [None] * (top + 1), [None] * (top + 1)
     if q_value is None:
         bound = max((sum(map(_state_bound, words)) for _, words in groups.values()), default=1)
         width = slot_width(bound)
         zero, one, raise_q = 0, 1, operator.lshift
-        powers = _Table(lambda n: n * width)
-        integers = _Table(lambda n: _packed_q_integer(n, width))
+
+        def make(n):
+            powers[n] = n * width
+            integers[n] = _packed_q_integer(n, width)
 
         def finish(coeff, c):
             return coeff * unpack(c, width)
@@ -482,11 +488,10 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
         if scalar is None:
             raise TypeError(f"bad q value {q_value!r}")
         zero, one, raise_q = ZERO, ONE, operator.mul
-        powers = _Table(lambda n: scalar ** n)
-        if scalar == ONE:
-            integers = _Table(GaussRat)
-        else:  # {n}_q = (q^n - 1) / (q - 1)
-            integers = _Table(lambda n: (powers[n] - ONE) / (scalar - ONE))
+
+        def make(n):  # {n}_q = (q^n - 1) / (q - 1) away from q = 1
+            powers[n] = scalar ** n
+            integers[n] = GaussRat(n) if scalar == ONE else (powers[n] - ONE) / (scalar - ONE)
 
         def finish(value, c):
             return LaurentPoly.const(value * c, "q")
@@ -505,6 +510,8 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
                 for (m, n), c in state.items():
                     if not c:  # a scalar q can cancel a coefficient
                         continue
+                    if powers[n] is None:
+                        make(n)
                     key = (m + 1, n)
                     nxt[key] = nxt.get(key, zero) + raise_q(c, powers[n])
                     if n:
@@ -517,18 +524,6 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
             if c:
                 _accumulate(out, key, finish(coeff, c))
     return _normal_form(out)
-
-
-class _Table(dict):
-    """n -> make(n), each entry made the first time it is read."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, n):
-        self[n] = value = self.make(n)
-        return value
 
 
 def _state_bound(word: str) -> int:
@@ -625,9 +620,9 @@ def verify_generalized_jacobi(which: str, n: int, m: int | None = None) -> bool:
     if which in ("bnan", "anbn"):
         q = LaurentPoly.gen("q")
         if which == "bnan":
-            lhs = (LaurentPoly.monomial(math.comb(n, 2)) * (q - 1) ** n) * (B() ** n * A() ** n)
+            lhs = QExpr.word("B" * n + "A" * n, LaurentPoly.monomial(math.comb(n, 2)) * (q - 1) ** n)
         else:
-            lhs = ((q - 1) ** n) * (A() ** n * B() ** n)
+            lhs = QExpr.word("A" * n + "B" * n, (q - 1) ** n)
         rhs = QExpr.zero()
         for k, power in enumerate(bracket_powers(n)):
             shift = math.comb(n - k, 2) if which == "bnan" else math.comb(k + 1, 2)
@@ -637,11 +632,11 @@ def verify_generalized_jacobi(which: str, n: int, m: int | None = None) -> bool:
     if which == "bracketBmAn":
         if m is None:
             raise ValueError("bracketBmAn needs both m and n")
-        word = B() ** m * A() ** n
-        lhs = B() * word - word * B()
-        rhs = (1 - LaurentPoly.monomial(n)) * (B() ** (m + 1) * A() ** n)
+        word = "B" * m + "A" * n
+        lhs = QExpr.word("B" + word) - QExpr.word(word + "B")
+        rhs = QExpr.word("B" + word, 1 - LaurentPoly.monomial(n))
         if n >= 1:
-            rhs = rhs - q_integer(n) * (B() ** m * A() ** (n - 1))
+            rhs = rhs - QExpr.word(word[:-1], q_integer(n))
         return verify_identity(lhs, rhs)
     raise ValueError(f"unknown identity family {which!r}")
 
