@@ -389,8 +389,10 @@ def test_bracket_powers_match_the_expanded_words():
 )
 def test_long_a_runs_cost_only_the_b_letters_they_meet(text, expected):
     # q^n and {n}_q are made only for an n at which a B letter is read
+    expr, half = parse_qexpr(text), GaussRat("1/2")
     start = time.perf_counter()
-    assert normal_order(parse_qexpr(text)) == NormalForm(expected)
+    assert normal_order(expr) == NormalForm(expected)
+    assert normal_order(expr, q_value=half) == NormalForm(expected).evaluate(half)
     assert time.perf_counter() - start < 5.0
 
 
