@@ -13,8 +13,9 @@ Conventions, fixed once:
   That ordering is part of the wire format, so matrices of d are
   reproducible across runs.
 * d_k is built once, as D * d_k over Z[i] (D the common denominator of the
-  structure constants and of rho's matrices), in the row layout of
-  linalg.certified_rref, so ranks and d^2 = 0 never leave the integers.
+  structure constants and of rho's matrices), as columns in the Z[i] layout
+  of linalg._clear_denominators.  Ranks (linalg.integer_rank, on those
+  columns) and d^2 = 0 never leave the integers.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .linalg import (
     Subspace,
     Vec,
     add_multiple,
-    certified_rref,
     exact_view,
+    integer_rank,
     nullspace,
     nullspace_with_free,
     vec_add,
@@ -353,8 +354,8 @@ class CochainComplex:
         return self._columns[k]
 
     def _integer_rows(self, k: int) -> list[dict]:
-        """The nonzero rows of D * d_k for certified_rref, in ascending row
-        order, which reduces much faster than order of first appearance."""
+        """The nonzero rows of D * d_k in ascending row order, which
+        rref reduces much faster than order of first appearance."""
         width, ncols = self.dim(k + 1), self.dim(k)
         by_row: dict[int, dict] = {}
         for c, col in enumerate(self.columns(k)):
@@ -367,11 +368,12 @@ class CochainComplex:
         return [exact_view(row, self.den, self.dim(k), self._memo) for row in self._integer_rows(k)]
 
     def rank(self, k: int) -> int:
-        """rank d_k, which is zero from the top degree on."""
+        """rank d_k, which is zero from the top degree on.  It is taken on
+        the columns, untransposed, which eliminates faster than the rows."""
         if k >= self.g.dim:
             return 0
         if k not in self._ranks:
-            self._ranks[k] = len(certified_rref(self._integer_rows(k), self.dim(k))[0])
+            self._ranks[k] = integer_rank(self.columns(k), self.dim(k + 1))
         return self._ranks[k]
 
     def cocycle_dim(self, k: int) -> int:

@@ -29,8 +29,12 @@ while it runs, even when the final RREF is small.  So:
   denominator; that gives rank <= r and the same row span, so R is the
   canonical RREF.  When the check fails, another prime is added.
 
-rref is _clear_denominators, certified_rref (where rank stops and where
-callers holding Z[i] rows start) and _assemble.
+rref is _clear_denominators, certified_rref (where callers holding Z[i]
+rows start) and _assemble.
+
+A rank needs none of this.  rank clears denominators the same way and hands
+the Z[i] rows to integer_rank, a fraction-free elimination that counts
+pivots in integer arithmetic alone: no prime, reconstruction or certificate.
 """
 
 from __future__ import annotations
@@ -438,7 +442,83 @@ def exact_view(num: dict, den: int, ncols: int, memo: dict) -> Vec:
 
 
 def rank(rows: Iterable[Vec], ncols: int) -> int:
-    return len(certified_rref(_clear_denominators(rows, ncols), ncols)[0])
+    """The rank over Q(i) of GaussRat rows in columns 0..ncols-1."""
+    return integer_rank(_clear_denominators(rows, ncols), ncols)
+
+
+def integer_rank(cleared: list[dict], ncols: int) -> int:
+    """The rank over Q(i) of Z[i] rows in the layout of _clear_denominators,
+    zero rows allowed, by fraction-free elimination in integer arithmetic
+    alone.
+
+    A row a + bi is the integer vector (a, b) of that layout, and i times
+    it is (-b, a); the Q-span of the rows and their i-multiples is their
+    Q(i)-span seen over Q, so a Gaussian rank is half that integer rank."""
+    if any(max(row) >= ncols for row in cleared if row):
+        turned = [{(c + ncols) % (2 * ncols): -x if c >= ncols else x for c, x in row.items()}
+                  for row in cleared]
+        return _integer_rank(cleared + turned) // 2
+    return _integer_rank(cleared)
+
+
+def _integer_rank(rows: list[dict]) -> int:
+    """The rank of integer rows, which it does not modify.
+
+    Columns are renumbered by ascending count of nonzero entries, which
+    keeps fill-in low, and rows are bucketed by their first column.  The
+    shortest row of a bucket becomes the pivot; every other row r of it,
+    with leading entry x against the pivot's p, becomes a r - b pivot with
+    a/b = p/x in lowest terms, divided by the gcd of its entries.  That is
+    fraction-free elimination (E. H. Bareiss, Math. Comp. 22 (1968)
+    565-578) with each row divided by its own content instead of by the
+    previous pivot, which would tie every row to one elimination order;
+    there is no back substitution, which a rank does not need."""
+    counts: dict[int, int] = {}
+    for row in rows:
+        for c in row:
+            counts[c] = counts.get(c, 0) + 1
+    order = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
+    buckets: dict[int, list[dict]] = {}
+    for row in rows:
+        if row:
+            row = {order[c]: x for c, x in row.items()}
+            buckets.setdefault(min(row), []).append(row)
+    found = 0
+    for col in range(len(order)):
+        bucket = buckets.pop(col, None)
+        if bucket is None:
+            continue
+        found += 1
+        pick = 0
+        if len(bucket) > 1:
+            pick = min(range(len(bucket)), key=lambda k: len(bucket[k]))
+        prow = bucket.pop(pick)
+        p = prow.pop(col)
+        for row in bucket:
+            x = row.pop(col)
+            g = gcd(p, x)
+            a, b = p // g, x // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            get = row.get
+            for c, v in prow.items():
+                y = get(c, 0) - b * v
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for c in row:
+                        row[c] //= g
+                buckets.setdefault(min(row), []).append(row)
+        if not buckets:
+            break
+    return found
 
 
 def nullspace_with_free(rows: Iterable[Vec], ncols: int) -> tuple[list[Vec], list[int]]:

@@ -563,14 +563,14 @@ def verify_powandprod(n: int) -> bool:
     symbolically."""
     if n < 1:
         raise ValueError("n must be positive")
-    qn = LaurentPoly.monomial(n)
+    qn, qint = LaurentPoly.monomial(n), q_integer(n)
     first = verify_identity(
-        A() * B() ** n,
-        qn * (B() ** n * A()) + q_integer(n) * B() ** (n - 1),
+        QExpr.word("A" + "B" * n),
+        QExpr({"B" * n + "A": qn, "B" * (n - 1): qint}),
     )
     second = verify_identity(
-        A() ** n * B(),
-        qn * (B() * A() ** n) + q_integer(n) * A() ** (n - 1),
+        QExpr.word("A" * n + "B"),
+        QExpr({"B" + "A" * n: qn, "A" * (n - 1): qint}),
     )
     return first and second
 

@@ -31,7 +31,7 @@ from lieq.cohomology import (
 from lieq.exactnum import GaussRat, ONE, ZERO
 from lieq.extend import CentralCocycle, CocycleViolation, central_extension
 from lieq.liealg import LieAlgebra, abelian
-from lieq.linalg import SparseMatrix, exact_view, vec_add
+from lieq.linalg import SparseMatrix, certified_rref, exact_view, vec_add
 
 SMALL = ["n_3_1", "n_3_2", "n_4_2", "n_4_3", "n_5_5", "n_5_7", "sl2", "a_sh"]
 
@@ -353,21 +353,25 @@ def test_cochain_doc_round_trip():
     assert Cochain.from_doc(g, deg0.to_doc()) == deg0
 
 
-@st.composite
-def random_nilpotent(draw):
-    """Iterated central extensions of abelian(2) by random trivial-coefficient
-    2-cocycles: combinations of a Z^2 basis with coefficients in [-3, 3].
-    Unlike the catalog, these carry structure constants other than +-1."""
-    dim = draw(st.integers(4, 5))
+def iterated_extension(dim, coefficient):
+    """Iterated central extensions of abelian(2) up to dim by trivial-coefficient
+    2-cocycles: combinations of a Z^2 basis whose coefficients coefficient()
+    draws.  Unlike the catalog, these carry structure constants other than +-1."""
     g = abelian(2)
     while g.dim < dim:
         theta = {}
         for row in cocycle_space(2, g, trivial_rep(g, 1)).rows:
-            vec_add(theta, row, GaussRat(draw(st.integers(-3, 3))))
+            vec_add(theta, row, GaussRat(coefficient()))
         tuples = cochain_tuples(g.dim, 2)
         values = {tuples[pos]: {0: value} for pos, value in theta.items()}
         g = central_extension(g, CentralCocycle(g, 1, values))
     return g
+
+
+@st.composite
+def random_nilpotent(draw):
+    """iterated_extension to dim 4 or 5 with coefficients in [-3, 3]."""
+    return iterated_extension(draw(st.integers(4, 5)), lambda: draw(st.integers(-3, 3)))
 
 
 @settings(max_examples=8, deadline=None)
@@ -383,6 +387,31 @@ def test_random_nilpotent_matches_dense_oracle(g):
                 cohomology_dim(k, g, rep),
             )
             assert got == oracles.oracle_cohomology_dims(g, k, coeffs), (coeffs, k)
+
+
+def certified_rank(complex_, k):
+    """rank d_k from the canonical RREF of its rows."""
+    return len(certified_rref(complex_._integer_rows(k), complex_.dim(k))[0])
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_catalog_ranks_match_certified_rref(name):
+    g = get(name)
+    for rep in (adjoint_rep(g), trivial_rep(g, 1)):
+        complex_ = CochainComplex(g, rep)
+        for k in range(g.dim):
+            assert complex_.rank(k) == certified_rank(complex_, k), (rep.kind, k)
+
+
+@pytest.mark.parametrize("dim,seed", [(6, 0), (6, 1), (7, 0), (7, 1), (8, 0)])
+def test_random_nilpotent_ranks_match_certified_rref(dim, seed):
+    """Seeded algebras of dims 6-8, beyond the reach of the dense oracle."""
+    rng = random.Random(f"{dim}/{seed}")
+    g = iterated_extension(dim, lambda: rng.randint(-3, 3))
+    for rep in (adjoint_rep(g), trivial_rep(g, 1)):
+        complex_ = CochainComplex(g, rep)
+        for k in range(g.dim):
+            assert complex_.rank(k) == certified_rank(complex_, k), (rep.kind, k)
 
 
 # basis rescalings f_a = s_a e_a that make the constants fractional and non-real

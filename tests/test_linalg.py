@@ -98,6 +98,42 @@ def test_certified_core_matches_rref(case, factors):
     assert [{p: ONE, **linalg.exact_view(num, den, ncols, {})} for p, num in zip(pivots, nums)] == expected[1]
 
 
+def dense(rows, ncols):
+    return [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
+
+
+@given(rref_inputs(), st.lists(nonzero_gaussian_ints, min_size=7, max_size=7))
+@example(([{0: GaussRat(0, 1)}, {0: g(1)}], 1), [(1, 0)] * 7)
+@settings(max_examples=300, deadline=None)
+def test_integer_rank_matches_dense_oracle(case, factors):
+    """rank, and integer_rank on cleared rows each scaled by its own nonzero
+    Gaussian integer, agree with a dense elimination over Q(i)."""
+    rows, ncols = case
+    expected = oracles.dense_rank(dense(rows, ncols))
+    assert rank(rows, ncols) == expected
+    cleared = linalg._clear_denominators(rows, ncols)
+    scaled = [times_gaussian(row, a, b, ncols) for row, (a, b) in zip(cleared, factors)]
+    assert linalg.integer_rank(scaled, ncols) == expected
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_rank_of_low_rank_products(data):
+    """L R with integer entries up to +-100 and an inner size below both
+    sides has rank at most that size; rows are optionally made Gaussian."""
+    nrows, inner, ncols = (data.draw(st.integers(lo, 9)) for lo in (1, 0, 1))
+    entries = st.integers(-100, 100)
+    left = [[data.draw(entries) for _ in range(inner)] for _ in range(nrows)]
+    right = [[data.draw(entries) for _ in range(ncols)] for _ in range(inner)]
+    unit = GaussRat(*data.draw(st.sampled_from([(1, 0), (0, 1), (2, -3)])))
+    rows = [
+        {c: unit * g(x) for c in range(ncols) if (x := sum(a * b[c] for a, b in zip(row, right)))}
+        for row in left
+    ]
+    expected = oracles.dense_rank(dense(rows, ncols))
+    assert rank(rows, ncols) == expected <= inner
+
+
 def test_rref_zero_columns_and_rows():
     assert rref([], 0) == ([], [])
     assert rref([{}, {}], 0) == ([], [])
