@@ -119,15 +119,17 @@ def test_integer_rank_matches_dense_oracle(case, factors):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_integer_rank_of_low_rank_products(data):
-    """L R with integer entries up to +-100 and an inner size below both
-    sides has rank at most that size; rows are optionally made Gaussian."""
-    nrows, inner, ncols = (data.draw(st.integers(lo, 9)) for lo in (1, 0, 1))
+    """L R, for integer L and R with entries up to +-100 and an inner size
+    below both outer ones, is rank deficient; a drawn factor (1, i or
+    2 - 3i) scales every row."""
+    nrows, ncols = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))
+    inner = data.draw(st.integers(0, min(nrows, ncols) - 1))
     entries = st.integers(-100, 100)
     left = [[data.draw(entries) for _ in range(inner)] for _ in range(nrows)]
     right = [[data.draw(entries) for _ in range(ncols)] for _ in range(inner)]
-    unit = GaussRat(*data.draw(st.sampled_from([(1, 0), (0, 1), (2, -3)])))
+    factor = GaussRat(*data.draw(st.sampled_from([(1, 0), (0, 1), (2, -3)])))
     rows = [
-        {c: unit * g(x) for c in range(ncols) if (x := sum(a * b[c] for a, b in zip(row, right)))}
+        {c: factor * g(x) for c in range(ncols) if (x := sum(a * b[c] for a, b in zip(row, right)))}
         for row in left
     ]
     expected = oracles.dense_rank(dense(rows, ncols))
