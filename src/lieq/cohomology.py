@@ -354,8 +354,7 @@ class CochainComplex:
         return self._columns[k]
 
     def _integer_rows(self, k: int) -> list[dict]:
-        """The nonzero rows of D * d_k in ascending row order, which
-        rref reduces much faster than order of first appearance."""
+        """The nonzero rows of D * d_k in ascending row order."""
         width, ncols = self.dim(k + 1), self.dim(k)
         by_row: dict[int, dict] = {}
         for c, col in enumerate(self.columns(k)):

@@ -59,6 +59,9 @@ def _parse_gauss(text: str) -> tuple[Fraction, Fraction]:
     txt = text.replace(" ", "")
     if not txt:
         raise ValueError("empty scalar string")
+    if "e" in txt or "E" in txt:
+        # Fraction reads "1e999999999" as an integer of a billion digits
+        raise ValueError(f"exponent in scalar {text!r}; write it as an integer or a fraction")
     re_part, im_part = txt, 0
     if txt.endswith("i"):
         body = txt[:-1]

@@ -6,43 +6,25 @@ count; SparseMatrix, the one square-matrix type, stores exactly such a list.
 Everything here is deterministic: the RREF of a row span is unique, so
 reduced forms (and hence every Subspace) are canonical.
 
-rref is a certified multimodular elimination (the multimodular echelon form
-of W. Stein, *Modular Forms: A Computational Approach*, AMS GSM 79, ch. 7;
-rational reconstruction as in J. D. Dixon, *Numer. Math.* 40 (1982)
-137-141).  Exact elimination over Q(i) is slow because coefficients grow
-while it runs, even when the final RREF is small.  So:
+There is one elimination, _echelon: fraction-free elimination in integer
+arithmetic alone (E. H. Bareiss, Math. Comp. 22 (1968) 565-578), each
+updated row divided by the gcd of its entries.  Rows are first scaled to
+Z[i] by the lcm of their denominators (_clear_denominators).  A Gaussian
+row a + bi is eliminated as the integer rows (a, b) and (-b, a), its
+i-multiple: the Q-span of those is the Q(i)-span of the rows seen over Q.
 
-* each row is scaled to Z[i] by the lcm of its denominators;
-* the rows are reduced to RREF modulo primes p = 1 (mod 4) below 2^30, taken
-  from a fixed table.  When an entry is non-real this happens under both
-  embeddings i -> s and i -> -s (s^2 = -1 mod p), which recovers the real
-  and imaginary parts;
-* a prime that gives fewer pivots than another, or the same number in later
-  columns, is unlucky and dropped; after the first good prime only the rows
-  that gave its pivots are eliminated;
-* the residues of the good primes are combined by CRT, and primes are added
-  until every entry has a rational reconstruction;
-* the result R, with r rows, is certified before it is returned.  A prime
-  with r pivots gives rank >= r, since a minor that is nonzero mod p is
-  nonzero.  Every cleared input row m must equal sum_j m[pivot_j] R_j,
-  which is checked exactly on the non-pivot columns over one common
-  denominator; that gives rank <= r and the same row span, so R is the
-  canonical RREF.  When the check fails, another prime is added.
-
-rref is _clear_denominators, certified_rref (where callers holding Z[i]
-rows start) and _assemble.
-
-A rank needs none of this.  rank clears denominators the same way and hands
-the Z[i] rows to integer_rank, a fraction-free elimination that counts
-pivots in integer arithmetic alone: no prime, reconstruction or certificate.
+* rref eliminates columns in natural order and back-substitutes, then
+  divides each row by its pivot entry.  For Gaussian rows the real and
+  imaginary parts of column c sit at 2c and 2c + 1, so pivots come in pairs
+  and the Q(i) row with pivot c is the integer row with pivot 2c.
+* rank and integer_rank renumber columns by ascending count of nonzero
+  entries, which keeps fill-in low, and only count pivots.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exactnum import ONE as _ONE, GaussRat, ZERO, gauss
@@ -79,107 +61,36 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
     Every entry of rows must lie in columns 0..ncols-1.  The result is the
     canonical RREF of the row span: pivots ascend, each reduced row has a 1
     at its pivot, zeros at the other pivots, and its entries in ascending
-    column order.  It is computed modulo primes and certified exactly (see
-    the module docstring)."""
-    pivots, den, nums = certified_rref(_clear_denominators(rows, ncols), ncols)
-    return pivots, _assemble(pivots, den, nums, ncols)
+    column order."""
+    cleared = _clear_denominators(rows, ncols)
+    if not any(max(row) >= ncols for row in cleared):
+        pivots, prows = _echelon(cleared, ncols, reduced=True)
+        return pivots, [_divided(row, pcol, ncols) for pcol, row in zip(pivots, prows)]
+    # each Gaussian row and its i-multiple, real and imaginary parts of
+    # column c at 2c and 2c + 1
+    realified = []
+    for row in cleared:
+        plain, turned = {}, {}
+        for c, x in row.items():
+            if c < ncols:
+                plain[2 * c] = turned[2 * c + 1] = x
+            else:
+                c -= ncols
+                plain[2 * c + 1], turned[2 * c] = x, -x
+        realified += (plain, turned)
+    pivots, prows = _echelon(realified, 2 * ncols, reduced=True)
+    out = [
+        (pcol >> 1, {(c >> 1) + (ncols if c & 1 else 0): x for c, x in row.items()})
+        for pcol, row in zip(pivots, prows) if not pcol & 1
+    ]
+    return [pcol for pcol, _ in out], [_divided(row, pcol, ncols) for pcol, row in out]
 
 
-def certified_rref(cleared: list[dict], ncols: int) -> tuple[list[int], int, list[dict]]:
-    """The certified RREF of nonzero Z[i] rows in the layout of
-    _clear_denominators: (pivots, den, nums), reduced row j being a 1 at
-    pivots[j] plus nums[j] / den.  Scaling a row changes nothing."""
-    if not cleared:
-        return [], 1, []
-    imaginary = any(max(row) >= ncols for row in cleared)
-    best: list[int] | None = None
-    basis = cleared
-    for k in count():
-        p, s = _prime(k)
-        got = _rref_mod(basis, ncols, p, s if imaginary else None)
-        if got is None:
-            continue
-        pivots, prows, used = got
-        if best is not None and pivots != best:
-            if len(pivots) < len(best) or (len(pivots) == len(best) and pivots > best):
-                continue  # unlucky prime
-            best = None
-        # later primes eliminate only the rows that gave the pivots
-        basis = [basis[i] for i in used]
-        if best is None:
-            best, modulus, residues = pivots, p, prows
-        else:
-            _crt_into(residues, modulus, prows, p)
-            modulus *= p
-        exact = _reconstruct(residues, modulus)
-        if exact is None:
-            continue
-        den, nums = exact
-        if _spans(cleared, best, den, nums, ncols):
-            return best, den, nums
-        basis = cleared  # a wrong reconstruction or an unlucky pivot list
-
-
-# -- multimodular elimination ------------------------------------------------------
-
-# primes p = 1 (mod 4) below 2^30, descending, each with s, s^2 = -1 (mod p);
-# residues below 2^30 are single-digit Python ints, which keeps mod-p
-# arithmetic on CPython's fast path
-_PRIMES = [
-    (1073741789, 140687844), (1073741741, 289525921),
-    (1073741717, 33787048), (1073741689, 206100978),
-    (1073741621, 11297358), (1073741561, 487957686),
-    (1073741477, 331194902), (1073741441, 67419063),
-    (1073741381, 157434607), (1073741329, 326779353),
-    (1073741309, 402493037), (1073741237, 493397061),
-    (1073741213, 226942476), (1073741197, 298302353),
-    (1073741189, 56166142), (1073741173, 119965263),
-    (1073741101, 192453365), (1073741077, 50564075),
-    (1073740933, 147050931), (1073740909, 504713818),
-    (1073740853, 7176488), (1073740793, 37706739),
-    (1073740781, 399244162), (1073740697, 520010680),
-    (1073740693, 336264900), (1073740649, 228813244),
-    (1073740609, 462868367), (1073740541, 336766293),
-    (1073740537, 86530260), (1073740529, 476104086),
-    (1073740517, 120584034), (1073740501, 231709765),
-]
-_PRIMES_LOCK = threading.Lock()
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: exact below 3.2e9."""
-    d, r = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        r += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(k: int) -> tuple[int, int]:
-    """The k-th (p, s) of the table, extending it past its end on demand.
-    The lock keeps two threads from appending the same prime twice, which
-    would break the CRT."""
-    if k >= len(_PRIMES):
-        with _PRIMES_LOCK:
-            while k >= len(_PRIMES):
-                p = _PRIMES[-1][0] - 4
-                while not _is_prime(p):
-                    p -= 4
-                a = 2
-                while pow(a, (p - 1) // 2, p) != p - 1:
-                    a += 1
-                _PRIMES.append((p, pow(a, (p - 1) // 4, p)))
-    return _PRIMES[k]
+def _divided(row: dict, pcol: int, ncols: int) -> Vec:
+    """The Z[i] row, in the layout of _clear_denominators, divided by its
+    (integer) entry at pcol, in ascending column order."""
+    head = row.pop(pcol)
+    return {pcol: _ONE, **exact_view(row, head, ncols, {})}
 
 
 def _clear_denominators(rows: Iterable[Vec], ncols: int) -> list[dict]:
@@ -217,193 +128,6 @@ def _clear_denominators(rows: Iterable[Vec], ncols: int) -> list[dict]:
     return cleared
 
 
-def _rref_mod(cleared: list[dict], ncols: int, p: int, s: int | None):
-    """RREF of the cleared rows mod p: (pivots, rows, used), or None when
-    the two embeddings disagree.  Rows hold the non-pivot entries only, in
-    the key layout of _clear_denominators; used lists the positions of the
-    rows that gave the pivots.  Real input (s None) is reduced once;
-    otherwise under i -> s and i -> -s, and an entry a + bi is recovered as
-    a = (u + v)/2, b = (u - v)/(2s) from its images u, v."""
-    if s is None:
-        return _echelon_mod(_residues(cleared, ncols, p, None), ncols, p)
-    pivots, plus, used = _echelon_mod(_residues(cleared, ncols, p, s), ncols, p)
-    other, minus, _ = _echelon_mod(_residues(cleared, ncols, p, p - s), ncols, p)
-    if pivots != other:
-        return None
-    half = (p + 1) >> 1
-    inv_2s = pow(2 * s, -1, p)
-    rows = []
-    for u, v in zip(plus, minus):
-        row = {}
-        for c in u.keys() | v.keys():
-            a, b = u.get(c, 0), v.get(c, 0)
-            re = (a + b) * half % p
-            im = (a - b) * inv_2s % p
-            if re:
-                row[c] = re
-            if im:
-                row[c + ncols] = im
-        rows.append(row)
-    return pivots, rows, used
-
-
-def _residues(cleared: list[dict], ncols: int, p: int, s: int | None) -> list[dict]:
-    """The cleared rows mod p, zeros dropped; i maps to s (s None: real)."""
-    out = []
-    for row in cleared:
-        if s is None:
-            red = {c: x % p for c, x in row.items()}
-        else:
-            red = {}
-            for c, x in row.items():
-                if c >= ncols:
-                    c -= ncols
-                    x *= s
-                red[c] = red.get(c, 0) + x
-            red = {c: x % p for c, x in red.items()}
-        if 0 in red.values():
-            red = {c: x for c, x in red.items() if x}
-        out.append(red)
-    return out
-
-
-def _echelon_mod(rows: list[dict], ncols: int, p: int):
-    """Gauss-Jordan mod p on rows of nonzero residues, which it consumes.
-
-    Returns the pivot columns, the reduced pivot rows without their pivot
-    entry, and the input positions of the rows that became pivots.  Rows
-    are bucketed by their first column, so a pivot search reads one bucket;
-    the shortest row of a bucket becomes the pivot, which keeps fill-in low."""
-    buckets: dict[int, list] = {}
-    for k, row in enumerate(rows):
-        if row:
-            buckets.setdefault(min(row), []).append((k, row))
-    pivots: list[int] = []
-    prows: list[dict] = []
-    used: list[int] = []
-    for col in range(ncols):
-        bucket = buckets.pop(col, None)
-        if bucket is None:
-            continue
-        pick = 0
-        if len(bucket) > 1:
-            pick = min(range(len(bucket)), key=lambda k: len(bucket[k][1]))
-        k, prow = bucket.pop(pick)
-        inv = pow(prow.pop(col), -1, p)
-        if inv != 1:
-            prow = {c: v * inv % p for c, v in prow.items()}
-        for entry in bucket:
-            row = entry[1]
-            _subtract_mod(row, row.pop(col), prow, p)
-            if row:
-                buckets.setdefault(min(row), []).append(entry)
-        pivots.append(col)
-        prows.append(prow)
-        used.append(k)
-        if not buckets:
-            break
-    # back substitution, last row first: the rows below are already free of
-    # every pivot column, so subtracting them adds no pivot entries
-    where = dict(zip(pivots, prows))
-    for row in reversed(prows):
-        for col in [c for c in row if c in where]:
-            _subtract_mod(row, row.pop(col), where[col], p)
-    return pivots, prows, used
-
-
-def _subtract_mod(row: dict, factor: int, other: dict, p: int) -> None:
-    """row -= factor * other (mod p), in place, dropping zeros."""
-    f = p - factor
-    get = row.get
-    for c, v in other.items():
-        x = (get(c, 0) + f * v) % p
-        if x:
-            row[c] = x
-        else:
-            del row[c]
-
-
-def _crt_into(residues: list[dict], modulus: int, rows: list[dict], p: int) -> None:
-    """Combine residues mod modulus with rows mod p, in place, to mod modulus*p."""
-    inv = pow(modulus, -1, p)
-    for old, new in zip(residues, rows):
-        for c in old.keys() | new.keys():
-            a = old.get(c, 0)
-            old[c] = a + modulus * ((new.get(c, 0) - a) * inv % p)
-
-
-def _ratrecon(x: int, m: int, bound: int) -> tuple[int, int] | None:
-    """(n, d) with n = d x (mod m), |n| <= bound, 0 < d <= bound and
-    gcd(n, d) = 1, or None; unique when 2 bound^2 < m."""
-    r0, r1 = m, x
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 < 0:
-        t1, r1 = -t1, -r1
-    if t1 > bound or gcd(r1, t1) != 1:
-        return None
-    return r1, t1
-
-
-def _reconstruct(residues: list[dict], m: int) -> tuple[int, list[dict]] | None:
-    """Rational reconstruction of every residue: (den, nums) with entry
-    nums[j][c] / den, or None when some residue has no reconstruction with
-    numerator and denominator at most sqrt(m/2).  A residue that times the
-    running common denominator is already small needs no extended gcd."""
-    bound = isqrt(m >> 1)
-    half = m >> 1
-    den = 1
-    nums: list[dict] = []
-    for res in residues:
-        num = {}
-        for c, x in res.items():
-            y = x * den % m if den != 1 else x
-            if y > half:
-                y -= m
-            if -bound <= y <= bound:
-                if y:
-                    num[c] = y
-                continue
-            got = _ratrecon(x, m, bound)
-            if got is None or not got[0]:
-                return None
-            n, d = got
-            grow = d // gcd(d, den)
-            den *= grow
-            if den > bound:
-                return None
-            for prev in nums:
-                for key in prev:
-                    prev[key] *= grow
-            for key in num:
-                num[key] *= grow
-            num[c] = n * (den // d)
-        nums.append(num)
-    return den, nums
-
-
-def _spans(cleared: list[dict], pivots: list[int], den: int, nums: list[dict], ncols: int) -> bool:
-    """Exact check that every cleared row m equals sum_j m[pivots[j]] R_j,
-    with R_j = nums[j] / den, in Gaussian-integer arithmetic.  Only the
-    non-pivot columns are compared: on pivot columns it holds by the shape
-    of R."""
-    where = {c: j for j, c in enumerate(pivots)}
-    for row in cleared:
-        acc: dict[int, int] = {}
-        for c, x in row.items():
-            j = where.get(c % ncols)
-            if j is None:
-                acc[c] = acc.get(c, 0) + den * x
-            else:
-                add_multiple(acc, -x, c >= ncols, nums[j], ncols)
-        if any(acc.values()):
-            return False
-    return True
-
-
 def add_multiple(acc: dict, x: int, imag: bool, vec: dict, ncols: int) -> None:
     """In-place acc += x * vec, or acc += x * i * vec when imag, for Z[i]
     vectors in the layout of _clear_denominators: i * (a + bi) = -b + ai."""
@@ -417,12 +141,6 @@ def add_multiple(acc: dict, x: int, imag: bool, vec: dict, ncols: int) -> None:
             acc[key + ncols] = get(key + ncols, 0) + x * v
         else:
             acc[key - ncols] = get(key - ncols, 0) - x * v
-
-
-def _assemble(pivots: list[int], den: int, nums: list[dict], ncols: int) -> list[Vec]:
-    """The certified rows as GaussRat dicts in ascending column order."""
-    memo: dict[tuple[int, int], GaussRat] = {}
-    return [{pcol: _ONE, **exact_view(num, den, ncols, memo)} for pcol, num in zip(pivots, nums)]
 
 
 def exact_view(num: dict, den: int, ncols: int, memo: dict) -> Vec:
@@ -448,77 +166,98 @@ def rank(rows: Iterable[Vec], ncols: int) -> int:
 
 def integer_rank(cleared: list[dict], ncols: int) -> int:
     """The rank over Q(i) of Z[i] rows in the layout of _clear_denominators,
-    zero rows allowed, by fraction-free elimination in integer arithmetic
-    alone.
-
-    A row a + bi is the integer vector (a, b) of that layout, and i times
-    it is (-b, a); the Q-span of the rows and their i-multiples is their
-    Q(i)-span seen over Q, so a Gaussian rank is half that integer rank."""
-    if any(max(row) >= ncols for row in cleared if row):
+    zero rows allowed, which it does not modify.  A Gaussian rank is half
+    the integer rank of the rows and their i-multiples.  Columns are
+    renumbered by ascending count of nonzero entries, which keeps fill-in
+    low; a rank needs no back substitution."""
+    gaussian = any(max(row) >= ncols for row in cleared if row)
+    rows = cleared
+    if gaussian:
         turned = [{(c + ncols) % (2 * ncols): -x if c >= ncols else x for c, x in row.items()}
                   for row in cleared]
-        return _integer_rank(cleared + turned) // 2
-    return _integer_rank(cleared)
-
-
-def _integer_rank(rows: list[dict]) -> int:
-    """The rank of integer rows, which it does not modify.
-
-    Columns are renumbered by ascending count of nonzero entries, which
-    keeps fill-in low, and rows are bucketed by their first column.  The
-    shortest row of a bucket becomes the pivot; every other row r of it,
-    with leading entry x against the pivot's p, becomes a r - b pivot with
-    a/b = p/x in lowest terms, divided by the gcd of its entries.  That is
-    fraction-free elimination (E. H. Bareiss, Math. Comp. 22 (1968)
-    565-578) with each row divided by its own content instead of by the
-    previous pivot, which would tie every row to one elimination order;
-    there is no back substitution, which a rank does not need."""
+        rows = cleared + turned
     counts: dict[int, int] = {}
     for row in rows:
         for c in row:
             counts[c] = counts.get(c, 0) + 1
     order = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
+    renumbered = [{order[c]: x for c, x in row.items()} for row in rows]
+    found = len(_echelon(renumbered, len(order), reduced=False)[0])
+    return found // 2 if gaussian else found
+
+
+def _echelon(rows: list[dict], width: int, reduced: bool) -> tuple[list[int], list[dict]]:
+    """Echelon form of integer rows in columns 0..width-1, which it
+    consumes: (pivot columns, ascending; the pivot rows, each holding its
+    pivot entry).  With reduced, every row is also free of the other rows'
+    pivot columns, so dividing each by its pivot entry gives the RREF.
+
+    Rows are bucketed by their first column.  The shortest row of a bucket
+    becomes the pivot, which keeps fill-in low; every other row of it is
+    cancelled against the pivot row and rebucketed.  Back substitution runs
+    from the last pivot row up, with the same update: the rows below are
+    already free of every pivot column but their own, so it adds no pivot
+    entries."""
     buckets: dict[int, list[dict]] = {}
     for row in rows:
         if row:
-            row = {order[c]: x for c, x in row.items()}
             buckets.setdefault(min(row), []).append(row)
-    found = 0
-    for col in range(len(order)):
+    pivots: list[int] = []
+    prows: list[dict] = []
+    for col in range(width):
         bucket = buckets.pop(col, None)
         if bucket is None:
             continue
-        found += 1
         pick = 0
         if len(bucket) > 1:
             pick = min(range(len(bucket)), key=lambda k: len(bucket[k]))
         prow = bucket.pop(pick)
-        p = prow.pop(col)
+        _cancel(bucket, col, prow)
         for row in bucket:
-            x = row.pop(col)
-            g = gcd(p, x)
-            a, b = p // g, x // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                for c in row:
-                    row[c] *= a
-            get = row.get
-            for c, v in prow.items():
-                y = get(c, 0) - b * v
-                if y:
-                    row[c] = y
-                else:
-                    del row[c]
             if row:
-                g = gcd(*row.values())
-                if g != 1:
-                    for c in row:
-                        row[c] //= g
                 buckets.setdefault(min(row), []).append(row)
+        pivots.append(col)
+        prows.append(prow)
         if not buckets:
             break
-    return found
+    if reduced:
+        where = {}
+        for pcol, row in zip(reversed(pivots), reversed(prows)):
+            for col in [c for c in row if c in where]:
+                _cancel([row], col, where[col])
+            where[pcol] = row
+    return pivots, prows
+
+
+def _cancel(rows: list[dict], col: int, prow: dict) -> None:
+    """Replace each row, in place, by a row - b prow divided by the gcd of
+    its entries, where a/b = p/x in lowest terms with a > 0, for the
+    entries p of prow and x of the row at col: the entry at col cancels and
+    no fraction arises.  That is fraction-free elimination with each row
+    divided by its own content instead of by the previous pivot, which
+    would tie every row to one elimination order."""
+    p = prow[col]
+    for row in rows:
+        x = row[col]
+        g = gcd(p, x)
+        a, b = p // g, x // g
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        get = row.get
+        for c, v in prow.items():
+            y = get(c, 0) - b * v
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+        if row:
+            g = gcd(*row.values())
+            if g != 1:
+                for c in row:
+                    row[c] //= g
 
 
 def nullspace_with_free(rows: Iterable[Vec], ncols: int) -> tuple[list[Vec], list[int]]:

@@ -4,7 +4,7 @@ Everything here recomputes results from definitions with dense data and
 direct evaluation: the differential is evaluated tuple by tuple from its
 formula (not pushed forward), ranks come from a plain dense elimination,
 reduced row echelon forms from exact GaussRat elimination (the library
-eliminates modulo primes), normal ordering rewrites a randomly chosen
+eliminates fraction-free over the integers), normal ordering rewrites a randomly chosen
 inversion instead of the first one, and Laurent polynomials are sparse
 {exponent: GaussRat} dicts with term-by-term arithmetic.  None of this shares code paths with src/lieq
 beyond the scalar type."""

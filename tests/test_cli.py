@@ -337,6 +337,16 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     assert "zero denominator in scalar '1/0'" in capsys.readouterr().err
 
 
+def test_exponent_in_scalar_is_usage_error(tmp_path, capsys):
+    """A constant with an exponent is refused before it is expanded."""
+    path = tmp_path / "g.json"
+    doc = {"format": "lieq-1", "dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": "1e999999999"}}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["algebra", "--algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "exponent in scalar '1e999999999'" in err
+
+
 def test_catalog_show_needs_a_name(capsys):
     assert cli.run(["catalog", "show"]) == 2
     assert "catalog show needs an algebra name" in capsys.readouterr().err

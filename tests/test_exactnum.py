@@ -64,6 +64,14 @@ def test_string_round_trip(text):
     assert GaussRat(str(value)) == value
 
 
+@pytest.mark.parametrize("text", ["1e999999999", "2E3", "1/2-3e2i", "1e-5"])
+def test_exponent_in_scalar_string_is_refused(text):
+    """Fraction would read an exponent and build an integer of that many
+    digits before any size check; the scalar grammar has none."""
+    with pytest.raises(ValueError, match="exponent in scalar"):
+        GaussRat(text)
+
+
 @given(gauss_rats)
 @settings(max_examples=80)
 def test_render_parse_round_trip(x):
