@@ -208,18 +208,16 @@ def cmd_deform_check(args) -> int:
         raise ValueError(str(err)) from None
     expansion = deform.jacobi_polynomial(d)
     for degree in range(2 * d.order + 1):
-        offenders = sorted(
-            tuple(x + 1 for x in triple)
-            for triple, polys in expansion.items()
-            if any(degree in p.coeffs for p in polys)
-        )
+        offenders = [
+            tuple(x + 1 for x in triple) for triple, table in expansion.items() if degree in table
+        ]
         report.add(
             f"t^{degree}",
             "0",
             "0" if not offenders else f"residual on triples {offenders}",
             not offenders,
         )
-    defect = deform.deformation_is_lie(d)
+    defect = deform._least_defect(expansion)
     if defect is None:
         report.add("graded_jacobi", None, None, True)
     else:

@@ -425,12 +425,6 @@ def d_squared_check(g: LieAlgebra, rep: Representation, k: int) -> bool:
     return CochainComplex(g, rep).d_squared_zero(k)
 
 
-def adjoint_h2_dim(g: LieAlgebra) -> int:
-    """dim H^2(g; g, ad), the cohomology that controls deformations of the
-    bracket (not the Schur multiplier H^2(g; C))."""
-    return cohomology_dim(2, g, adjoint_rep(g))
-
-
 # -- derivations -----------------------------------------------------------------
 #
 # A derivation D of g is exactly a 1-cocycle with adjoint coefficients:

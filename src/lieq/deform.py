@@ -3,7 +3,7 @@
 A deformed bracket is the base bracket plus perturbation cochains graded by
 powers of a formal parameter t.  The graded Jacobi expansion keeps every
 cross term mu(x, phi(y,z)) + phi(x, mu(y,z)) and so on; nothing is assumed
-to cancel, the polynomial is computed and reported as-is.
+to cancel, every coefficient of t is computed and reported as-is.
 """
 
 from __future__ import annotations
@@ -11,14 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .cohomology import Cochain, CochainComplex, adjoint_rep
-from .exactnum import LaurentPoly, LieqError, gauss
+from .cohomology import Cochain, CochainComplex, SourceMismatch, adjoint_rep
+from .exactnum import LieqError, gauss
 from .liealg import LieAlgebra, jacobi_sum
 from .linalg import Vec, vec_add
-
-
-class SourceMismatch(LieqError):
-    """Perturbation cochain does not live on the base algebra."""
 
 
 class NotLieAtParameter(LieqError):
@@ -58,42 +54,38 @@ def make_linear_deformation(g: LieAlgebra, phi: Cochain) -> DeformedBracket:
     return DeformedBracket(g, (phi,))
 
 
-def jacobi_polynomial(d: DeformedBracket) -> dict[tuple[int, int, int], list[LaurentPoly]]:
+def jacobi_polynomial(d: DeformedBracket) -> dict[tuple[int, int, int], dict[int, Vec]]:
     """Full graded expansion of the Jacobi sum of mu_t on every basis triple,
-    as a length-n vector of polynomials in t per triple: the coefficient of
-    t^c is the sum of jacobi_sum(mu_a, mu_b) over a + b = c, so every cross
-    term between grading levels is retained."""
-    n = d.base.dim
-    out: dict[tuple[int, int, int], list[LaurentPoly]] = {}
-    for triple in itertools.combinations(range(n), 3):
-        by_degree: dict[int, Vec] = {}
+    as {triple: {c: vector}}: the coefficient of t^c is the sum of
+    jacobi_sum(mu_a, mu_b) over a + b = c, so every cross term between
+    grading levels is retained.  Only nonzero coefficients are kept, degrees
+    ascending, triples in itertools.combinations order."""
+    out: dict[tuple[int, int, int], dict[int, Vec]] = {}
+    for triple in itertools.combinations(range(d.base.dim), 3):
+        by_degree: dict[int, Vec] = {}  # a + b first reaches each c in ascending order
         for a, outer in enumerate(d.tables):
             for b, inner in enumerate(d.tables):
                 vec_add(by_degree.setdefault(a + b, {}), jacobi_sum(outer, inner, *triple))
-        if any(by_degree.values()):
-            out[triple] = [
-                LaurentPoly("t", {c: vec[coord] for c, vec in by_degree.items() if coord in vec})
-                for coord in range(n)
-            ]
+        nonzero = {c: vec for c, vec in by_degree.items() if vec}
+        if nonzero:
+            out[triple] = nonzero
     return out
+
+
+def _least_defect(expansion: dict) -> DeformationDefect | None:
+    """The least triple of a jacobi_polynomial table with its least degree and
+    the residual there (coordinates ascending), or None for an empty table."""
+    if not expansion:
+        return None
+    triple, by_degree = next(iter(expansion.items()))
+    degree, residual = next(iter(by_degree.items()))
+    return DeformationDefect(triple, degree, dict(sorted(residual.items())))
 
 
 def deformation_is_lie(d: DeformedBracket) -> DeformationDefect | None:
     """None when the graded Jacobi polynomial vanishes identically, else the
     first offending triple with its t-degree and residual vector."""
-    expansion = jacobi_polynomial(d)
-    for triple in sorted(expansion):
-        polys = expansion[triple]
-        degrees = sorted({e for p in polys for e in p.coeffs})
-        for degree in degrees:
-            residual = {
-                coord: p.coeffs[degree]
-                for coord, p in enumerate(polys)
-                if degree in p.coeffs
-            }
-            if residual:
-                return DeformationDefect(triple, degree, residual)
-    return None
+    return _least_defect(jacobi_polynomial(d))
 
 
 def evaluate_at(d: DeformedBracket, t0, allow_non_lie: bool = False) -> LieAlgebra:
@@ -102,12 +94,14 @@ def evaluate_at(d: DeformedBracket, t0, allow_non_lie: bool = False) -> LieAlgeb
     residual raises NotLieAtParameter."""
     t0 = gauss(t0)
     if not allow_non_lie:
-        for triple, polys in jacobi_polynomial(d).items():
-            for p in polys:
-                if p.eval(t0):
-                    raise NotLieAtParameter(
-                        f"Jacobi residual at triple {tuple(x + 1 for x in triple)} for t = {t0}"
-                    )
+        for triple, by_degree in jacobi_polynomial(d).items():
+            residual: Vec = {}
+            for c, vec in by_degree.items():
+                vec_add(residual, vec, t0 ** c)
+            if residual:
+                raise NotLieAtParameter(
+                    f"Jacobi residual at triple {tuple(x + 1 for x in triple)} for t = {t0}"
+                )
     brackets: dict[tuple[int, int], Vec] = {}
     for a, table in enumerate(d.tables):
         for pair, vec in table.items():

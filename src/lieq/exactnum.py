@@ -1,11 +1,12 @@
 """Exact scalars: Gaussian rationals and one-parameter Laurent polynomials.
 
 All algebraic data in this package lives over the field Q(i), realized as
-pairs of exact rational components (``int`` or ``fractions.Fraction``).  The
-one-parameter families (deformation parameter ``t``, quantum parameter
-``q``) are Laurent polynomials with Gaussian-rational coefficients;
-negative exponents are first-class so reciprocal identities in 1/q stay
-exact.  A Laurent polynomial is stored densely, as integer arrays of real
+pairs of exact rational components (``int`` or ``fractions.Fraction``).
+Functions of the quantum parameter ``q`` are Laurent polynomials with
+Gaussian-rational coefficients; negative exponents are first-class so
+reciprocal identities in 1/q stay exact.  (The deformation parameter ``t``
+of ``deform`` is not one: its Jacobi expansions are tables of coefficient
+vectors by power of t.)  A Laurent polynomial is stored densely, as integer arrays of real
 and imaginary numerators over one shared denominator, so its arithmetic is
 integer convolution and one-pass long division with no per-term GaussRat.
 A polynomial with nonnegative integer coefficients can also be packed into
@@ -533,14 +534,6 @@ class LaurentPoly:
 
     def is_constant(self) -> bool:
         return not self.re or (self.low == 0 and len(self.re) == 1)
-
-    @property
-    def min_exp(self) -> int | None:
-        return self.low if self.re else None
-
-    @property
-    def max_exp(self) -> int | None:
-        return self.low + len(self.re) - 1 if self.re else None
 
     @property
     def coeffs(self) -> Mapping[int, GaussRat]:

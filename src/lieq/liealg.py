@@ -184,9 +184,6 @@ class LieAlgebra:
                     rows.append(row)
         return Subspace(self.dim, nullspace(rows, self.dim))
 
-    def derived_subalgebra(self) -> Subspace:
-        return Subspace(self.dim, list(self.brackets.values()))
-
     def _bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
         vectors = []
         for u in left.rows:

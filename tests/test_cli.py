@@ -123,6 +123,34 @@ def test_deform_check_two_levels(tmp_path, capsys):
     assert code == 1 and doc["status"] == "fail"  # mixed t^3 cross term survives
 
 
+def test_deform_check_two_level_residual_on_two_coordinates(tmp_path, capsys):
+    def cochain_file(name, coords):
+        path = tmp_path / name
+        doc = {"format": "lieq-1", "degree": 2, "module_dim": 3, "coords": coords}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    argv = [
+        "deform", "check", "--algebra", "abelian(3)",
+        "--phi", cochain_file("phi1.json", {"1,2": ["0", "1", "0"]}),
+        "--phi2", cochain_file("phi2.json", {"1,3": ["0", "1", "0"], "2,3": ["1", "0", "1"]}),
+    ]
+    code, doc = run_json(capsys, argv)
+    assert code == 1 and doc["status"] == "fail"
+    verdicts = {item["name"]: item["verdict"] for item in doc["items"]}
+    assert verdicts == {"t^0": "pass", "t^1": "pass", "t^2": "pass", "t^3": "fail", "t^4": "fail",
+                        "graded_jacobi": "fail"}
+    defect = doc["items"][-1]["actual"]
+    assert defect["triple"] == [1, 2, 3] and defect["degree"] == 3
+    assert list(defect["residual"]) == ["1", "3"]
+    assert cli.run(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (
+        "  graded_jacobi  FAIL  expected=None actual="
+        "{'triple': [1, 2, 3], 'degree': 3, 'residual': {'1': '-1', '3': '-1'}}"
+    )
+
+
 def test_extend_and_reconstruct(tmp_path, capsys):
     theta = {
         "format": "lieq-1",

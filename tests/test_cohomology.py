@@ -13,7 +13,6 @@ from lieq.cohomology import (
     NotARepresentation,
     Representation,
     SourceMismatch,
-    adjoint_h2_dim,
     adjoint_rep,
     cochain_from_coordinates,
     cochain_space_dim,
@@ -188,14 +187,14 @@ def test_sl2_numbers():
     der, inn = derivation_dims(g)
     assert (der, inn) == (3, 3)
     assert cohomology_dim(1, g, adjoint_rep(g)) == 0
-    assert adjoint_h2_dim(g) == 0
+    assert cohomology_dim(2, g, adjoint_rep(g)) == 0
     assert cocycle_space(2, g, adjoint_rep(g)).dim == 6
     assert CochainComplex(g, adjoint_rep(g)).coboundaries(2).dim == 6
 
 
 def test_abelian_derivations_and_schur():
     assert derivation_dims(abelian(3)) == (9, 0)
-    assert adjoint_h2_dim(abelian(2)) == 2
+    assert cohomology_dim(2, abelian(2), adjoint_rep(abelian(2))) == 2
     assert cohomology_dim(2, abelian(2), trivial_rep(abelian(2), 1)) == 1
 
 
@@ -225,7 +224,7 @@ def test_h1_derivation_algebra_structure():
 
 
 def test_schur_matches_oracle_on_h1():
-    assert adjoint_h2_dim(get("h(1)")) == 5
+    assert cohomology_dim(2, get("h(1)"), adjoint_rep(get("h(1)"))) == 5
     assert oracles.oracle_cohomology_dims(get("h(1)"), 2, "adjoint")[2] == 5
 
 

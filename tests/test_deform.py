@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from lieq.deform import (
 )
 from lieq.exactnum import GaussRat, ZERO
 from lieq.liealg import LieAlgebra, abelian
+from lieq.linalg import vec_add
 
 
 def get(name):
@@ -101,18 +103,16 @@ def test_degree_bound():
     phi2 = Cochain(g, 2, 3, {(1, 2): {1: 1}})
     d = DeformedBracket(g, (phi1, phi2))
     expansion = jacobi_polynomial(d)
-    for polys in expansion.values():
-        for p in polys:
-            assert p.max_exp is None or p.max_exp <= 2 * d.order
+    for table in expansion.values():
+        assert max(table) <= 2 * d.order
 
 
 def test_t0_component_is_base_jacobi():
     g = get("n_4_3")
     phi = Cochain(g, 2, 4, {(0, 1): {0: 1}})
     expansion = jacobi_polynomial(make_linear_deformation(g, phi))
-    for polys in expansion.values():
-        for p in polys:
-            assert p.coeffs.get(0, ZERO) == ZERO
+    for table in expansion.values():
+        assert 0 not in table
 
 
 def _jacobi_residual(g, i, j, k):
@@ -122,6 +122,22 @@ def _jacobi_residual(g, i, j, k):
     for key, value in g.bracket({k: GaussRat(1)}, g.pair(i, j)).items():
         out[key] = out.get(key, ZERO) + value
     return {key: v for key, v in out.items() if v}
+
+
+def _evaluated(table, t0):
+    """Sum over c of t0^c * table[c] for one triple's graded table."""
+    out = {}
+    for c, vec in table.items():
+        vec_add(out, vec, t0 ** c)
+    return out
+
+
+def _assert_table_shape(expansion, n):
+    """Triples in combinations order, degrees ascending, no zero vector."""
+    assert list(expansion) == [t for t in itertools.combinations(range(n), 3) if t in expansion]
+    for table in expansion.values():
+        assert table and list(table) == sorted(table)
+        assert all(table.values())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -143,15 +159,7 @@ def test_graded_consistency_randomized(seed):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 direct = _jacobi_residual(evaluated, i, j, k)
-                polys = expansion.get((i, j, k))
-                from_poly = {}
-                if polys:
-                    from_poly = {
-                        pos: value
-                        for pos, p in enumerate(polys)
-                        if (value := p.eval(t0))
-                    }
-                assert direct == from_poly, (name, (i, j, k), t0)
+                assert direct == _evaluated(expansion.get((i, j, k), {}), t0), (name, (i, j, k), t0)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -171,19 +179,12 @@ def test_graded_consistency_two_level(seed):
     t0 = GaussRat(rng.randint(-3, 3))
     evaluated = evaluate_at(d, t0, allow_non_lie=True)
     expansion = jacobi_polynomial(d)
+    _assert_table_shape(expansion, n)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 direct = _jacobi_residual(evaluated, i, j, k)
-                polys = expansion.get((i, j, k))
-                from_poly = {}
-                if polys:
-                    from_poly = {
-                        pos: value
-                        for pos, p in enumerate(polys)
-                        if (value := p.eval(t0))
-                    }
-                assert direct == from_poly
+                assert direct == _evaluated(expansion.get((i, j, k), {}), t0)
 
 
 def test_evaluate_at_zero_is_identity():
@@ -244,22 +245,9 @@ def test_cocycle_kills_linear_term_only():
         for i in range(5):
             for j in range(i + 1, 5):
                 for k in range(j + 1, 5):
-                    polys = expansion.get((i, j, k))
-                    if polys:
-                        for p in polys:
-                            assert p.coeffs.get(1, ZERO) == ZERO
-                    expected_t2 = phi_alone.get((i, j, k))
-                    got = {
-                        pos: p.coeffs[2]
-                        for pos, p in enumerate(polys or [])
-                        if 2 in p.coeffs
-                    }
-                    want = {
-                        pos: p.coeffs[2]
-                        for pos, p in enumerate(expected_t2 or [])
-                        if 2 in p.coeffs
-                    }
-                    assert got == want
+                    table = expansion.get((i, j, k), {})
+                    assert 1 not in table
+                    assert table.get(2, {}) == phi_alone.get((i, j, k), {}).get(2, {})
 
 
 @pytest.mark.parametrize(
@@ -288,11 +276,7 @@ def test_first_order_jacobi_term_is_the_differential(name):
                         slot[pos] = slot.get(pos, ZERO) + weight * value
         phi = Cochain(g, 2, n, coords)
         expansion = jacobi_polynomial(make_linear_deformation(g, phi))
-        first_order = {
-            triple: {coord: p.coeffs[1] for coord, p in enumerate(polys) if 1 in p.coeffs}
-            for triple, polys in expansion.items()
-        }
-        first_order = {triple: vec for triple, vec in first_order.items() if vec}
+        first_order = {triple: table[1] for triple, table in expansion.items() if 1 in table}
         assert first_order == differential(phi, adjoint_rep(g)).coords, (name, trial)
 
 

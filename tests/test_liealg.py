@@ -107,13 +107,13 @@ def test_center_and_derived(h1, sl2):
     for m in (1, 2, 3):
         g = catalog.get(f"h({m})").algebra
         z = g.center()
-        d = g.derived_subalgebra()
+        d = g.derived_series()[1]
         assert z.dim == 1 and d.dim == 1
         assert z == d
         assert z.contains({g.dim - 1: ONE})
     assert sl2.center().dim == 0
     assert abelian(4).center().dim == 4
-    assert abelian(4).derived_subalgebra().dim == 0
+    assert abelian(4).derived_series()[1].dim == 0
 
 
 @pytest.mark.parametrize(
