@@ -6,9 +6,10 @@ Functions of the quantum parameter ``q`` are Laurent polynomials with
 Gaussian-rational coefficients; negative exponents are first-class so
 reciprocal identities in 1/q stay exact.  (The deformation parameter ``t``
 of ``deform`` is not one: its Jacobi expansions are tables of coefficient
-vectors by power of t.)  A Laurent polynomial is stored densely, as integer arrays of real
-and imaginary numerators over one shared denominator, so its arithmetic is
-integer convolution and one-pass long division with no per-term GaussRat.
+vectors by power of t.)  A Laurent polynomial is stored densely, as
+integer arrays of real and imaginary numerators over one shared
+denominator, so its arithmetic is integer convolution and one-pass long
+division with no per-term GaussRat.
 A polynomial with nonnegative integer coefficients can also be packed into
 one Python int (``pack``), so that its products and exact quotients are
 single big-integer operations.
