@@ -592,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--q", default=None)
     pn.set_defaults(func=cmd_qheis_normalize)
     pv = qsub.add_parser("verify", parents=[common])
-    pv.add_argument("--suite", default="all", choices=["all"])
     pv.add_argument("--max-n", type=int, default=12)
     pv.set_defaults(func=cmd_qheis_verify)
 

@@ -1,4 +1,4 @@
-"""Exact scalars: Gaussian rationals and one-parameter Laurent polynomials.
+"""Exact scalars: Gaussian rationals and Laurent polynomials in q.
 
 All algebraic data in this package lives over the field Q(i), realized as
 pairs of exact rational components (``int`` or ``fractions.Fraction``).
@@ -280,32 +280,29 @@ def _divide(num, div) -> tuple[list[int], int] | None:
     return quot, scale
 
 
-def _poly(var: str, low: int, re, im, den: int) -> "LaurentPoly":
+def _poly(low: int, re, im, den: int) -> "LaurentPoly":
     poly = LaurentPoly.__new__(LaurentPoly)
-    poly._settle(var, low, re, im, den)
+    poly._settle(low, re, im, den)
     return poly
 
 
 class LaurentPoly:
-    """Laurent polynomial in one formal parameter with GaussRat coefficients.
+    """Laurent polynomial in q with GaussRat coefficients.
 
-    Stored densely: the coefficient of ``var^(low + k)`` is
+    Stored densely: the coefficient of ``q^(low + k)`` is
     ``(re[k] + im[k]*i) / den`` with integer numerators and one positive
     common denominator ``den``; ``im`` is None when every coefficient is
     real.  The arrays have no zero ends and gcd(den, numerators) = 1, so
-    equal polynomials have equal fields; zero is ``re == ()``.  Two
-    polynomials compare equal when they have the same coefficients and
-    either the same parameter name or no visible parameter at all
-    (constants are parameter-agnostic).
+    equal polynomials have equal fields; zero is ``re == ()``.
 
     ``coeffs`` is a read-only view mapping each exponent (possibly
     negative) of a nonzero coefficient to its GaussRat, in ascending
     order; it is built on first read and is not used by the arithmetic.
     """
 
-    __slots__ = ("var", "low", "re", "im", "den", "_coeffs")
+    __slots__ = ("low", "re", "im", "den", "_coeffs")
 
-    def __init__(self, var: str, coeffs: Mapping[int, ScalarLike]):
+    def __init__(self, coeffs: Mapping[int, ScalarLike]):
         terms: dict[int, GaussRat] = {}
         for exp, value in coeffs.items():
             scalar = gauss(value)
@@ -314,7 +311,7 @@ class LaurentPoly:
             if scalar:
                 terms[int(exp)] = scalar
         if not terms:
-            self._settle(var, 0, (), None, 1)
+            self._settle(0, (), None, 1)
             return
         low = min(terms)
         den = lcm(*(part.denominator for c in terms.values() for part in (c.re, c.im)))
@@ -323,9 +320,9 @@ class LaurentPoly:
         for exp, c in terms.items():
             re[exp - low] = c.re.numerator * (den // c.re.denominator)
             im[exp - low] = c.im.numerator * (den // c.im.denominator)
-        self._settle(var, low, re, im, den)
+        self._settle(low, re, im, den)
 
-    def _settle(self, var: str, low: int, re, im, den: int) -> None:
+    def _settle(self, low: int, re, im, den: int) -> None:
         """Store the arrays normalized: zero ends trimmed, im None when all
         real, and gcd(den, numerators) = 1."""
         if im is not None and not any(im):
@@ -348,7 +345,6 @@ class LaurentPoly:
                 den //= g
                 re = [c // g for c in re]
                 im = None if im is None else [c // g for c in im]
-        self.var = var
         self.low = low
         self.re = tuple(re)
         self.im = None if im is None else tuple(im)
@@ -358,56 +354,36 @@ class LaurentPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, var: str = "q") -> "LaurentPoly":
-        return _poly(var, 0, (), None, 1)
+    def zero(cls) -> "LaurentPoly":
+        return _poly(0, (), None, 1)
 
     @classmethod
-    def const(cls, value: ScalarLike, var: str = "q") -> "LaurentPoly":
+    def const(cls, value: ScalarLike) -> "LaurentPoly":
         if type(value) is int:
-            return _poly(var, 0, (value,), None, 1)
-        return cls(var, {0: value})
+            return _poly(0, (value,), None, 1)
+        return cls({0: value})
 
     @classmethod
-    def gen(cls, var: str = "q") -> "LaurentPoly":
-        return _poly(var, 1, (1,), None, 1)
+    def gen(cls) -> "LaurentPoly":
+        return _poly(1, (1,), None, 1)
 
     @classmethod
-    def monomial(cls, exp: int, coeff: ScalarLike = 1, var: str = "q") -> "LaurentPoly":
+    def monomial(cls, exp: int, coeff: ScalarLike = 1) -> "LaurentPoly":
         # a plain int (not a bool) is already a numerator over den 1
         if type(coeff) is int:
-            return _poly(var, int(exp), (coeff,), None, 1)
-        return cls(var, {exp: coeff})
-
-    def _coerce(self, other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if type(other) is int:
-            return LaurentPoly.const(other, self.var)
-        scalar = gauss(other)
-        if scalar is None:
-            return None
-        return LaurentPoly.const(scalar, self.var)
-
-    def _join_var(self, other: "LaurentPoly") -> str:
-        if self.var == other.var:
-            return self.var
-        if self.is_constant():
-            return other.var
-        if other.is_constant():
-            return self.var
-        raise ValueError(f"mixed parameters {self.var!r} and {other.var!r}")
+            return _poly(int(exp), (coeff,), None, 1)
+        return cls({exp: coeff})
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = as_poly(other)
         if other is None:
             return NotImplemented
-        var = self._join_var(other)
         if not other.re:
-            return _poly(var, self.low, self.re, self.im, self.den)
+            return self
         if not self.re:
-            return _poly(var, other.low, other.re, other.im, other.den)
+            return other
         g = gcd(self.den, other.den)
         s1, s2 = other.den // g, self.den // g
         low = min(self.low, other.low)
@@ -415,33 +391,32 @@ class LaurentPoly:
         first, second = (self.low - low, s1), (other.low - low, s2)
         re = _aligned(size, self.re, first, other.re, second)
         im = _aligned(size, self.im, first, other.im, second)
-        return _poly(var, low, re, im, self.den * s1)
+        return _poly(low, re, im, self.den * s1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = as_poly(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = as_poly(other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __neg__(self):
         im = None if self.im is None else [-c for c in self.im]
-        return _poly(self.var, self.low, [-c for c in self.re], im, self.den)
+        return _poly(self.low, [-c for c in self.re], im, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = as_poly(other)
         if other is None:
             return NotImplemented
-        var = self._join_var(other)
         if not self.re or not other.re:
-            return LaurentPoly.zero(var)
+            return LaurentPoly.zero()
         ar, ai, br, bi = self.re, self.im, other.re, other.im
         re = _convolve(ar, br)
         im = None
@@ -452,14 +427,14 @@ class LaurentPoly:
             im = _convolve(ai, br)
         elif bi is not None:
             im = _convolve(ar, bi)
-        return _poly(var, self.low + other.low, re, im, self.den * other.den)
+        return _poly(self.low + other.low, re, im, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("use monomial inverses for negative powers")
-        out = LaurentPoly.const(1, self.var)
+        out = LaurentPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -475,12 +450,11 @@ class LaurentPoly:
         one top-down pass each.  A complex D = Dr + i*Di is made real
         first: N / D = N * conj(D) / (Dr^2 + Di^2), with conj(D) the
         coefficient-wise conjugate, which divides exactly iff D does."""
-        other = self._coerce(other)
+        other = as_poly(other)
         if not other.re:
             raise DivisionByZero("division by zero polynomial")
         if not self.re:
-            return LaurentPoly.zero(self.var)
-        var = self._join_var(other)
+            return LaurentPoly.zero()
         if len(self.re) < len(other.re):
             raise NonDivisible(f"{self} is not divisible by {other}")
         nr, ni, div = self.re, self.im, other.re
@@ -498,12 +472,12 @@ class LaurentPoly:
         scale = lcm(*(s for _, s in quot))
         arrays = [[c * (scale // s * other.den) for c in q] for q, s in quot]
         im = arrays[1] if len(arrays) > 1 else None
-        return _poly(var, self.low - other.low, arrays[0], im, scale * self.den)
+        return _poly(self.low - other.low, arrays[0], im, scale * self.den)
 
     # -- evaluation and structure -----------------------------------------
 
     def eval(self, point: ScalarLike) -> GaussRat:
-        """Substitute the parameter by an exact scalar."""
+        """Substitute q by an exact scalar."""
         x = gauss(point)
         if x is None:
             raise TypeError(f"bad evaluation point {point!r}")
@@ -533,9 +507,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.re)
 
-    def is_constant(self) -> bool:
-        return not self.re or (self.low == 0 and len(self.re) == 1)
-
     @property
     def coeffs(self) -> Mapping[int, GaussRat]:
         if self._coeffs is None:
@@ -550,14 +521,12 @@ class LaurentPoly:
         return self._coeffs
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = as_poly(other)
         if other is None:
             return NotImplemented
-        if (self.low, self.re, self.im, self.den) != (other.low, other.re, other.im, other.den):
-            return False
-        return self.var == other.var or self.is_constant()
+        return (self.low, self.re, self.im, self.den) == (other.low, other.re, other.im, other.den)
 
-    __hash__ = None  # constants equal each other across parameter names
+    __hash__ = None
 
     # -- rendering ---------------------------------------------------------
 
@@ -571,7 +540,7 @@ class LaurentPoly:
             if exp == 0:
                 chunks.append(f"({txt})" if needs_parens else txt)
                 continue
-            power = self.var if exp == 1 else f"{self.var}^{exp}"
+            power = "q" if exp == 1 else f"q^{exp}"
             if txt == "1":
                 chunks.append(power)
             elif txt == "-1":
@@ -586,16 +555,31 @@ class LaurentPoly:
         return out
 
     def __repr__(self):
-        return f"LaurentPoly[{self.var}]({self})"
+        return f"LaurentPoly[q]({self})"
 
     # -- wire format --------------------------------------------------------
 
     def to_doc(self) -> dict:
-        return {"var": self.var, "coeffs": {str(e): str(c) for e, c in self.coeffs.items()}}
+        return {"var": "q", "coeffs": {str(e): str(c) for e, c in self.coeffs.items()}}
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "LaurentPoly":
-        return cls(doc.get("var", "q"), {int(e): GaussRat(s) for e, s in doc["coeffs"].items()})
+        if doc.get("var", "q") != "q":
+            raise ValueError(f"polynomial in {doc['var']!r}; only q is supported")
+        return cls({int(e): GaussRat(s) for e, s in doc["coeffs"].items()})
+
+
+def as_poly(value) -> LaurentPoly | None:
+    """value as a LaurentPoly: itself, or a scalar as a constant; None if
+    foreign."""
+    if isinstance(value, LaurentPoly):
+        return value
+    if type(value) is int:
+        return LaurentPoly.const(value)
+    scalar = gauss(value)
+    if scalar is None:
+        return None
+    return LaurentPoly.const(scalar)
 
 
 # -- Kronecker packing ---------------------------------------------------------
@@ -643,7 +627,7 @@ def unpack(value: int, width: int) -> LaurentPoly:
     else:
         step, view = width // 8, memoryview(data)
         slots = [int.from_bytes(view[at : at + step], "little") for at in range(0, len(data), step)]
-    return _poly("q", 0, slots, None, 1)
+    return _poly(0, slots, None, 1)
 
 
 def packed_divexact(num: int, div: int, width: int) -> LaurentPoly:

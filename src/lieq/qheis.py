@@ -35,6 +35,7 @@ from .exactnum import (
     LieqError,
     ONE,
     ZERO,
+    as_poly,
     gauss,
     pack,
     packed_divexact,
@@ -59,7 +60,7 @@ def q_integer(n: int) -> LaurentPoly:
     """{n}_q = 1 + q + ... + q^{n-1}; the empty sum {0}_q is 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return LaurentPoly("q", {l: 1 for l in range(n)})
+    return LaurentPoly({l: 1 for l in range(n)})
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +69,7 @@ def q_factorial(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return LaurentPoly.const(1, "q")
+        return LaurentPoly.const(1)
     return q_factorial(n - 1) * q_integer(n)
 
 
@@ -77,9 +78,9 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
     """Gaussian binomial via the Pascal recursion
     {n,k}_q = {n-1,k-1}_q + q^k {n-1,k}_q."""
     if k < 0 or k > n:
-        return LaurentPoly.zero("q")
+        return LaurentPoly.zero()
     if k == n or k == 0:
-        return LaurentPoly.const(1, "q")
+        return LaurentPoly.const(1)
     return q_binomial(n - 1, k - 1) + LaurentPoly.monomial(k) * q_binomial(n - 1, k)
 
 
@@ -90,12 +91,12 @@ def q_binomial_closed(n: int, k: int) -> LaurentPoly:
     width (exactnum.packed_divexact); a remainder or a failed certificate
     would mean an implementation bug and raises NonDivisible."""
     if k < 0 or k > n:
-        return LaurentPoly.zero("q")
+        return LaurentPoly.zero()
     k = min(k, n - k)
     # step j divides a product whose coefficients sum to j binom(n, j),
     # which grows with j up to n/2, so k binom(n, k) bounds every slot
     width = slot_width(k * math.comb(n, k))
-    out = LaurentPoly.const(1, "q")
+    out = LaurentPoly.const(1)
     for j in range(1, k + 1):
         num = pack(out, width) * _packed_q_integer(n - j + 1, width)
         out = packed_divexact(num, _packed_q_integer(j, width), width)
@@ -193,8 +194,8 @@ class SubsetSumReport(NamedTuple):
 def subset_sum_binomial_check(n: int, k: int) -> SubsetSumReport:
     import itertools
 
-    corrected = LaurentPoly.zero("q")
-    printed = LaurentPoly.zero("q")
+    corrected = LaurentPoly.zero()
+    printed = LaurentPoly.zero()
     shift = k * (k + 1) // 2
     weight = GaussRat(2) / GaussRat(k * (k + 1)) if k else GaussRat(2)
     for subset in itertools.combinations(range(1, n + 1), k):
@@ -286,13 +287,13 @@ class QExpr:
                 for w2, c2 in other.terms.items():
                     _accumulate(out, w1 + w2, c1 * c2)
             return _expr(out)
-        poly = _as_poly_or_none(other)
+        poly = as_poly(other)
         if poly is None:
             return NotImplemented
         return _expr({w: c * poly for w, c in self.terms.items()} if poly else {})
 
     def __rmul__(self, other):
-        poly = _as_poly_or_none(other)
+        poly = as_poly(other)
         if poly is None:
             return NotImplemented
         return _expr({w: poly * c for w, c in self.terms.items()} if poly else {})
@@ -328,27 +329,16 @@ class QExpr:
 
 
 def _as_poly(value) -> LaurentPoly:
-    poly = _as_poly_or_none(value)
+    poly = as_poly(value)
     if poly is None:
         raise TypeError(f"bad coefficient {value!r}")
     return poly
 
 
-def _as_poly_or_none(value) -> LaurentPoly | None:
-    if isinstance(value, LaurentPoly):
-        return value
-    if type(value) is int:
-        return LaurentPoly.const(value, "q")
-    scalar = gauss(value)
-    if scalar is None:
-        return None
-    return LaurentPoly.const(scalar, "q")
-
-
 def _as_expr(value) -> QExpr | None:
     if isinstance(value, QExpr):
         return value
-    poly = _as_poly_or_none(value)
+    poly = as_poly(value)
     if poly is None:
         return None
     return _expr({"": poly} if poly else {})
@@ -385,7 +375,7 @@ class NormalForm:
         self.coeffs = clean
 
     def get(self, m: int, n: int) -> LaurentPoly:
-        return self.coeffs.get((m, n), LaurentPoly.zero("q"))
+        return self.coeffs.get((m, n), LaurentPoly.zero())
 
     def to_qexpr(self) -> QExpr:
         return _expr({"B" * m + "A" * n: poly for (m, n), poly in self.coeffs.items()})
@@ -396,7 +386,7 @@ class NormalForm:
         for key, poly in self.coeffs.items():
             value = poly.eval(q0)
             if value:
-                out[key] = LaurentPoly.const(value, poly.var)
+                out[key] = LaurentPoly.const(value)
         return _normal_form(out)
 
     def is_zero(self) -> bool:
@@ -464,7 +454,7 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
     for word, coeff in expr.terms.items():
         if any(ch not in "AB" for ch in word):
             raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
-        key = (coeff.var, coeff.low, coeff.re, coeff.im, coeff.den)
+        key = (coeff.low, coeff.re, coeff.im, coeff.den)
         groups.setdefault(key, (coeff, []))[1].append(word)
     # B^m A^n * B needs q^n and {n}_q, with n at most the number of A letters
     # before a word's last B.  make(n) sets powers[n] (raise_q(c, powers[n])
@@ -494,7 +484,7 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
             integers[n] = GaussRat(n) if scalar == ONE else (powers[n] - ONE) / (scalar - ONE)
 
         def finish(value, c):
-            return LaurentPoly.const(value * c, "q")
+            return LaurentPoly.const(value * c)
     out: dict[tuple[int, int], LaurentPoly] = {}
     for coeff, words in groups.values():
         if q_value is not None:
@@ -550,7 +540,7 @@ def verify_identity(lhs: QExpr, rhs: QExpr, q_value=None) -> bool:
 def q_mutator(x: QExpr, y: QExpr, q_poly=None) -> QExpr:
     """[x, y]_q = xy - q yx; default symbolic q."""
     if q_poly is None:
-        q_poly = LaurentPoly.gen("q")
+        q_poly = LaurentPoly.gen()
     return x * y - q_poly * (y * x)
 
 
@@ -618,7 +608,7 @@ def verify_generalized_jacobi(which: str, n: int, m: int | None = None) -> bool:
     both sides are normal-ordered and compared exactly.
     """
     if which in ("bnan", "anbn"):
-        q = LaurentPoly.gen("q")
+        q = LaurentPoly.gen()
         if which == "bnan":
             lhs = QExpr.word("B" * n + "A" * n, LaurentPoly.monomial(math.comb(n, 2)) * (q - 1) ** n)
         else:
@@ -665,14 +655,14 @@ def free_identity_check(which: str, q0=None) -> bool:
     if which not in _FREE_ITEMS:
         raise ValueError(f"unknown free identity {which!r}")
     if q0 is None:
-        q = LaurentPoly.gen("q")
+        q = LaurentPoly.gen()
         qinv = LaurentPoly.monomial(-1)
     else:
         q0 = gauss(q0)
         if which == "antisym1" and not q0:
             raise QZero("antisym1 requires q != 0")
-        q = LaurentPoly.const(q0, "q")
-        qinv = LaurentPoly.const(q0.inv(), "q") if q0 else None
+        q = LaurentPoly.const(q0)
+        qinv = LaurentPoly.const(q0.inv()) if q0 else None
     a, b, c = QExpr.word("A"), QExpr.word("B"), QExpr.word("C")
     if which == "bilinear":
         alpha, beta = GaussRat(2), GaussRat(3)

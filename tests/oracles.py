@@ -436,8 +436,8 @@ def random_order_normal_form(word: str, rng, q_poly: LaurentPoly | None = None):
     """Rewrite AB -> q BA + 1 picking a random inversion each time; returns
     the same (m, n) -> coefficient map normal_order computes."""
     if q_poly is None:
-        q_poly = LaurentPoly.gen("q")
-    one = LaurentPoly.const(1, "q")
+        q_poly = LaurentPoly.gen()
+    one = LaurentPoly.const(1)
     pending: dict[str, LaurentPoly] = {word: one}
     done: dict[tuple[int, int], LaurentPoly] = {}
     while pending:

@@ -180,6 +180,14 @@ def test_qheis_normalize(capsys):
     assert "B^2A" in out
 
 
+def test_qheis_normalize_json_names_q(capsys):
+    """Every coefficient document carries the wire-format key "var": "q"."""
+    for extra in ([], ["--q", "1/2"]):
+        code, doc = run_json(capsys, ["qheis", "normalize", "A*B*B - q*B", *extra])
+        assert code == 0 and doc["normal_form"]
+        assert all(poly["var"] == "q" for poly in doc["normal_form"].values())
+
+
 def test_qheis_verify_small(capsys):
     code, doc = run_json(capsys, ["qheis", "verify", "--max-n", "3"])
     assert code == 0 and doc["status"] == "pass"

@@ -223,7 +223,7 @@ def test_h1_derivation_algebra_structure():
             assert da.inner.contains(flat)
 
 
-def test_schur_matches_oracle_on_h1():
+def test_adjoint_h2_matches_oracle_on_h1():
     assert cohomology_dim(2, get("h(1)"), adjoint_rep(get("h(1)"))) == 5
     assert oracles.oracle_cohomology_dims(get("h(1)"), 2, "adjoint")[2] == 5
 

@@ -145,13 +145,13 @@ def test_rref_zero_columns_and_rows():
         [{0: "P", 1: "Pi"}, {0: "1"}],
     ],
 )
-def test_rref_survives_unlucky_first_prime(rows):
+def test_rref_of_large_prime_multiples(rows):
     """Entries that are multiples of the prime 1073741789."""
     rows = [{c: GaussRat(v.replace("P", "1073741789")) for c, v in r.items()} for r in rows]
     assert rref(rows, 2) == oracles.oracle_rref(rows, 2)
 
 
-def test_rref_many_primes():
+def test_rref_of_300_bit_entries():
     """Entries above 2^300 give reduced entries of about 900 bits."""
     rng = random.Random(300)
     big = [rng.getrandbits(300) | (1 << 300) for _ in range(6)]

@@ -32,7 +32,7 @@ from lieq.qheis import (
     verify_powandprod_reciprocal,
 )
 
-q = LaurentPoly.gen("q")
+q = LaurentPoly.gen()
 
 
 def test_q_integer_examples():
@@ -256,7 +256,7 @@ laurent_coeffs = st.dictionaries(
     st.builds(GaussRat, small_rationals, small_rationals),
     min_size=1,
     max_size=3,
-).map(lambda terms: LaurentPoly("q", terms))
+).map(LaurentPoly)
 
 
 @given(
