@@ -2,7 +2,8 @@
 
 One binary, subcommand style.  Every machine-readable output carries
 "format": "lieq-1"; exit code 0 means every reported item passed, 1 means
-at least one failed, 2 is a usage error (argparse's default).
+at least one failed (or the reader closed stdout), 2 is a usage error
+(argparse's default).
 
 Each command is usually its own fresh process, so start-up is part of
 every call.  This module therefore imports at its top only what every
@@ -90,10 +91,9 @@ def _plain(value):
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    """Print the payload as JSON or the text, and flush, so that a closed
+    stdout shows while the command still runs."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text, flush=True)
 
 
 def _finish(args, report: Report, extra: dict | None = None) -> int:
@@ -544,74 +544,76 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lieq", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    # --json goes on the commands that print, after the subcommand; a group
+    # such as qheis or fock takes no option of its own
+    leaf = argparse.ArgumentParser(add_help=False)
+    leaf.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", parents=[common], help="browse the built-in algebra library")
+    p = sub.add_parser("catalog", parents=[leaf], help="browse the built-in algebra library")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("algebra", parents=[common], help="invariants of an algebra")
+    p = sub.add_parser("algebra", parents=[leaf], help="invariants of an algebra")
     p.add_argument("--algebra", required=True)
     p.set_defaults(func=cmd_algebra)
 
-    p = sub.add_parser("cohomology", parents=[common], help="Betti numbers")
+    p = sub.add_parser("cohomology", parents=[leaf], help="Betti numbers")
     p.add_argument("--algebra", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--coeffs", choices=["ad", "trivial"], default="ad")
     p.add_argument("--module-dim", type=int, default=1)
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("deform", parents=[common], help="deformation checks")
+    p = sub.add_parser("deform", parents=[leaf], help="deformation checks")
     p.add_argument("action", choices=["check"])
     p.add_argument("--algebra", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--phi2", action="append")
     p.set_defaults(func=cmd_deform_check)
 
-    p = sub.add_parser("rigidity", parents=[common], help="rigidity report")
+    p = sub.add_parser("rigidity", parents=[leaf], help="rigidity report")
     p.add_argument("--algebra", required=True)
     p.set_defaults(func=cmd_rigidity)
 
-    p = sub.add_parser("extend", parents=[common], help="central extension by a cocycle")
+    p = sub.add_parser("extend", parents=[leaf], help="central extension by a cocycle")
     p.add_argument("--algebra", required=True)
     p.add_argument("--cocycle", required=True)
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("reconstruct", parents=[common], help="quotient + induced cocycle round trip")
+    p = sub.add_parser("reconstruct", parents=[leaf], help="quotient + induced cocycle round trip")
     p.add_argument("--algebra", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("qheis", parents=[common], help="q-deformed Heisenberg algebra")
+    p = sub.add_parser("qheis", help="q-deformed Heisenberg algebra")
     qsub = p.add_subparsers(dest="qaction", required=True)
-    pn = qsub.add_parser("normalize", parents=[common])
+    pn = qsub.add_parser("normalize", parents=[leaf])
     pn.add_argument("expr")
     pn.add_argument("--q", default=None)
     pn.set_defaults(func=cmd_qheis_normalize)
-    pv = qsub.add_parser("verify", parents=[common])
+    pv = qsub.add_parser("verify", parents=[leaf])
     pv.add_argument("--max-n", type=int, default=12)
     pv.set_defaults(func=cmd_qheis_verify)
 
-    p = sub.add_parser("fock", parents=[common], help="truncated ladder operators")
+    p = sub.add_parser("fock", help="truncated ladder operators")
     fsub = p.add_subparsers(dest="faction", required=True)
-    pb = fsub.add_parser("build", parents=[common])
+    pb = fsub.add_parser("build", parents=[leaf])
     pb.add_argument("--q", required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--mode", choices=["exact", "float"], default="exact")
     pb.set_defaults(func=cmd_fock_build)
-    pv = fsub.add_parser("verify", parents=[common])
+    pv = fsub.add_parser("verify", parents=[leaf])
     pv.add_argument("--q", required=True)
     pv.add_argument("--n", type=int, required=True)
     pv.set_defaults(func=cmd_fock_verify)
-    pc = fsub.add_parser("cuntz", parents=[common])
+    pc = fsub.add_parser("cuntz", parents=[leaf])
     pc.add_argument("--d", type=int, required=True)
     pc.add_argument("--depth", type=int, required=True)
     pc.set_defaults(func=cmd_fock_cuntz)
 
-    p = sub.add_parser("verify-all", parents=[common], help="run the full verification battery")
+    p = sub.add_parser("verify-all", parents=[leaf], help="run the full verification battery")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.set_defaults(func=cmd_verify_all)
 
     return parser
@@ -622,10 +624,15 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: no usage error and no message; devnull
+        # takes stdout so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except LieqError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
 

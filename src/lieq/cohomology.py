@@ -461,13 +461,14 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
 
     Matrices are flattened row-major (D[r][c] at r*n + c), so the cochain
     coordinate i*n + r of D, which holds D[r][i], moves to r*n + i before
-    the kernel is taken."""
+    the kernel is taken.  Inn(g) = B^1(g; ad), moved the same way."""
     n = g.dim
-    rows = [
-        {(c % n) * n + c // n: value for c, value in row.items()}
-        for row in CochainComplex(g, adjoint_rep(g)).rows(1)
-    ]
-    basis_flat, free_cols = nullspace_with_free(rows, n * n)
+    complex_ = CochainComplex(g, adjoint_rep(g))
+
+    def row_major(vec: Vec) -> Vec:
+        return {(c % n) * n + c // n: value for c, value in vec.items()}
+
+    basis_flat, free_cols = nullspace_with_free([row_major(row) for row in complex_.rows(1)], n * n)
     matrices = [
         SparseMatrix(n, {(idx // n, idx % n): value for idx, value in flat.items()})
         for flat in basis_flat
@@ -494,15 +495,7 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
             if coeffs:
                 brackets[(a, b)] = coeffs
     der = LieAlgebra(len(matrices), brackets, [f"D{k + 1}" for k in range(len(matrices))])
-    inner_vectors = []
-    for i in range(n):
-        flat: Vec = {}
-        for j in range(n):
-            for r, value in g.pair(i, j).items():
-                flat[r * n + j] = value
-        if flat:
-            inner_vectors.append(flat)
-    inner = Subspace(n * n, inner_vectors)
+    inner = Subspace(n * n, [row_major(vec) for vec in complex_.coboundaries(1).rows])
     return DerivationAlgebra(der, matrices, inner)
 
 

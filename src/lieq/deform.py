@@ -90,23 +90,21 @@ def deformation_is_lie(d: DeformedBracket) -> DeformationDefect | None:
 
 def evaluate_at(d: DeformedBracket, t0, allow_non_lie: bool = False) -> LieAlgebra:
     """Structure constants mu + sum t0^a phi_a.  Unless the override flag is
-    set, the graded Jacobi polynomial is evaluated at t0 and a nonzero
-    residual raises NotLieAtParameter."""
+    set, a Jacobi failure of that bracket, whose Jacobi sums are the graded
+    Jacobi polynomial at t0, raises NotLieAtParameter naming the least
+    failing basis triple, counted from 1."""
     t0 = gauss(t0)
-    if not allow_non_lie:
-        for triple, by_degree in jacobi_polynomial(d).items():
-            residual: Vec = {}
-            for c, vec in by_degree.items():
-                vec_add(residual, vec, t0 ** c)
-            if residual:
-                raise NotLieAtParameter(
-                    f"Jacobi residual at triple {tuple(x + 1 for x in triple)} for t = {t0}"
-                )
     brackets: dict[tuple[int, int], Vec] = {}
     for a, table in enumerate(d.tables):
         for pair, vec in table.items():
             vec_add(brackets.setdefault(pair, {}), vec, t0 ** a)
-    return LieAlgebra(d.base.dim, brackets, d.base.labels)
+    evaluated = LieAlgebra(d.base.dim, brackets, d.base.labels)
+    witness = None if allow_non_lie else evaluated.check_jacobi()
+    if witness is not None:
+        raise NotLieAtParameter(
+            f"Jacobi residual at triple {tuple(x + 1 for x in witness.triple)} for t = {t0}"
+        )
+    return evaluated
 
 
 class RigidityReport(NamedTuple):

@@ -95,6 +95,19 @@ def jacobi_sum(outer: Mapping, inner: Mapping, i: int, j: int, k: int) -> Vec:
     return out
 
 
+def _series_dims(series: Sequence[Subspace]) -> tuple[int, ...]:
+    """The dimensions of a structural series; (0,) for the zero algebra,
+    whose series are empty."""
+    return tuple(s.dim for s in series) or (0,)
+
+
+def _steps_to_zero(dims: Sequence[int]) -> int | None:
+    """The number of steps a descending series takes down to 0 (the
+    nilpotency class of the lower central series, the solvable length of
+    the derived series), or None when it stops above 0."""
+    return len(dims) - 1 if dims[-1] == 0 else None
+
+
 class LieAlgebra:
     """Structure-constant presentation of a finite-dimensional Lie algebra."""
 
@@ -193,59 +206,35 @@ class LieAlgebra:
                     vectors.append(v)
         return Subspace(self.dim, vectors)
 
-    def lower_central_series(self) -> list[Subspace]:
+    def _series(self, first: Subspace, step) -> list[Subspace]:
+        """first, step(first), step(step(first)), ... up to the last term
+        that step changes; [] for the zero algebra."""
         if self.dim == 0:
             return []
-        series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self._bracket_span(series[-1], Subspace.full(self.dim))
-            if nxt == series[-1]:
-                break
+        series = [first]
+        while (nxt := step(series[-1])) != series[-1]:
             series.append(nxt)
         return series
+
+    def lower_central_series(self) -> list[Subspace]:
+        full = Subspace.full(self.dim)
+        return self._series(full, lambda s: self._bracket_span(s, full))
 
     def upper_central_series(self) -> list[Subspace]:
         """Ascending i-th centers; Z_{i+1} = {x : [x, g] inside Z_i}, which is
         the pullback of the center of g / Z_i."""
-        if self.dim == 0:
-            return []
-        series = [Subspace.zero(self.dim)]
-        while True:
-            current = series[-1]
-            nxt = self._centralizer_mod(current)
-            if nxt == current:
-                break
-            series.append(nxt)
-        return series
+        return self._series(Subspace.zero(self.dim), self._centralizer_mod)
 
     def derived_series(self) -> list[Subspace]:
-        if self.dim == 0:
-            return []
-        series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self._bracket_span(series[-1], series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-        return series
+        return self._series(Subspace.full(self.dim), lambda s: self._bracket_span(s, s))
 
     def is_nilpotent(self) -> int | None:
         """Nilpotency class, or None."""
-        if self.dim == 0:
-            return 0
-        series = self.lower_central_series()
-        if series[-1].dim != 0:
-            return None
-        return len(series) - 1
+        return _steps_to_zero(_series_dims(self.lower_central_series()))
 
     def is_solvable(self) -> int | None:
         """Solvable length, or None."""
-        if self.dim == 0:
-            return 0
-        series = self.derived_series()
-        if series[-1].dim != 0:
-            return None
-        return len(series) - 1
+        return _steps_to_zero(_series_dims(self.derived_series()))
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -303,13 +292,11 @@ class LieAlgebra:
             return self._signature
         from . import cohomology  # deferred: cohomology builds on liealg
 
-        lcs = tuple(s.dim for s in self.lower_central_series()) or (0,)
-        ucs = tuple(s.dim for s in self.upper_central_series()) or (0,)
-        der = tuple(s.dim for s in self.derived_series()) or (0,)
-        # read off the series: the class and the length count the steps
-        # down to 0, and Z(g) is the first step of the upper series
-        nil = len(lcs) - 1 if lcs[-1] == 0 else None
-        sol = len(der) - 1 if der[-1] == 0 else None
+        lcs = _series_dims(self.lower_central_series())
+        ucs = _series_dims(self.upper_central_series())
+        der = _series_dims(self.derived_series())
+        nil, sol = _steps_to_zero(lcs), _steps_to_zero(der)
+        # Z(g) is the first step of the upper series
         center_dim = ucs[1] if len(ucs) > 1 else 0
         # Der(g) = Z^1(g; ad) and Inn(g) = g / Z(g)
         ad_complex = cohomology.CochainComplex(self, cohomology.adjoint_rep(self))

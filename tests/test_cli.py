@@ -354,9 +354,54 @@ def test_deterministic_under_fixed_seed(capsys):
         doc.pop("timing_ms", None)
         return doc
 
-    first = strip_timing(run_json(capsys, ["fock", "verify", "--q", "1/3", "--n", "8", "--seed", "5"])[1])
-    second = strip_timing(run_json(capsys, ["fock", "verify", "--q", "1/3", "--n", "8", "--seed", "5"])[1])
+    first = strip_timing(run_json(capsys, ["fock", "verify", "--q", "1/3", "--n", "8"])[1])
+    second = strip_timing(run_json(capsys, ["fock", "verify", "--q", "1/3", "--n", "8"])[1])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qheis", "--json", "normalize", "A*B"], ["fock", "--json", "verify", "--q", "1/2", "--n", "8"],
+     ["catalog", "list", "--seed", "1"], ["fock", "verify", "--q", "1/2", "--n", "8", "--seed", "1"]],
+    ids=["json-on-qheis", "json-on-fock", "seed-on-catalog", "seed-on-fock-verify"],
+)
+def test_options_only_where_they_are_read(argv, capsys):
+    """--json follows the subcommand that prints and --seed belongs to
+    verify-all, so a flag anywhere else is refused rather than ignored."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["deform", "check", "--algebra", "abelian(3)", "--phi", "{missing}"],
+     ["extend", "--algebra", "abelian(2)", "--cocycle", "{missing}"]],
+    ids=["deform-phi", "extend-cocycle"],
+)
+def test_missing_input_file_is_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.run([arg.format(missing=missing) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("usage error: [Errno 2] No such file")
+
+
+@pytest.mark.parametrize("n", ["4", "400"])
+def test_closed_stdout_exits_1_silently(n):
+    """A reader that closes the pipe before the output is written ends the
+    command with exit 1 and an empty stderr: not a usage error, and no
+    complaint from the flush at interpreter exit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lieq.cli", "fock", "build", "--q", "1/2", "--n", n],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize(

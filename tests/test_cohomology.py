@@ -30,7 +30,7 @@ from lieq.cohomology import (
 from lieq.exactnum import GaussRat, ONE, ZERO
 from lieq.extend import CentralCocycle, CocycleViolation, central_extension
 from lieq.liealg import LieAlgebra, abelian
-from lieq.linalg import SparseMatrix, exact_view, rref, vec_add
+from lieq.linalg import SparseMatrix, Subspace, exact_view, rref, vec_add
 
 SMALL = ["n_3_1", "n_3_2", "n_4_2", "n_4_3", "n_5_5", "n_5_7", "sl2", "a_sh"]
 
@@ -175,6 +175,34 @@ def test_b1_is_inner_derivations():
     b1 = CochainComplex(g, rep).coboundaries(1)
     da = derivation_algebra(g)
     assert b1.dim == da.inner.dim == 2
+
+
+def hand_built_inner(g) -> Subspace:
+    """The span of the ad(e_i), each flattened row-major from the brackets:
+    the reference for derivation_algebra(g).inner."""
+    n = g.dim
+    vectors = []
+    for i in range(n):
+        flat = {}
+        for j in range(n):
+            for r, value in g.pair(i, j).items():
+                flat[r * n + j] = value
+        if flat:
+            vectors.append(flat)
+    return Subspace(n * n, vectors)
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_inner_derivations_match_ad_on_catalog(name):
+    g = get(name)
+    assert derivation_algebra(g).inner == hand_built_inner(g)
+
+
+@pytest.mark.parametrize("dim,seed", [(6, 0), (6, 1), (7, 0), (7, 1)])
+def test_inner_derivations_match_ad_on_random_nilpotent(dim, seed):
+    rng = random.Random(f"inner {dim}/{seed}")
+    g = iterated_extension(dim, lambda: rng.randint(-3, 3))
+    assert derivation_algebra(g).inner == hand_built_inner(g)
 
 
 def test_b2_trivial_coefficients_h1():

@@ -140,8 +140,9 @@ def _assert_table_shape(expansion, n):
         assert all(table.values())
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_graded_consistency_randomized(seed):
+def _random_linear(seed):
+    """The seeded one-level deformation of a small catalog algebra and the
+    Gaussian parameter t0 of test_graded_consistency_randomized."""
     rng = random.Random(seed)
     name = rng.choice(["h(1)", "n_4_3", "n_5_5", "abelian(4)"])
     g = get(name)
@@ -150,20 +151,13 @@ def test_graded_consistency_randomized(seed):
     for _ in range(rng.randint(1, 4)):
         i, j = sorted(rng.sample(range(n), 2))
         coords[(i, j)] = {rng.randrange(n): GaussRat(rng.randint(-3, 3))}
-    phi = Cochain(g, 2, n, coords)
-    d = make_linear_deformation(g, phi)
-    t0 = GaussRat(rng.randint(-5, 5), rng.randint(-2, 2))
-    evaluated = evaluate_at(d, t0, allow_non_lie=True)
-    expansion = jacobi_polynomial(d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                direct = _jacobi_residual(evaluated, i, j, k)
-                assert direct == _evaluated(expansion.get((i, j, k), {}), t0), (name, (i, j, k), t0)
+    d = make_linear_deformation(g, Cochain(g, 2, n, coords))
+    return name, d, GaussRat(rng.randint(-5, 5), rng.randint(-2, 2))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_graded_consistency_two_level(seed):
+def _random_two_level(seed):
+    """The seeded two-level deformation and integer t0 of
+    test_graded_consistency_two_level."""
     rng = random.Random(1000 + seed)
     g = get(rng.choice(["h(1)", "n_4_3"]))
     n = g.dim
@@ -176,7 +170,26 @@ def test_graded_consistency_two_level(seed):
         return Cochain(g, 2, n, coords)
 
     d = DeformedBracket(g, (random_phi(), random_phi()))
-    t0 = GaussRat(rng.randint(-3, 3))
+    return d, GaussRat(rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graded_consistency_randomized(seed):
+    name, d, t0 = _random_linear(seed)
+    n = d.base.dim
+    evaluated = evaluate_at(d, t0, allow_non_lie=True)
+    expansion = jacobi_polynomial(d)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                direct = _jacobi_residual(evaluated, i, j, k)
+                assert direct == _evaluated(expansion.get((i, j, k), {}), t0), (name, (i, j, k), t0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graded_consistency_two_level(seed):
+    d, t0 = _random_two_level(seed)
+    n = d.base.dim
     evaluated = evaluate_at(d, t0, allow_non_lie=True)
     expansion = jacobi_polynomial(d)
     _assert_table_shape(expansion, n)
@@ -185,6 +198,24 @@ def test_graded_consistency_two_level(seed):
             for k in range(j + 1, n):
                 direct = _jacobi_residual(evaluated, i, j, k)
                 assert direct == _evaluated(expansion.get((i, j, k), {}), t0)
+
+
+@pytest.mark.parametrize(
+    "d, t0",
+    [_random_linear(seed)[1:] for seed in range(6)] + [_random_two_level(seed) for seed in range(3)],
+    ids=[f"linear-{seed}" for seed in range(6)] + [f"two-level-{seed}" for seed in range(3)],
+)
+def test_evaluate_at_refuses_where_the_graded_table_is_nonzero_at_t0(d, t0):
+    """evaluate_at checks the evaluated bracket; the reference is the graded
+    Jacobi table summed at t0, whose least nonzero triple the error names."""
+    failing = [triple for triple, table in jacobi_polynomial(d).items() if _evaluated(table, t0)]
+    if not failing:
+        assert evaluate_at(d, t0).verified
+        return
+    with pytest.raises(NotLieAtParameter) as exc:
+        evaluate_at(d, t0)
+    shown = tuple(x + 1 for x in min(failing))
+    assert str(exc.value) == f"Jacobi residual at triple {shown} for t = {t0}"
 
 
 def test_evaluate_at_zero_is_identity():
