@@ -177,13 +177,11 @@ def cmd_cohomology(args) -> int:
     report = Report("cohomology")
     if args.k is not None and args.k < 0:
         raise ValueError(f"--k must be a non-negative degree, got {args.k}")
-    if args.module_dim < 0:
-        raise ValueError(f"--module-dim must be a non-negative dimension, got {args.module_dim}")
     g = _load_algebra(args.algebra)
     if args.coeffs == "ad":
         rep = cohomology.adjoint_rep(g)
     else:
-        rep = cohomology.trivial_rep(g, args.module_dim)
+        rep = cohomology.trivial_rep(g)
     complex_ = cohomology.CochainComplex(g, rep)
     degrees = [args.k] if args.k is not None else list(range(g.dim + 1))
     for k in degrees:
@@ -563,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--coeffs", choices=["ad", "trivial"], default="ad")
-    p.add_argument("--module-dim", type=int, default=1)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("deform", parents=[leaf], help="deformation checks")

@@ -13,9 +13,10 @@ Conventions, fixed once:
   That ordering is part of the wire format, so matrices of d are
   reproducible across runs.
 * d_k is built once, as D * d_k over Z[i] (D the common denominator of the
-  structure constants and of rho's matrices), as columns in the Z[i] layout
-  of linalg._clear_denominators.  Ranks (linalg.integer_rank, on those
-  columns) and d^2 = 0 never leave the integers.
+  structure constants and of rho's matrices), as integer columns in the one
+  Z[i] layout of linalg: the real part of row r at key 2r, the imaginary
+  part at key 2r + 1.  Ranks (linalg.integer_rank, on those columns) and
+  d^2 = 0 never leave the integers.
 """
 
 from __future__ import annotations
@@ -288,15 +289,14 @@ def _common_denominator(g: LieAlgebra, rep: Representation) -> int:
 def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict]:
     """D * d_k, for d_k : C^k -> C^{k+1} and D = _common_denominator(g, rep),
     as integer columns, one per coordinate of C^k in the canonical ordering.
-    The real part of row r sits at key r and the imaginary part at key
-    r + dim C^{k+1}, the Z[i] layout of linalg._clear_denominators."""
+    The real part of row r sits at key 2r and the imaginary part at key
+    2r + 1, the Z[i] layout of linalg._clear_denominators."""
     n, m = g.dim, rep.module_dim
     if k >= n:
         # C^{k+1} vanishes, so d is the zero map
         return [{} for _ in range(cochain_space_dim(n, k, m))]
     den = _common_denominator(g, rep)
-    width = cochain_space_dim(n, k + 1, m)
-    offset = {key: pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
+    offset = {key: 2 * pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
     brackets = {
         pair: {l: (int(v.re * den), int(v.im * den)) for l, v in vec.items()}
         for pair, vec in g.brackets.items()
@@ -306,7 +306,7 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
     for cols, mat in zip(action, rep.matrices):
         for r, row in enumerate(mat.rows):
             for i, v in row.items():
-                cols[i].append((r, int(v.re * den), int(v.im * den)))
+                cols[i].append((2 * r, int(v.re * den), int(v.im * den)))
     columns: list[dict] = []
     for key in cochain_tuples(n, k):
         terms = [(offset[t], sign, a, coeff) for t, sign, a, coeff in _slot_terms(n, brackets, key)]
@@ -314,12 +314,12 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
             col: dict[int, int] = {}
             get = col.get
             for base, sign, a, coeff in terms:
-                for r, re, im in ((i, *coeff),) if a is None else action[a][i]:
+                for r, re, im in ((2 * i, *coeff),) if a is None else action[a][i]:
                     r += base
                     if re:
                         col[r] = get(r, 0) + sign * re
                     if im:
-                        col[r + width] = get(r + width, 0) + sign * im
+                        col[r + 1] = get(r + 1, 0) + sign * im
             columns.append({r: x for r, x in col.items() if x} if 0 in col.values() else col)
     return columns
 
@@ -348,23 +348,24 @@ class CochainComplex:
         return cochain_space_dim(self.g.dim, k, self.rep.module_dim)
 
     def columns(self, k: int) -> list[dict]:
-        """D * d_k as integer columns (see differential_matrix)."""
+        """D * d_k as integer columns, one per coordinate of C^k, each with
+        the real and imaginary parts of row r at keys 2r and 2r + 1 (see
+        differential_matrix).  Callers read them and never modify them."""
         if k not in self._columns:
             self._columns[k] = differential_matrix(k, self.g, self.rep)
         return self._columns[k]
 
     def _integer_rows(self, k: int) -> list[dict]:
         """The nonzero rows of D * d_k in ascending row order."""
-        width, ncols = self.dim(k + 1), self.dim(k)
         by_row: dict[int, dict] = {}
         for c, col in enumerate(self.columns(k)):
             for r, x in col.items():
-                by_row.setdefault(r % width, {})[c if r < width else c + ncols] = x
+                by_row.setdefault(r >> 1, {})[2 * c | r & 1] = x
         return [by_row[r] for r in sorted(by_row)]
 
     def rows(self, k: int) -> list[Vec]:
         """The nonzero rows of d_k in ascending row order, over Q(i)."""
-        return [exact_view(row, self.den, self.dim(k), self._memo) for row in self._integer_rows(k)]
+        return [exact_view(row, self.den, self._memo) for row in self._integer_rows(k)]
 
     def rank(self, k: int) -> int:
         """rank d_k, which is zero from the top degree on.  It is taken on
@@ -372,7 +373,7 @@ class CochainComplex:
         if k >= self.g.dim:
             return 0
         if k not in self._ranks:
-            self._ranks[k] = integer_rank(self.columns(k), self.dim(k + 1))
+            self._ranks[k] = integer_rank(self.columns(k))
         return self._ranks[k]
 
     def cocycle_dim(self, k: int) -> int:
@@ -394,20 +395,18 @@ class CochainComplex:
         """B^k = image of d on C^{k-1}; B^0 = 0."""
         if k == 0:
             return Subspace.zero(self.dim(k))
-        width = self.dim(k)
-        cols = [exact_view(col, self.den, width, self._memo) for col in self.columns(k - 1) if col]
-        return Subspace(width, cols)
+        cols = [exact_view(col, self.den, self._memo) for col in self.columns(k - 1) if col]
+        return Subspace(self.dim(k), cols)
 
     def d_squared_zero(self, k: int) -> bool:
         """Compose D * d at degrees k and k+1 and test for the zero matrix."""
         if k + 1 > self.g.dim:
             return True
         second = self.columns(k + 1)
-        mid, out = self.dim(k + 1), self.dim(k + 2)
         for col in self.columns(k):
             composed: dict[int, int] = {}
             for r, x in col.items():
-                add_multiple(composed, x, r >= mid, second[r % mid], out)
+                add_multiple(composed, x, r & 1, second[r >> 1])
             if any(composed.values()):
                 return False
         return True

@@ -9,15 +9,17 @@ reduced forms (and hence every Subspace) are canonical.
 There is one elimination, _echelon: fraction-free elimination in integer
 arithmetic alone (E. H. Bareiss, Math. Comp. 22 (1968) 565-578), each
 updated row divided by the gcd of its entries.  Rows are first scaled to
-Z[i] by the lcm of their denominators (_clear_denominators).  A Gaussian
-row a + bi is eliminated as the integer rows (a, b) and (-b, a), its
-i-multiple: the Q-span of those is the Q(i)-span of the rows seen over Q.
+Z[i] by the lcm of their denominators (_clear_denominators), in the one
+Z[i] layout: the real part of column c at key 2c and the imaginary part at
+key 2c + 1.  A Gaussian row a + bi is eliminated together with its
+i-multiple -b + ai (_with_i_multiples): the Q-span of those integer rows is
+the Q(i)-span of the rows seen over Q.
 
-* rref eliminates columns in natural order and back-substitutes, then
-  divides each row by its pivot entry.  For Gaussian rows the real and
-  imaginary parts of column c sit at 2c and 2c + 1, so pivots come in pairs
-  and the Q(i) row with pivot c is the integer row with pivot 2c.
-* rank and integer_rank renumber columns by ascending count of nonzero
+* rref eliminates keys in natural order and back-substitutes, then divides
+  each row by its pivot entry.  Pivots come in pairs 2c, 2c + 1 for Gaussian
+  rows and sit at even keys alone for real rows; either way the Q(i) row
+  with pivot c is the integer row with pivot 2c.
+* rank and integer_rank renumber keys by ascending count of nonzero
   entries, which keeps fill-in low, and only count pivots.
 """
 
@@ -62,93 +64,69 @@ def rref(rows: Iterable[Vec], ncols: int) -> tuple[list[int], list[Vec]]:
     canonical RREF of the row span: pivots ascend, each reduced row has a 1
     at its pivot, zeros at the other pivots, and its entries in ascending
     column order."""
-    cleared = _clear_denominators(rows, ncols)
-    if not any(max(row) >= ncols for row in cleared):
-        pivots, prows = _echelon(cleared, ncols, reduced=True)
-        return pivots, [_divided(row, pcol, ncols) for pcol, row in zip(pivots, prows)]
-    # each Gaussian row and its i-multiple, real and imaginary parts of
-    # column c at 2c and 2c + 1
-    realified = []
-    for row in cleared:
-        plain, turned = {}, {}
-        for c, x in row.items():
-            if c < ncols:
-                plain[2 * c] = turned[2 * c + 1] = x
-            else:
-                c -= ncols
-                plain[2 * c + 1], turned[2 * c] = x, -x
-        realified += (plain, turned)
-    pivots, prows = _echelon(realified, 2 * ncols, reduced=True)
-    out = [
-        (pcol >> 1, {(c >> 1) + (ncols if c & 1 else 0): x for c, x in row.items()})
-        for pcol, row in zip(pivots, prows) if not pcol & 1
-    ]
-    return [pcol for pcol, _ in out], [_divided(row, pcol, ncols) for pcol, row in out]
+    integer_rows = _with_i_multiples(_clear_denominators(rows, ncols))
+    pivots, prows = _echelon(integer_rows, 2 * ncols, reduced=True)
+    out = [(pkey, row) for pkey, row in zip(pivots, prows) if not pkey & 1]
+    return [pkey >> 1 for pkey, _ in out], [_divided(row, pkey) for pkey, row in out]
 
 
-def _divided(row: dict, pcol: int, ncols: int) -> Vec:
-    """The Z[i] row, in the layout of _clear_denominators, divided by its
-    (integer) entry at pcol, in ascending column order."""
-    head = row.pop(pcol)
-    return {pcol: _ONE, **exact_view(row, head, ncols, {})}
+def _divided(row: dict, pkey: int) -> Vec:
+    """The Z[i] row, whose entry at the even key pkey is its pivot entry,
+    divided by that entry, in ascending column order."""
+    head = row.pop(pkey)
+    return {pkey >> 1: _ONE, **exact_view(row, head, {})}
 
 
 def _clear_denominators(rows: Iterable[Vec], ncols: int) -> list[dict]:
     """The nonzero rows, each scaled to Z[i] by the lcm of its denominators,
-    as int dicts: the real part of column c at key c, the imaginary part
-    at key c + ncols."""
+    as int dicts: the real part of column c at key 2c, the imaginary part
+    at key 2c + 1."""
     cleared = []
     for row in rows:
         if not row:
             continue
         if min(row) < 0 or max(row) >= ncols:
             raise ValueError(f"row entry outside columns 0..{ncols - 1}")
-        den = 1
-        non_real = False
-        for v in row.values():
-            if type(v.re) is not int:
-                den = lcm(den, v.re.denominator)
-            if v.im:
-                non_real = True
-                if type(v.im) is not int:
-                    den = lcm(den, v.im.denominator)
-        if not non_real:
-            if den == 1:
-                cleared.append({c: v.re for c, v in row.items()})
-            else:
-                cleared.append({c: int(v.re * den) for c, v in row.items()})
-            continue
+        parts = (x for v in row.values() for x in (v.re, v.im))
+        den = lcm(1, *(x.denominator for x in parts if type(x) is not int))
         out = {}
         for c, v in row.items():
             if v.re:
-                out[c] = int(v.re * den)
+                out[2 * c] = int(v.re * den)
             if v.im:
-                out[c + ncols] = int(v.im * den)
+                out[2 * c + 1] = int(v.im * den)
         cleared.append(out)
     return cleared
 
 
-def add_multiple(acc: dict, x: int, imag: bool, vec: dict, ncols: int) -> None:
+def _with_i_multiples(cleared: list[dict]) -> list[dict]:
+    """The Z[i] rows followed by i times each row when some row is not
+    real, else the caller's list itself, so only rows the caller owns may
+    go on to _echelon.  i * (a + bi) = -b + ai moves each key c to c ^ 1
+    and negates the imaginary parts."""
+    if not any(c & 1 for row in cleared for c in row):
+        return cleared
+    return cleared + [{c ^ 1: -x if c & 1 else x for c, x in row.items()} for row in cleared]
+
+
+def add_multiple(acc: dict, x: int, imag: bool, vec: dict) -> None:
     """In-place acc += x * vec, or acc += x * i * vec when imag, for Z[i]
-    vectors in the layout of _clear_denominators: i * (a + bi) = -b + ai."""
+    vectors in the layout of _clear_denominators."""
     get = acc.get
     if not imag:
         for key, v in vec.items():
             acc[key] = get(key, 0) + x * v
         return
     for key, v in vec.items():
-        if key < ncols:
-            acc[key + ncols] = get(key + ncols, 0) + x * v
-        else:
-            acc[key - ncols] = get(key - ncols, 0) - x * v
+        acc[key ^ 1] = get(key ^ 1, 0) + (-x * v if key & 1 else x * v)
 
 
-def exact_view(num: dict, den: int, ncols: int, memo: dict) -> Vec:
+def exact_view(num: dict, den: int, memo: dict) -> Vec:
     """num / den in ascending column order, for num in the Z[i] layout of
     _clear_denominators; memo maps (re, im) numerators to their GaussRat."""
     row: Vec = {}
-    for c in sorted({c % ncols for c in num}):
-        key = (num.get(c, 0), num.get(c + ncols, 0))
+    for c in sorted({key >> 1 for key in num}):
+        key = (num.get(2 * c, 0), num.get(2 * c + 1, 0))
         value = memo.get(key)
         if value is None:
             re, im = key
@@ -161,21 +139,16 @@ def exact_view(num: dict, den: int, ncols: int, memo: dict) -> Vec:
 
 def rank(rows: Iterable[Vec], ncols: int) -> int:
     """The rank over Q(i) of GaussRat rows in columns 0..ncols-1."""
-    return integer_rank(_clear_denominators(rows, ncols), ncols)
+    return integer_rank(_clear_denominators(rows, ncols))
 
 
-def integer_rank(cleared: list[dict], ncols: int) -> int:
+def integer_rank(cleared: list[dict]) -> int:
     """The rank over Q(i) of Z[i] rows in the layout of _clear_denominators,
     zero rows allowed, which it does not modify.  A Gaussian rank is half
-    the integer rank of the rows and their i-multiples.  Columns are
+    the integer rank of the rows and their i-multiples.  Keys are
     renumbered by ascending count of nonzero entries, which keeps fill-in
     low; a rank needs no back substitution."""
-    gaussian = any(max(row) >= ncols for row in cleared if row)
-    rows = cleared
-    if gaussian:
-        turned = [{(c + ncols) % (2 * ncols): -x if c >= ncols else x for c, x in row.items()}
-                  for row in cleared]
-        rows = cleared + turned
+    rows = _with_i_multiples(cleared)
     counts: dict[int, int] = {}
     for row in rows:
         for c in row:
@@ -183,7 +156,7 @@ def integer_rank(cleared: list[dict], ncols: int) -> int:
     order = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
     renumbered = [{order[c]: x for c, x in row.items()} for row in rows]
     found = len(_echelon(renumbered, len(order), reduced=False)[0])
-    return found // 2 if gaussian else found
+    return found // 2 if rows is not cleared else found
 
 
 def _echelon(rows: list[dict], width: int, reduced: bool) -> tuple[list[int], list[dict]]:

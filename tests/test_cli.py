@@ -280,7 +280,7 @@ def test_size_cap_setting_bounds_word_length(monkeypatch, capsys):
 def test_cohomology_trivial_coefficients(capsys):
     code, doc = run_json(
         capsys,
-        ["cohomology", "--algebra", "abelian(2)", "--coeffs", "trivial", "--module-dim", "1"],
+        ["cohomology", "--algebra", "abelian(2)", "--coeffs", "trivial"],
     )
     assert code == 0
     by_name = {item["name"]: item["actual"] for item in doc["items"]}
@@ -433,11 +433,10 @@ def test_catalog_show_needs_a_name(capsys):
     assert "catalog show needs an algebra name" in capsys.readouterr().err
 
 
-def test_cohomology_rejects_negative_module_dim(capsys):
-    code = cli.run(
-        ["cohomology", "--algebra", "sl2", "--coeffs", "trivial", "--module-dim", "-1"]
-    )
-    assert code == 2
+def test_cohomology_refuses_module_dim(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["cohomology", "--algebra", "sl2", "--coeffs", "trivial", "--module-dim", "1"])
+    assert exc.value.code == 2
     assert "--module-dim" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -67,12 +68,12 @@ def test_rref_matches_oracle(case, as_generator):
         assert all(row.values())
 
 
-def times_gaussian(row, a, b, ncols):
-    """(a + bi) * row for a Z[i] row with imaginary parts at column + ncols."""
+def times_gaussian(row, a, b):
+    """(a + bi) * row for a Z[i] row with the parts of column c at 2c and 2c + 1."""
     out = {}
-    for c in {c % ncols for c in row}:
-        x, y = row.get(c, 0), row.get(c + ncols, 0)
-        out[c], out[c + ncols] = a * x - b * y, a * y + b * x
+    for c in {key >> 1 for key in row}:
+        x, y = row.get(2 * c, 0), row.get(2 * c + 1, 0)
+        out[2 * c], out[2 * c + 1] = a * x - b * y, a * y + b * x
     return {c: v for c, v in out.items() if v}
 
 
@@ -105,8 +106,33 @@ def test_integer_rank_matches_dense_oracle(case, factors):
     expected = oracles.dense_rank(dense(rows, ncols))
     assert rank(rows, ncols) == expected
     cleared = linalg._clear_denominators(rows, ncols)
-    scaled = [times_gaussian(row, a, b, ncols) for row, (a, b) in zip(cleared, factors)]
-    assert linalg.integer_rank(scaled, ncols) == expected
+    scaled = [times_gaussian(row, a, b) for row, (a, b) in zip(cleared, factors)]
+    assert linalg.integer_rank(scaled) == expected
+
+
+@given(rref_inputs(), nonzero_gaussian_ints, st.booleans())
+@example(([{0: GaussRat(Fraction(1, 2), Fraction(-3, 4)), 2: GaussRat(0, 5)}], 3), (2, -1), True)
+@settings(max_examples=200, deadline=None)
+def test_exact_view_and_add_multiple_read_the_cleared_layout(case, factor, imag):
+    """Each cleared row holds s * row, s the lcm of the row's denominators:
+    exact_view reads it back, and add_multiple adds x * s * row, or
+    x * i * s * row when imag, for a Gaussian integer x = p + qi taken as
+    its integer parts p and q."""
+    rows, ncols = case
+    (p, q), x = factor, GaussRat(*factor)
+    if imag:
+        x = x * GaussRat(0, 1)
+    nonzero = [row for row in rows if row]
+    cleared = linalg._clear_denominators(rows, ncols)
+    assert len(cleared) == len(nonzero)
+    for row, num in zip(nonzero, cleared):
+        s = lcm(*(Fraction(part).denominator for v in row.values() for part in (v.re, v.im)))
+        assert linalg.exact_view(num, 1, {}) == {c: s * v for c, v in row.items()}
+        acc = {}
+        linalg.add_multiple(acc, p, imag, num)
+        # x = p + q i, and x i = p i - q
+        linalg.add_multiple(acc, -q if imag else q, not imag, num)
+        assert linalg.exact_view(acc, 1, {}) == {c: x * s * v for c, v in row.items()}
 
 
 @given(st.data())
