@@ -20,7 +20,7 @@ import os
 import re
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .exactnum import GaussRat, LieqError
 from .liealg import LieAlgebra
@@ -90,17 +90,18 @@ def _plain(value):
     return str(value)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: Callable[[], str]) -> None:
     """Print the payload as JSON or the text, and flush, so that a closed
-    stdout shows while the command still runs."""
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text, flush=True)
+    stdout shows while the command still runs.  The text is built only
+    when it is printed."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text(), flush=True)
 
 
 def _finish(args, report: Report, extra: dict | None = None) -> int:
     """Stamp the time since the report was created, print it (with any
     extra top-level JSON fields) and return the exit code."""
     report.timing_ms = int((time.monotonic() - report.started) * 1000)
-    _emit(args, {**report.to_doc(), **(extra or {})}, report.render_text())
+    _emit(args, {**report.to_doc(), **(extra or {})}, report.render_text)
     return 0 if report.status == "pass" else 1
 
 
@@ -133,23 +134,27 @@ def cmd_catalog(args) -> int:
 
     if args.action == "list":
         names = catalog.list_names()
-        _emit(args, {"format": "lieq-1", "names": names}, "\n".join(names))
+        _emit(args, {"format": "lieq-1", "names": names}, lambda: "\n".join(names))
         return 0
     if args.name is None:
         raise ValueError("catalog show needs an algebra name")
     entry = catalog.get(args.name)
     doc = entry.algebra.to_doc()
     doc["notes"] = entry.notes
-    text_lines = [f"{entry.name}  (dim {entry.algebra.dim})  {entry.notes}"]
-    for item in doc["brackets"]:
-        out = " + ".join(
-            (f"{v}*" if v != "1" else "") + entry.algebra.labels[int(k) - 1]
-            for k, v in item["out"].items()
-        )
-        text_lines.append(
-            f"  [{entry.algebra.labels[item['i'] - 1]}, {entry.algebra.labels[item['j'] - 1]}] = {out}"
-        )
-    _emit(args, doc, "\n".join(text_lines))
+
+    def text() -> str:
+        lines = [f"{entry.name}  (dim {entry.algebra.dim})  {entry.notes}"]
+        for item in doc["brackets"]:
+            out = " + ".join(
+                (f"{v}*" if v != "1" else "") + entry.algebra.labels[int(k) - 1]
+                for k, v in item["out"].items()
+            )
+            lines.append(
+                f"  [{entry.algebra.labels[item['i'] - 1]}, {entry.algebra.labels[item['j'] - 1]}] = {out}"
+            )
+        return "\n".join(lines)
+
+    _emit(args, doc, text)
     return 0
 
 
@@ -248,7 +253,7 @@ def cmd_extend(args) -> int:
         theta = extend.CentralCocycle.from_doc(g, json.load(handle))
     bigger = extend.central_extension(g, theta)
     doc = bigger.to_doc()
-    _emit(args, doc, json.dumps(doc, indent=2))
+    _emit(args, doc, lambda: json.dumps(doc, indent=2))
     return 0
 
 
@@ -283,7 +288,7 @@ def cmd_qheis_normalize(args) -> int:
         "format": "lieq-1",
         "normal_form": {f"{m},{n}": poly.to_doc() for (m, n), poly in sorted(nf.coeffs.items())},
     }
-    _emit(args, doc, str(nf))
+    _emit(args, doc, lambda: str(nf))
     return 0
 
 
@@ -339,7 +344,7 @@ def cmd_fock_build(args) -> int:
             "n": n,
             "superdiagonal": fock.orthonormal_rep_float(_as_float(args.q), n),
         }
-        _emit(args, doc, "\n".join(str(x) for x in doc["superdiagonal"]))
+        _emit(args, doc, lambda: "\n".join(str(x) for x in doc["superdiagonal"]))
         return 0
     q0 = GaussRat(args.q)
     a, b = fock.monomial_rep(q0, n)
@@ -351,7 +356,7 @@ def cmd_fock_build(args) -> int:
         "lowering": _matrix_doc(a),
         "raising": _matrix_doc(b),
     }
-    _emit(args, doc, json.dumps(doc, indent=2))
+    _emit(args, doc, lambda: json.dumps(doc, indent=2))
     return 0
 
 

@@ -50,6 +50,21 @@ class NonDivisible(LieqError):
 ScalarLike = Union["GaussRat", int, Fraction, str]
 
 
+def power(base, n: int, one):
+    """base ** n for an int n >= 0, by square-and-multiply starting from
+    one.  The base is squared only while bits of n remain, so the last
+    square is never made: for a sum of words it would hold the square of
+    the answer's word count."""
+    out = one
+    while True:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
 def _rational(value) -> Union[int, Fraction]:
     """value as an exact rational: an int when integral, else a Fraction."""
     if type(value) is not Fraction:
@@ -155,14 +170,7 @@ class GaussRat:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     def inv(self) -> "GaussRat":
         """Multiplicative inverse; raises DivisionByZero on 0."""
@@ -434,14 +442,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("use monomial inverses for negative powers")
-        out = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, LaurentPoly.const(1))
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NonDivisible if a remainder survives.

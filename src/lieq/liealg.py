@@ -161,11 +161,17 @@ class LieAlgebra:
 
     def check_jacobi(self) -> JacobiWitness | None:
         """None when the Jacobi identity holds on every basis triple,
-        otherwise the first failing (i, j, k) with its residual vector."""
+        otherwise the first failing (i, j, k) with its residual vector.
+
+        A basis vector that occurs in no bracket pair is central, so every
+        triple that contains it has Jacobi sum 0; only the triples of the
+        other indices are walked, in the same order, so the first failing
+        triple is the same."""
         if self._jacobi != "unchecked":
             return self._jacobi  # type: ignore[return-value]
         self._jacobi = None
-        for triple in itertools.combinations(range(self.dim), 3):
+        active = sorted({idx for pair in self.brackets for idx in pair})
+        for triple in itertools.combinations(active, 3):
             residual = jacobi_sum(self.brackets, self.brackets, *triple)
             if residual:
                 self._jacobi = JacobiWitness(triple, residual)

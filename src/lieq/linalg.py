@@ -237,22 +237,20 @@ def nullspace_with_free(rows: Iterable[Vec], ncols: int) -> tuple[list[Vec], lis
     """Kernel basis plus the free column each basis vector is keyed to.
 
     Each basis vector carries a 1 at its own free column and 0 at every
-    other free column, so coefficients in this basis can be read off."""
+    other free column, so coefficients in this basis can be read off.
+    Each reduced row is walked once: its entry c at a free column puts
+    -c at the row's pivot into that column's vector.  The rows come in
+    ascending pivot order, so every vector lists its free column first
+    and then its pivots in ascending order."""
     pivots, reduced = rref(rows, ncols)
     pivot_set = set(pivots)
-    basis = []
-    free_cols = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec: Vec = {free: GaussRat(1)}
-        for pcol, row in zip(pivots, reduced):
-            coeff = row.get(free)
-            if coeff:
-                vec[pcol] = -coeff
-        basis.append(vec)
-        free_cols.append(free)
-    return basis, free_cols
+    free_cols = [col for col in range(ncols) if col not in pivot_set]
+    by_free: dict[int, Vec] = {free: {free: GaussRat(1)} for free in free_cols}
+    for pcol, row in zip(pivots, reduced):
+        for col, coeff in row.items():
+            if col != pcol and coeff:
+                by_free[col][pcol] = -coeff
+    return list(by_free.values()), free_cols
 
 
 def nullspace(rows: Iterable[Vec], ncols: int) -> list[Vec]:

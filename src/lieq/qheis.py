@@ -3,19 +3,19 @@ the B^m A^n basis, and machine checks for the whole identity zoo.
 
 The algebra has two generators A, B subject to AB - qBA = 1.  Elements are
 formal sums of words; normal ordering multiplies each word out from the
-left, one letter at a time, with the right-multiplication rules for the
-B^m A^n monomial basis.  Words that share a coefficient are read into one
-running sum per basis monomial, which is multiplied by the coefficient
+left, one letter run at a time, with the q-Wick rule for B^m A^n * B^r
+(the letter rule at r = 1).  Words that share a coefficient are read into
+one running sum per basis monomial, which is multiplied by the coefficient
 once.  Nothing recurses and nothing is kept between calls.  With symbolic
 q the coefficients met while a word is read have nonnegative integer
 coefficients of at most _state_bound(word) <= (1 + #A)^#B, so a group's
 sums stay below the sum of those bounds over its words; each is carried
 as one packed Python int (exactnum.pack) at a slot width above the
-largest group's sum; q^n and {n}_q are made only for an n at which a B
-letter is read.  The closed q-binomial is a running product of packed
-q-integers with one short certified exact division per step, and the
-generalized Jacobi sums take [A,B]^k from bracket_powers, each power the
-normal form of the one before times [A,B].
+largest group's sum; q-integers, powers of q and q-Pascal rows are made
+only where a B run needs them.  The closed q-binomial is a running
+product of packed q-integers with one short certified exact division per
+step, and the generalized Jacobi sums take [A,B]^k from bracket_powers,
+each power the normal form of the one before times [A,B].
 
 Identities stated with denominators like (q-1)^n or q^binom(n,2) are
 verified in denominator-cleared form: both sides are multiplied by the
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -39,13 +40,15 @@ from .exactnum import (
     gauss,
     pack,
     packed_divexact,
+    power,
     slot_width,
     unpack,
 )
 
 
 # the default LIEQ_SIZE_CAP budget: matrix entries for the fock
-# truncations, letters in one word for parse_qexpr
+# truncations; for parse_qexpr, letters in one word and words in one
+# product or power
 DEFAULT_SIZE_CAP = 200_000
 
 
@@ -301,14 +304,7 @@ class QExpr:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative word powers are not defined")
-        out = QExpr.unit()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, QExpr.unit())
 
     def __eq__(self, other):
         other = _as_expr(other)
@@ -423,97 +419,154 @@ def _normal_form(coeffs: dict[tuple[int, int], LaurentPoly]) -> NormalForm:
 def normal_order(expr: QExpr, q_value=None) -> NormalForm:
     """Collect an expression on the B^m A^n basis.
 
-    Each word is multiplied out from the left, one letter at a time, by
-    the right-multiplication rules (Katriel & Kibler, J. Phys. A 25 (1992)
-    2683):
+    Each word is read from the left as alternating letter runs.  An A run
+    of length a maps B^m A^n to B^m A^{n+a}; a B run of length r is one
+    step of the q-analogue of Wick's theorem (Katriel & Kibler, J. Phys. A
+    25 (1992) 2683):
 
-        B^m A^n * A = B^m A^{n+1}
-        B^m A^n * B = q^n B^{m+1} A^n + {n}_q B^m A^{n-1}
+        B^m A^n * B^r = sum_{k=0}^{min(n,r)} q^{(n-k)(r-k)} F(n,k) {r,k}_q B^{m+r-k} A^{n-k}
+
+    with F(n,k) = {n}_q {n-1}_q ... {n-k+1}_q.  At r = 1 this is the
+    letter rule B^m A^n * B = q^n B^{m+1} A^n + {n}_q B^m A^{n-1}.  A state
+    coefficient c is carried through its terms as the running product
+    c F(n,k), and {r,k}_q comes from the q-Pascal recursion
+    {r,j} = {r-1,j-1} + q^j {r-1,j}, its row cut at the largest n that
+    meets the run.  Nothing divides, so one loop serves a symbolic q and a
+    scalar q0 at which some {k}_{q0} vanishes.  The q-integers, powers of
+    q and Pascal rows are made per call, on first use, so A letters that no
+    B follows cost no entries.
 
     The words are grouped by coefficient: the words of a group are read
     into one running sum per basis monomial, and each sum is multiplied by
-    the group's coefficient once, so an expression such as [A,B]^k, with
-    2^k words and two coefficients, pays for two products per monomial.
+    the group's coefficient once (not at all when that coefficient is 1),
+    so an expression such as [A,B]^k, with 2^k words and two coefficients,
+    pays for two products per monomial.
 
     With q_value None the coefficients stay symbolic.  While a group is
     read they are polynomials with nonnegative integer coefficients, each
-    packed in one int at a slot width w (exactnum.pack): q^n is a shift by
-    n*w bits and {n}_q one big-integer product.  At q = 1 a B letter
-    multiplies the sum of all coefficients by at most 1 + n, n at most the
-    number of A letters read so far, so no coefficient met while reading a
-    word exceeds _state_bound(word), and no running sum of a group exceeds
-    the sum of _state_bound over its words; w is the smallest multiple of
-    64 bits with 2^w above that sum for every group, so no slot carries.
-    Each finished sum is unpacked once.
+    packed in one int at a slot width w (exactnum.pack): q^e is a shift by
+    e*w bits and a product of polynomials one big-integer product.  At
+    q = 1 a B letter multiplies the sum of all coefficients by at most
+    1 + n, n at most the number of A letters read so far, so no coefficient
+    met while reading a word one letter at a time exceeds
+    _state_bound(word).  A run step reaches the state its r letter steps
+    reach, and each of its terms c F(n,k) {r,k}_q q^{(n-k)(r-k)} is a
+    nonnegative part of a coefficient of that state.  Every partial
+    product c F(n,j), j <= k, and every Pascal entry {r',j}, r' <= r, is
+    coefficientwise at most such a term (up to a shift), so no slot
+    exceeds _state_bound(word) either, and no running sum of a group
+    exceeds the sum of _state_bound over its words.  w is the smallest
+    multiple of 64 bits with 2^w above that sum for every group, so no
+    slot carries.  Each finished sum is unpacked once.
 
     Otherwise q is instantiated exactly at the given scalar and the same
     loop runs on Gaussian rationals (an honest independent path, used to
     cross-check specialization coherence); each group's coefficient is
     evaluated once, and a sum that cancels to zero is dropped."""
-    groups: dict[tuple, tuple[LaurentPoly, list[str]]] = {}
+    groups: dict[tuple, tuple[LaurentPoly | None, list[str]]] = {}
     for word, coeff in expr.terms.items():
-        if any(ch not in "AB" for ch in word):
+        if not _LETTERS.issuperset(word):
             raise ValueError(f"word {word!r} uses letters outside the A, B alphabet")
         key = (coeff.low, coeff.re, coeff.im, coeff.den)
-        groups.setdefault(key, (coeff, []))[1].append(word)
-    # B^m A^n * B needs q^n and {n}_q, with n at most the number of A letters
-    # before a word's last B.  make(n) sets powers[n] (raise_q(c, powers[n])
-    # is c * q^n) and integers[n] ({n}_q) the first time a B letter is read
-    # at that n, so A letters that no B follows cost no entries.
-    top = max((word[: word.rfind("B") + 1].count("A") for word in expr.terms), default=0)
-    powers, integers = [None] * (top + 1), [None] * (top + 1)
+        groups.setdefault(key, (None if key == _UNIT else coeff, []))[1].append(word)
+    # raise_q(c, powers[e]) is c * q^e
     if q_value is None:
         bound = max((sum(map(_state_bound, words)) for _, words in groups.values()), default=1)
         width = slot_width(bound)
         zero, one, raise_q = 0, 1, operator.lshift
 
-        def make(n):
-            powers[n] = n * width
-            integers[n] = _packed_q_integer(n, width)
+        def q_power(e):
+            return e * width
+
+        def q_int(n):
+            return _packed_q_integer(n, width)
 
         def finish(coeff, c):
-            return coeff * unpack(c, width)
+            return unpack(c, width) if coeff is None else coeff * unpack(c, width)
     else:
         scalar = gauss(q_value)
         if scalar is None:
             raise TypeError(f"bad q value {q_value!r}")
-        zero, one, raise_q = ZERO, ONE, operator.mul
+        zero, one, raise_q, q_power = ZERO, ONE, operator.mul, scalar.__pow__
 
-        def make(n):  # {n}_q = (q^n - 1) / (q - 1) away from q = 1
-            powers[n] = scalar ** n
-            integers[n] = GaussRat(n) if scalar == ONE else (powers[n] - ONE) / (scalar - ONE)
+        def q_int(n):  # {n}_q = (q^n - 1) / (q - 1) away from q = 1
+            return GaussRat(n) if scalar == ONE else (scalar ** n - ONE) / (scalar - ONE)
 
         def finish(value, c):
-            return LaurentPoly.const(value * c)
+            return LaurentPoly.const(c if value is None else value * c)
+    integers, powers = _Lazy(q_int), _Lazy(q_power)  # n -> {n}_q; e -> q^e
+    rows: dict[int, list] = {}  # r -> [{r,0}_q, {r,1}_q, ...]
     out: dict[tuple[int, int], LaurentPoly] = {}
     for coeff, words in groups.values():
-        if q_value is not None:
+        if coeff is not None and q_value is not None:
             coeff = coeff.eval(scalar)
         total: dict = {}
         for word in words:
-            state = {(0, 0): one}
-            for letter in word:
-                if letter == "A":
-                    state = {(m, n + 1): c for (m, n), c in state.items()}
+            # cs[i] is the coefficient of B^(d + lo + i) A^(lo + i)
+            cs, lo, d = [one], 0, 0
+            for run in _RUNS.findall(word):
+                r = len(run)
+                if run[0] == "A":
+                    lo += r
+                    d -= r
                     continue
-                nxt: dict = {}
-                for (m, n), c in state.items():
+                seen = lo + len(cs) - 1  # the largest n in the state
+                low = lo - r if lo > r else 0
+                row = rows.get(r)
+                if row is None or len(row) <= min(r, seen):
+                    row = rows[r] = _q_pascal_row(r, min(r, seen), zero, one, raise_q, powers)
+                nxt = [zero] * (seen - low + 1)
+                for i, c in enumerate(cs, lo - low):
                     if not c:  # a scalar q can cancel a coefficient
                         continue
-                    if powers[n] is None:
-                        make(n)
-                    key = (m + 1, n)
-                    nxt[key] = nxt.get(key, zero) + raise_q(c, powers[n])
-                    if n:
-                        key = (m, n - 1)
-                        nxt[key] = nxt.get(key, zero) + integers[n] * c
-                state = nxt
-            for key, c in state.items():
-                total[key] = total.get(key, zero) + c
+                    n = i + low
+                    nxt[i] += raise_q(c, powers[n * r])
+                    top = n if n < r else r
+                    for k in range(1, top):
+                        c = c * integers[n - k + 1]
+                        nxt[i - k] += raise_q(c * row[k], powers[(n - k) * (r - k)])
+                    if top:  # the last term has q^0, and {r,r}_q = 1
+                        c = c * integers[n - top + 1]
+                        nxt[i - top] += c if top == r else c * row[top]
+                cs, lo, d = nxt, low, d + r
+            for i, c in enumerate(cs, lo):
+                if c:
+                    key = (d + i, i)
+                    total[key] = total.get(key, zero) + c
         for key, c in total.items():
             if c:
                 _accumulate(out, key, finish(coeff, c))
     return _normal_form(out)
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key with make(key) on first read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):  # dict.__init__ has nothing to add to an empty dict
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+_LETTERS = frozenset("AB")
+_RUNS = re.compile("A+|B+")
+# the grouping key of the coefficient 1
+_UNIT = (0, (1,), None, 1)
+
+
+def _q_pascal_row(r: int, top: int, zero, one, raise_q, powers) -> list:
+    """[{r,0}_q, ..., {r,top}_q] from {i,j} = {i-1,j-1} + q^j {i-1,j},
+    each row cut at j <= top, where raise_q(c, powers[j]) is c * q^j;
+    division-free, so it holds at every scalar."""
+    row = [one] + [zero] * top
+    for i in range(1, r + 1):
+        for j in range(min(i, top), 0, -1):
+            row[j] = row[j - 1] + raise_q(row[j], powers[j])
+    return row
 
 
 def _state_bound(word: str) -> int:
@@ -734,6 +787,15 @@ class _Tokens:
             raise ValueError(f"a word of {length} letters exceeds LIEQ_SIZE_CAP = {self.max_word}")
         return length
 
+    def fit_words(self, words: int, exp: int = 1) -> None:
+        """Refuse a product of exp factors of `words` words each when it
+        could hold more than max_word words (words ** exp), before it is
+        built."""
+        # words >= 2 and exp >= bit_length make words ** exp > max_word
+        if words > 1 and (exp >= self.max_word.bit_length() or words ** exp > self.max_word):
+            count = words if exp == 1 else f"{words}^{exp}"
+            raise ValueError(f"a product of {count} words exceeds LIEQ_SIZE_CAP = {self.max_word}")
+
 
 def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
     """Parse the small normalize grammar: letters A, B, I; the parameter q;
@@ -743,7 +805,9 @@ def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
     (A*B*A, A^3 B, A^n) is read as one word string, so an n-letter word
     costs one QExpr, not n - 1 products.  A letter power, a power of a
     parenthesized expression or a product that would make a word longer
-    than max_word letters raises ValueError before the word is built."""
+    than max_word letters raises ValueError before the word is built, and
+    so does a product or power whose word count could exceed max_word:
+    |out| * |factor| words for a product, |base|^exp for a power."""
     tokens = _Tokens(text, max_word)
     expr = _parse_sum(tokens)
     if tokens.peek() is not None:
@@ -786,6 +850,7 @@ def _times(tokens: _Tokens, out: QExpr | None, factor: QExpr) -> QExpr:
     if out is None:
         return factor
     tokens.fit(_longest(out) + _longest(factor))
+    tokens.fit_words(len(out.terms) * len(factor.terms))
     return out * factor
 
 
@@ -829,8 +894,11 @@ def _parse_factor(tokens: _Tokens) -> QExpr:
     else:
         raise ValueError(f"unexpected token {tok!r}")
     exp = _parse_power(tokens)
+    if exp == 1:
+        return base
     tokens.fit(_longest(base) * exp)
-    return base if exp == 1 else base ** exp
+    tokens.fit_words(len(base.terms), exp)
+    return base ** exp
 
 
 def _parse_power(tokens: _Tokens) -> int:

@@ -188,6 +188,19 @@ def test_qheis_normalize_json_names_q(capsys):
         assert all(poly["var"] == "q" for poly in doc["normal_form"].values())
 
 
+def test_json_output_never_builds_the_text(capsys, monkeypatch):
+    from lieq import qheis
+
+    code, expected = run_json(capsys, ["qheis", "normalize", "A^3*B^3"])
+    assert code == 0
+
+    def refuse(self):
+        raise AssertionError("the text form was built under --json")
+
+    monkeypatch.setattr(qheis.NormalForm, "__str__", refuse)
+    assert run_json(capsys, ["qheis", "normalize", "A^3*B^3"]) == (0, expected)
+
+
 def test_qheis_verify_small(capsys):
     code, doc = run_json(capsys, ["qheis", "verify", "--max-n", "3"])
     assert code == 0 and doc["status"] == "pass"

@@ -14,6 +14,7 @@ from lieq.exactnum import (
     ZERO,
     pack,
     packed_divexact,
+    power,
     slot_width,
     unpack,
 )
@@ -375,3 +376,42 @@ def test_packed_divexact_inverts_products(p, d):
     assert pack(p, width) * pack(d, width) == pack(product, width)
     assert packed_divexact(pack(product, width), pack(d, width), width) == p
     assert packed_divexact(pack(product, width), pack(d, width), width) == product.divexact(d)
+
+
+# -- powers ---------------------------------------------------------------------
+
+
+def _repeated_product(base, n, one):
+    out = one
+    for _ in range(n):
+        out = out * base
+    return out
+
+
+@given(small_gauss, st.integers(min_value=0, max_value=40))
+@settings(max_examples=80, deadline=None)
+def test_gauss_powers_are_repeated_products(base, n):
+    assert base ** n == _repeated_product(base, n, ONE)
+    if base:
+        assert base ** -n == _repeated_product(base.inv(), n, ONE)
+
+
+@given(gauss_dicts.map(LaurentPoly), st.integers(min_value=0, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_poly_powers_are_repeated_products(base, n):
+    assert base ** n == _repeated_product(base, n, LaurentPoly.const(1))
+
+
+def test_power_squares_only_while_bits_remain():
+    squares = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            if self is other:
+                squares.append(int(self))
+            return Counted(int(self) * int(other))
+
+    for n, expected in ((0, 0), (1, 0), (2, 1), (3, 1), (8, 3), (255, 7), (256, 8)):
+        squares.clear()
+        assert power(Counted(3), n, Counted(1)) == 3 ** n
+        assert len(squares) == expected, n

@@ -48,6 +48,36 @@ def test_zero_cocycle_gives_direct_sum():
     assert g.same_constants(abelian(3).direct_sum(abelian(2)))
 
 
+@pytest.mark.parametrize(
+    "name, values",
+    [
+        ("abelian(4)", {(0, 1): {0: 1}, (1, 2): {5: 1, 1999: 2}, (2, 3): {1999: 1}}),
+        ("h(1)", {(0, 1): {1999: 1}, (1, 2): {0: 1}}),
+        ("n_5_4", {}),
+        ("sl2", {}),
+    ],
+)
+def test_jacobi_check_of_a_wide_extension_walks_only_the_base(name, values, monkeypatch):
+    # the 2000 adjoined vectors are central: check_jacobi walks no triple
+    # that contains one, so it makes at most C(n, 3) Jacobi sums
+    from math import comb
+
+    from lieq import liealg
+
+    g, calls = get(name), []
+    theta = CentralCocycle(g, 2000, values)
+    original = liealg.jacobi_sum
+
+    def counted(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(liealg, "jacobi_sum", counted)
+    out = central_extension(g, theta)
+    assert out.dim == g.dim + 2000
+    assert 0 < len(calls) <= comb(g.dim, 3)
+
+
 def test_h2_from_four_dimensions():
     theta = CentralCocycle(abelian(4), 1, {(0, 1): {0: 1}, (2, 3): {0: 1}})
     g = central_extension(abelian(4), theta)

@@ -11,6 +11,7 @@ from lieq.liealg import (
     NotAnIdeal,
     Subspace,
     abelian,
+    jacobi_sum,
 )
 from oracles import basis_vector, bracket_dense
 
@@ -96,6 +97,45 @@ def test_jacobi_witness_matches_dense_oracle(seed):
             break
     witness = g.check_jacobi()
     assert (witness and tuple(witness)) == expected
+
+
+def _first_failing_triple_of_all(g):
+    """The reference witness: every basis triple walked, central ones too."""
+    for triple in itertools.combinations(range(g.dim), 3):
+        residual = jacobi_sum(g.brackets, g.brackets, *triple)
+        if residual:
+            return triple, residual
+    return None
+
+
+def _spread(g, dim, rng):
+    """g on a random increasing choice of dim indices; the others are
+    central basis vectors between and around g's."""
+    slots = sorted(rng.sample(range(dim), g.dim))
+    return LieAlgebra(dim, {(slots[i], slots[j]): {slots[k]: v for k, v in vec.items()}
+                            for (i, j), vec in g.brackets.items()})
+
+
+def test_catalog_witnesses_skip_nothing_that_fails():
+    for name in catalog.list_names():
+        g = catalog.get(name).algebra
+        for h in (g, g.direct_sum(abelian(3)), _spread(g, g.dim + 3, random.Random(name))):
+            fresh = LieAlgebra(h.dim, h.brackets)
+            assert fresh.check_jacobi() == _first_failing_triple_of_all(h), name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_witness_on_random_algebras_with_central_vectors(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = LieAlgebra(n, {pair: {rng.randrange(n): GaussRat(rng.randint(-3, 3), rng.randint(-1, 1))}
+                       for pair in rng.sample(pairs, rng.randint(1, n))})
+    k = rng.randint(1, 4)
+    for h in (g.direct_sum(abelian(k)), abelian(k).direct_sum(g), _spread(g, n + k, rng)):
+        expected = _first_failing_triple_of_all(h)
+        witness = LieAlgebra(h.dim, h.brackets).check_jacobi()
+        assert (witness and tuple(witness)) == expected
 
 
 def test_all_catalog_algebras_pass_jacobi():

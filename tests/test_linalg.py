@@ -221,6 +221,36 @@ def test_nullspace_annihilates_random(seed):
             assert total == ZERO
 
 
+def _nullspace_column_by_column(rows, ncols):
+    """The reference kernel basis: every free column looked up in every
+    reduced row."""
+    pivots, reduced = rref(rows, ncols)
+    basis, free_cols = [], []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: ONE}
+        for pcol, row in zip(pivots, reduced):
+            coeff = row.get(free)
+            if coeff:
+                vec[pcol] = -coeff
+        basis.append(vec)
+        free_cols.append(free)
+    return basis, free_cols
+
+
+@given(rref_inputs())
+@settings(max_examples=300, deadline=None)
+def test_nullspace_with_free_matches_the_column_by_column_reference(case):
+    rows, ncols = case
+    expected, expected_free = _nullspace_column_by_column([dict(r) for r in rows], ncols)
+    basis, free_cols = linalg.nullspace_with_free([dict(r) for r in rows], ncols)
+    assert free_cols == expected_free
+    assert basis == expected
+    # the same key order: the free column, then the pivots ascending
+    assert [list(vec) for vec in basis] == [list(vec) for vec in expected]
+
+
 def test_subspace_membership_and_coordinates():
     space = Subspace(3, [{0: g(1), 1: g(1)}, {2: g(2)}])
     assert space.dim == 2

@@ -402,6 +402,69 @@ def test_binomial_power_matches_random_order():
     assert normal_order(expr) == _oracle_sum(expr.terms, random.Random(8))
 
 
+# -- letter runs ------------------------------------------------------------------
+
+
+@st.composite
+def run_words(draw, max_runs=4):
+    """Words read as alternating letter runs of 1-12 letters each."""
+    first, other = draw(st.sampled_from([("A", "B"), ("B", "A")]))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=max_runs))
+    return "".join((other if idx % 2 else first) * r for idx, r in enumerate(lengths))
+
+
+def _inversions(word: str) -> int:
+    """The AB pairs with the A first; the rewriting oracle's cost grows with them."""
+    count = seen = 0
+    for letter in word:
+        if letter == "A":
+            seen += 1
+        else:
+            count += seen
+    return count
+
+
+@given(
+    st.dictionaries(run_words().filter(lambda w: _inversions(w) <= 48), laurent_coeffs, min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_words_match_random_order(terms, seed):
+    assert normal_order(QExpr(terms)) == _oracle_sum(terms, random.Random(seed))
+
+
+polynomial_coeffs = st.dictionaries(
+    st.integers(min_value=0, max_value=3),
+    st.builds(GaussRat, small_rationals, small_rationals),
+    min_size=1,
+    max_size=3,
+).map(LaurentPoly)
+
+
+@given(st.dictionaries(run_words(), polynomial_coeffs, min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_run_words_specialize_where_q_integers_vanish(terms):
+    # {2}_q vanishes at q = -1 and {4}_q at q = i; the run step divides by no q-integer
+    symbolic = normal_order(QExpr(terms))
+    for q0 in (GaussRat(-1), GaussRat(0), GaussRat(1), GaussRat(0, 1), GaussRat("1/2")):
+        assert normal_order(QExpr(terms), q_value=q0) == symbolic.evaluate(q0), q0
+
+
+def test_power_of_a_sum_makes_no_square_beyond_the_answer(monkeypatch):
+    products = []
+    original = QExpr.__mul__
+
+    def counted(self, other):
+        out = original(self, other)
+        products.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(QExpr, "__mul__", counted)
+    assert len(parse_qexpr("(A+B)^16").terms) == 65536
+    # three squares below 2^16 words, (A+B)^16 itself, and 1 * (A+B)^16
+    assert products == [4, 16, 256, 65536, 65536]
+
+
 # -- the parser -------------------------------------------------------------------
 
 
@@ -458,6 +521,23 @@ def test_words_longer_than_the_cap_are_refused_before_they_are_built(text, lengt
     with pytest.raises(ValueError) as err:
         parse_qexpr(text, max_word=10)
     assert str(err.value) == f"a word of {length} letters exceeds LIEQ_SIZE_CAP = 10"
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("(A+B)^40", "2^40"), ("(A+B)^18", "2^18"), ("(A+B)^9*(A+B)^9", "262144"), ("(A - q*B + I)^12", "3^12")],
+)
+def test_products_with_more_words_than_the_cap_are_refused_before_they_are_built(text, count):
+    with pytest.raises(ValueError) as err:
+        parse_qexpr(text)
+    assert str(err.value) == f"a product of {count} words exceeds LIEQ_SIZE_CAP = 200000"
+
+
+def test_products_within_the_word_cap_parse():
+    assert len(parse_qexpr("(A+B)^17").terms) == 131072
+    assert len(parse_qexpr("(A+B)^3", max_word=8).terms) == 8
+    with pytest.raises(ValueError, match="a product of 2\\^4 words exceeds LIEQ_SIZE_CAP = 10"):
+        parse_qexpr("(A+B)^4", max_word=10)
 
 
 def test_words_at_the_cap_parse():
