@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .exactnum import GaussRat, LieqError, ONE, ZERO, gauss
 from .linalg import SparseMatrix, Vec
-from .qheis import DEFAULT_SIZE_CAP, q_integer_at as q_int, q_integers_at
+from .qheis import DEFAULT_SIZE_CAP, q_integers_at
 
 
 class SingularWeight(LieqError):
@@ -74,7 +74,7 @@ def defect_is_corner_only(defect: SparseMatrix, q0) -> bool:
     """Contract check: support contained in the corner with value -{N}_q."""
     q0 = gauss(q0)
     n = defect.n
-    expected = -q_int(n, q0)
+    expected = -q_integers_at(n, q0)[-1]
     for r, c, _ in defect.entries():
         if (r, c) != (n - 1, n - 1):
             return False

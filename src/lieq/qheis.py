@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .exactnum import (
@@ -66,25 +65,34 @@ def q_integer(n: int) -> LaurentPoly:
     return LaurentPoly({l: 1 for l in range(n)})
 
 
-@lru_cache(maxsize=None)
 def q_factorial(n: int) -> LaurentPoly:
     """{n}_q! = {1}_q {2}_q ... {n}_q with {0}_q! = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return LaurentPoly.const(1)
-    return q_factorial(n - 1) * q_integer(n)
+    out = LaurentPoly.const(1)
+    for j in range(2, n + 1):
+        out = out * q_integer(j)
+    return out
 
 
-@lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> LaurentPoly:
     """Gaussian binomial via the Pascal recursion
-    {n,k}_q = {n-1,k-1}_q + q^k {n-1,k}_q."""
+    {n,k}_q = {n-1,k-1}_q + q^k {n-1,k}_q, one row cut at min(k, n-k)
+    since {n,k}_q = {n,n-k}_q."""
     if k < 0 or k > n:
         return LaurentPoly.zero()
-    if k == n or k == 0:
-        return LaurentPoly.const(1)
-    return q_binomial(n - 1, k - 1) + LaurentPoly.monomial(k) * q_binomial(n - 1, k)
+    return q_binomial_row(n, min(k, n - k))[-1]
+
+
+def q_binomial_row(n: int, top: int) -> list[LaurentPoly]:
+    """[{n,0}_q, ..., {n,top}_q] for 0 <= top <= n, from one q-Pascal row
+    (_q_pascal_row, as in normal_order) of ints packed at one slot width
+    (exactnum.pack).  An entry {i,j}_q of the recursion has coefficients
+    summing to binom(i, j) <= binom(n, min(top, n // 2)), so no slot
+    carries."""
+    width = slot_width(math.comb(n, min(top, n // 2)))
+    row = _q_pascal_row(n, top, 0, 1, operator.lshift, _Lazy(lambda e: e * width))
+    return [unpack(c, width) for c in row]
 
 
 def q_binomial_closed(n: int, k: int) -> LaurentPoly:
@@ -120,11 +128,6 @@ def q_integers_at(n: int, q0: GaussRat) -> list[GaussRat]:
         out.append(out[-1] + power)
         power = power * q0
     return out
-
-
-def q_integer_at(n: int, q0: GaussRat) -> GaussRat:
-    """{n}_q evaluated exactly at a scalar (0 when n < 1)."""
-    return q_integers_at(n, q0)[-1]
 
 
 class ReciprocalReport(NamedTuple):
@@ -163,8 +166,9 @@ def q_reciprocal_checks(n: int, k: int, q0) -> ReciprocalReport:
     scale = (q0 ** math.comb(n, 2)).inv()
     fact_rhs = scale * q_factorial(n).eval(q0)
     fact_printed = scale * q_integer(n).eval(q0)
-    binom_lhs = q_binomial(n, k).eval(qinv)
-    binom_rhs = (q0 ** (k * (n - k))).inv() * q_binomial(n, k).eval(q0)
+    binomial = q_binomial(n, k)
+    binom_lhs = binomial.eval(qinv)
+    binom_rhs = (q0 ** (k * (n - k))).inv() * binomial.eval(q0)
     return ReciprocalReport(
         n=n,
         k=k,
@@ -625,7 +629,7 @@ def verify_powandprod_reciprocal(n: int, q0) -> bool:
     if not q0:
         raise QZero("reciprocal power identities need q != 0")
     qinv = q0.inv()
-    rec_int = q_integer_at(n, qinv)
+    rec_int = q_integers_at(n, qinv)[-1]
     first = verify_identity(
         B() * A() ** n,
         QExpr.unit(qinv ** n) * (A() ** n * B()) - QExpr.unit(qinv * rec_int) * A() ** (n - 1),
@@ -667,9 +671,9 @@ def verify_generalized_jacobi(which: str, n: int, m: int | None = None) -> bool:
         else:
             lhs = QExpr.word("A" * n + "B" * n, (q - 1) ** n)
         rhs = QExpr.zero()
-        for k, power in enumerate(bracket_powers(n)):
+        for k, (power, binomial) in enumerate(zip(bracket_powers(n), q_binomial_row(n, n))):
             shift = math.comb(n - k, 2) if which == "bnan" else math.comb(k + 1, 2)
-            coeff = LaurentPoly.monomial(shift, (-1) ** (n - k)) * q_binomial(n, k)
+            coeff = LaurentPoly.monomial(shift, (-1) ** (n - k)) * binomial
             rhs = rhs + coeff * power.to_qexpr()
         return verify_identity(lhs, rhs)
     if which == "bracketBmAn":

@@ -2,7 +2,6 @@ import pytest
 
 from lieq import catalog
 from lieq.catalog import UnknownName, heisenberg
-from lieq.liealg import abelian
 
 
 def test_get_and_list():
@@ -61,24 +60,6 @@ def test_verify_all_passes():
     assert not failures, failures[:3]
 
 
-def test_a_sh_matches_n52_not_h2():
-    assert catalog.get("a_sh").signature() == catalog.get("n_5_2").signature()
-    assert catalog.get("a_sh").signature() != catalog.get("h(2)").signature()
-
-
-def test_direct_sum_identities_hold_with_equal_constants():
-    pairs = [
-        ("n_4_1", "n_3_1"),
-        ("n_4_2", "n_3_2"),
-        ("n_5_1", "n_4_1"),
-        ("n_5_2", "n_4_2"),
-        ("n_5_3", "n_4_3"),
-    ]
-    for name, summand in pairs:
-        expected = catalog.get(summand).algebra.direct_sum(abelian(1))
-        assert catalog.get(name).algebra.same_constants(expected)
-
-
 @pytest.mark.parametrize(
     "name, nclass",
     [
@@ -92,14 +73,6 @@ def test_direct_sum_identities_hold_with_equal_constants():
 )
 def test_classes_match_presentations(name, nclass):
     assert catalog.get(name).algebra.is_nilpotent() == nclass
-
-
-def test_dim5_pairwise_distinct():
-    names = [f"n_5_{k}" for k in range(1, 10)]
-    sigs = [catalog.get(n).signature() for n in names]
-    for a in range(9):
-        for b in range(a + 1, 9):
-            assert sigs[a] != sigs[b], (names[a], names[b])
 
 
 def test_parametrized_expected_fields():

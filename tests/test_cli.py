@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lieq import catalog, cli
+from lieq.exactnum import LieqError
 from lieq.liealg import LieAlgebra
 
 
@@ -469,6 +470,77 @@ def test_verify_all_runs_the_subset_sum_check(capsys, monkeypatch):
     assert code == 1
     verdicts = {item["name"]: item["verdict"] for item in doc["items"]}
     assert verdicts["q_identity_suite"] == "fail"
+
+
+def _raise_lieq_error(*args):
+    raise LieqError("shift map failed to intertwine on pair (1, 2)")
+
+
+# For each verify-all entry, in battery order: the items it yields, an
+# engine call it relies on ("module:attribute path"), and a wrong answer
+# built from the right one.
+_WRONG_ANSWERS = {
+    "_verify_catalog": (
+        {"catalog"}, "lieq.catalog:verify_all",
+        lambda right: lambda: [catalog.VerifyItem("sl2", "jacobi", None, "broken")]),
+    "_verify_sl2": (
+        {"sl2_der_inn", "sl2_h2", "sl2_rigidity"}, "lieq.deform:rigidity_report",
+        lambda right: lambda g: right(g)._replace(dim_h2=1)),
+    "_verify_d_squared_zero": (
+        {"d_squared_zero"}, "lieq.cohomology:CochainComplex.d_squared_zero",
+        lambda right: lambda self, k: False),
+    "_verify_skjelbred_sund_round_trip": (
+        {"skjelbred_sund_round_trip"}, "lieq.extend:coboundary_shift_iso",
+        lambda right: _raise_lieq_error),
+    "_verify_deformation": (
+        {"zero_base_deformation", "cyclic_cocycle_counterexample_passes_cycle",
+         "cyclic_cocycle_counterexample_fails_full"}, "lieq.deform:deformation_is_lie",
+        lambda right: lambda d: None),
+    "_verify_q_identity_suite": (
+        {"q_identity_suite"}, "lieq.qheis:verify_powandprod",
+        lambda right: lambda n: n != 7),
+    "_verify_fock_interior_exactness": (
+        {"fock_interior_exactness"}, "lieq.fock:spectrum_closed_form",
+        lambda right: lambda q0, n: right(q0, n)[::-1]),
+    "_verify_biorthogonality": (
+        {"biorthogonality"}, "lieq.fock:BiorthogonalSystem.pairing_matrix",
+        lambda right: lambda self: right(self).scale(2)),
+    "_verify_shifted_pair": (
+        {"shifted_pair_matches_a_sh"}, "lieq.fock:ShiftedPair.extracted_constants",
+        lambda right: lambda self: {}),
+    "_verify_similarity_transport": (
+        {"similarity_transport"}, "lieq.fock:similarity_transport",
+        lambda right: lambda pairs, t, q0: right(pairs, t, q0)._replace(conjugation_exact=False)),
+    "_verify_cuntz_toeplitz": (
+        {"cuntz_toeplitz"}, "lieq.fock:CuntzToeplitz.defect_supported_on_top_degree",
+        lambda right: lambda self, i, j: i != j),
+}
+
+
+def test_every_battery_entry_has_a_wrong_answer():
+    assert list(_WRONG_ANSWERS) == [entry.__name__ for entry in cli._BATTERY]
+
+
+@pytest.mark.parametrize("entry", list(_WRONG_ANSWERS))
+def test_each_battery_entry_fails_on_a_wrong_engine_answer(capsys, monkeypatch, entry):
+    """One wrong engine answer fails verify-all, in an item of the entry
+    that relies on it and in no other entry's items; an engine that raises
+    LieqError fails its entry's item the same way."""
+    import importlib
+
+    items, target, wrong = _WRONG_ANSWERS[entry]
+    module, path = target.split(":")
+    owner = importlib.import_module(module)
+    *owners, attr = path.split(".")
+    for name in owners:
+        owner = getattr(owner, name)
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+    code, doc = run_json(capsys, ["verify-all"])
+    assert code == 1 and doc["status"] == "fail"
+    verdicts = {item["name"]: item["verdict"] for item in doc["items"]}
+    assert set(verdicts) == set().union(*(names for names, *_ in _WRONG_ANSWERS.values()))
+    assert "fail" in {verdicts[name] for name in items}
+    assert all(verdict == "pass" for name, verdict in verdicts.items() if name not in items)
 
 
 @pytest.mark.parametrize(

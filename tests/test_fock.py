@@ -18,7 +18,6 @@ from lieq.fock import (
     monomial_rep,
     number_operator_spectrum,
     orthonormal_rep_float,
-    q_int,
     qccr_defect,
     shifted_pair,
     similarity_transport,
@@ -26,7 +25,7 @@ from lieq.fock import (
     weighted_adjoint,
 )
 from lieq.linalg import SparseMatrix
-from lieq.qheis import q_integer
+from lieq.qheis import q_integer, q_integers_at
 
 HALF = GaussRat("1/2")
 THIRD = GaussRat("1/3")
@@ -57,7 +56,7 @@ def test_defect_contract(q_text, n):
     # interior rows exactly zero: {m+1}_q - q {m}_q = 1 telescopes
     for m in range(n - 1):
         assert defect.get(m, m) == ZERO
-    assert defect.get(n - 1, n - 1) == -q_int(n, q0)
+    assert defect.get(n - 1, n - 1) == -q_integers_at(n, q0)[-1]
 
 
 def test_corner_values():
@@ -150,7 +149,7 @@ def test_biorthogonal_pairing_and_ladder():
     assert system.squared_ladder_coefficients() == [GaussRat(m + 1) for m in range(3)]
     s2 = biorthogonal_pair([GaussRat(1), HALF, GaussRat(5)], HALF)
     assert s2.squared_ladder_coefficients()[0] == ONE  # {1}_q = 1
-    assert s2.squared_ladder_coefficients() == [q_int(m + 1, HALF) for m in range(2)]
+    assert s2.squared_ladder_coefficients() == q_integers_at(2, HALF)[1:]
 
 
 def test_biorthogonal_rejects_bad_weights():
@@ -198,7 +197,7 @@ def test_truncated_defect_conjugation(q_text):
     result = similarity_transport([(a, b)], diag, q0)
     assert result.conjugation_exact
     corner = result.defects_source[(0, 0)].get(5, 5)
-    assert corner == -q_int(6, q0)
+    assert corner == -q_integers_at(6, q0)[-1]
 
 
 def test_transport_rejects_singular():

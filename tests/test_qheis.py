@@ -1,5 +1,6 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from lieq.qheis import (
     parse_qexpr,
     q_binomial,
     q_binomial_closed,
+    q_binomial_row,
     q_factorial,
     q_integer,
     q_mutator,
@@ -66,6 +68,25 @@ def test_binomial_symmetry():
     for n in range(41):
         for k in range(n + 1):
             assert q_binomial_closed(n, k) == q_binomial_closed(n, n - k)
+
+
+def test_q_binomial_of_a_long_row():
+    # a memoized Pascal recursion over (n, k) ran out of stack here
+    assert q_binomial(1200, 3) == q_binomial_closed(1200, 3)
+    assert q_binomial(1200, 1197) == q_binomial_closed(1200, 3)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_q_binomial_row_matches_closed_form(n):
+    for top in range(n + 1):
+        assert q_binomial_row(n, top) == [q_binomial_closed(n, k) for k in range(top + 1)]
+
+
+def test_no_module_keeps_an_lru_cache():
+    """q-binomials and q-factorials are computed per call; nothing in the
+    package memoizes across calls with functools."""
+    package = Path(q_binomial.__code__.co_filename).parent
+    assert [path.name for path in package.glob("*.py") if "lru_cache" in path.read_text()] == []
 
 
 @pytest.mark.parametrize("n", range(6))
