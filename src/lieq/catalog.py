@@ -5,10 +5,11 @@ family, sl2 with the standard (e, f, h) constants, and the shifted-pair
 algebra a_sh on basis v1..v4, v whose only nonzero brackets are
 [v1,v2] = [v3,v4] = [v1,v4] = [v3,v2] = v.
 
-Every entry is Jacobi-checked, and the ``expected`` dict pins documented
-invariants that verify_all() recomputes.  Expected values for the small
-entries were frozen from an independent dense-linear-algebra oracle (see
-tests/golden)."""
+Each fixed entry is one row of _TABLE: its construction, its notes and the
+``expected`` dict of documented invariants, which verify_all() recomputes
+after a Jacobi check; the "+i" rows also give its direct-sum identities.
+Expected values for the small entries were frozen from an independent
+dense-linear-algebra oracle (see tests/golden)."""
 
 from __future__ import annotations
 
@@ -52,110 +53,87 @@ class CatalogEntry(NamedTuple):
         return self.algebra.invariant_signature()
 
 
+# One row per fixed entry: (construction, notes, expected invariants).  A
+# construction is (dim, 1-based relations[, labels]) for _alg, the name of
+# an earlier row for that entry + i (its direct sum with abelian(1)), or a
+# builder taking no arguments.  Rows hold constructions, not algebras, so
+# each _build_fixed() call builds fresh ones.  The invariants are recomputed
+# by verify_all(); the numeric ones were frozen from the dense oracle run
+# (tests/golden/dim5_signatures.json).
+_TABLE: dict[str, tuple] = {
+    "n_3_1": (lambda: abelian(3), "abelian of dimension 3",
+              {"dim": 3, "center_dim": 3, "derivation_dim": 9, "h2_dim": 9,
+               "nilpotency_class": 1, "abelian": True}),
+    "n_3_2": (lambda: heisenberg(1), "h(1): [v1,v2] = v",
+              {"dim": 3, "lower_central_dims": (3, 1, 0), "center_dim": 1,
+               "derivation_dim": 6, "h1_dim": 4, "h2_dim": 5, "nilpotency_class": 2}),
+    "n_4_1": ("n_3_1", "n_3_1 + i",
+              {"dim": 4, "center_dim": 4, "derivation_dim": 16, "h2_dim": 24,
+               "nilpotency_class": 1, "abelian": True}),
+    "n_4_2": ("n_3_2", "n_3_2 + i",
+              {"dim": 4, "lower_central_dims": (4, 1, 0), "center_dim": 2,
+               "derivation_dim": 10, "h1_dim": 8, "h2_dim": 13, "nilpotency_class": 2}),
+    "n_4_3": ((4, {(1, 2): {3: 1}, (1, 3): {4: 1}}), "[v1,v2]=v3, [v1,v3]=v4",
+              {"dim": 4, "lower_central_dims": (4, 2, 1, 0),
+               "upper_central_dims": (0, 1, 2, 4), "center_dim": 1,
+               "derivation_dim": 7, "h1_dim": 4, "h2_dim": 6, "nilpotency_class": 3}),
+    "n_5_1": ("n_4_1", "n_4_1 + i",
+              {"dim": 5, "center_dim": 5, "derivation_dim": 25, "h2_dim": 50,
+               "nilpotency_class": 1, "abelian": True}),
+    "n_5_2": ("n_4_2", "n_4_2 + i = h(1) + i + i",
+              {"dim": 5, "lower_central_dims": (5, 1, 0), "center_dim": 3,
+               "derivation_dim": 16, "h1_dim": 14, "h2_dim": 28, "nilpotency_class": 2}),
+    "n_5_3": ("n_4_3", "n_4_3 + i",
+              {"dim": 5, "lower_central_dims": (5, 2, 1, 0), "center_dim": 2,
+               "derivation_dim": 11, "h1_dim": 8, "h2_dim": 14, "nilpotency_class": 3}),
+    "n_5_4": ((5, {(1, 2): {5: 1}, (3, 4): {5: 1}}),
+              "[v1,v2]=[v3,v4]=v5; same invariants as h(2)",
+              {"dim": 5, "lower_central_dims": (5, 1, 0), "center_dim": 1,
+               "derivation_dim": 15, "h1_dim": 11, "h2_dim": 20, "nilpotency_class": 2}),
+    "n_5_5": ((5, {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}}),
+              "[v1,v2]=v3, [v1,v3]=[v2,v4]=v5",
+              {"dim": 5, "lower_central_dims": (5, 2, 1, 0), "center_dim": 1,
+               "derivation_dim": 10, "h1_dim": 6, "h2_dim": 13, "nilpotency_class": 3}),
+    "n_5_6": ((5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}}),
+              "[v1,v2]=v3, [v1,v3]=v4, [v1,v4]=[v2,v3]=v5",
+              {"dim": 5, "lower_central_dims": (5, 3, 2, 1, 0), "center_dim": 1,
+               "derivation_dim": 8, "h1_dim": 4, "h2_dim": 7, "nilpotency_class": 4}),
+    "n_5_7": ((5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}}),
+              "[v1,v2]=v3, [v1,v3]=v4, [v1,v4]=v5",
+              {"dim": 5, "lower_central_dims": (5, 3, 2, 1, 0), "center_dim": 1,
+               "derivation_dim": 9, "h1_dim": 5, "h2_dim": 8, "nilpotency_class": 4}),
+    "n_5_8": ((5, {(1, 2): {4: 1}, (1, 3): {5: 1}}), "[v1,v2]=v4, [v1,v3]=v5",
+              {"dim": 5, "lower_central_dims": (5, 2, 0), "center_dim": 2,
+               "derivation_dim": 13, "h1_dim": 10, "h2_dim": 19, "nilpotency_class": 2}),
+    "n_5_9": ((5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}}),
+              "[v1,v2]=v3, [v1,v3]=v4, [v2,v3]=v5",
+              {"dim": 5, "lower_central_dims": (5, 3, 2, 0), "center_dim": 2,
+               "derivation_dim": 10, "h1_dim": 7, "h2_dim": 9, "nilpotency_class": 3}),
+    "sl2": ((3, {(1, 2): {3: 1}, (1, 3): {1: -2}, (2, 3): {2: 2}}, ["e", "f", "h"]),
+            "standard basis: [h,e]=2e, [h,f]=-2f, [e,f]=h",
+            {"dim": 3, "center_dim": 0, "derivation_dim": 3, "h1_dim": 0,
+             "h2_dim": 0, "nilpotency_class": -1, "solvable_length": -1}),
+    "a_sh": ((5, {(1, 2): {5: 1}, (3, 4): {5: 1}, (1, 4): {5: 1}, (2, 3): {5: -1}},
+              ["v1", "v2", "v3", "v4", "v"]),
+             "shifted-pair commutator table; same invariants as n_5_2",
+             {"dim": 5, "lower_central_dims": (5, 1, 0), "center_dim": 3,
+              "derivation_dim": 16, "h1_dim": 14, "h2_dim": 28, "nilpotency_class": 2}),
+}
+
+
 def _build_fixed() -> dict[str, CatalogEntry]:
-    sl2 = _alg(
-        3,
-        {(1, 2): {3: 1}, (1, 3): {1: -2}, (2, 3): {2: 2}},
-        labels=["e", "f", "h"],
-    )
-    n_4_3 = _alg(4, {(1, 2): {3: 1}, (1, 3): {4: 1}})
-    n_5_4 = _alg(5, {(1, 2): {5: 1}, (3, 4): {5: 1}})
-    n_5_5 = _alg(5, {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}})
-    n_5_6 = _alg(5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}})
-    n_5_7 = _alg(5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}})
-    n_5_8 = _alg(5, {(1, 2): {4: 1}, (1, 3): {5: 1}})
-    n_5_9 = _alg(5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}})
-    a_sh = _alg(
-        5,
-        {(1, 2): {5: 1}, (3, 4): {5: 1}, (1, 4): {5: 1}, (2, 3): {5: -1}},
-        labels=["v1", "v2", "v3", "v4", "v"],
-    )
-
-    n_3_1 = abelian(3)
-    n_3_2 = heisenberg(1)
-    n_4_1 = n_3_1.direct_sum(abelian(1))
-    n_4_2 = n_3_2.direct_sum(abelian(1))
-    n_5_1 = n_4_1.direct_sum(abelian(1))
-    n_5_2 = n_4_2.direct_sum(abelian(1))
-    n_5_3 = n_4_3.direct_sum(abelian(1))
-
-    entries = {
-        "n_3_1": CatalogEntry("n_3_1", n_3_1, _EXPECTED["n_3_1"], "abelian of dimension 3"),
-        "n_3_2": CatalogEntry("n_3_2", n_3_2, _EXPECTED["n_3_2"], "h(1): [v1,v2] = v"),
-        "n_4_1": CatalogEntry("n_4_1", n_4_1, _EXPECTED["n_4_1"], "n_3_1 + i"),
-        "n_4_2": CatalogEntry("n_4_2", n_4_2, _EXPECTED["n_4_2"], "n_3_2 + i"),
-        "n_4_3": CatalogEntry(
-            "n_4_3", n_4_3, _EXPECTED["n_4_3"], "[v1,v2]=v3, [v1,v3]=v4"
-        ),
-        "n_5_1": CatalogEntry("n_5_1", n_5_1, _EXPECTED["n_5_1"], "n_4_1 + i"),
-        "n_5_2": CatalogEntry("n_5_2", n_5_2, _EXPECTED["n_5_2"], "n_4_2 + i = h(1) + i + i"),
-        "n_5_3": CatalogEntry("n_5_3", n_5_3, _EXPECTED["n_5_3"], "n_4_3 + i"),
-        "n_5_4": CatalogEntry(
-            "n_5_4", n_5_4, _EXPECTED["n_5_4"], "[v1,v2]=[v3,v4]=v5; same invariants as h(2)"
-        ),
-        "n_5_5": CatalogEntry(
-            "n_5_5", n_5_5, _EXPECTED["n_5_5"], "[v1,v2]=v3, [v1,v3]=[v2,v4]=v5"
-        ),
-        "n_5_6": CatalogEntry(
-            "n_5_6", n_5_6, _EXPECTED["n_5_6"], "[v1,v2]=v3, [v1,v3]=v4, [v1,v4]=[v2,v3]=v5"
-        ),
-        "n_5_7": CatalogEntry(
-            "n_5_7", n_5_7, _EXPECTED["n_5_7"], "[v1,v2]=v3, [v1,v3]=v4, [v1,v4]=v5"
-        ),
-        "n_5_8": CatalogEntry("n_5_8", n_5_8, _EXPECTED["n_5_8"], "[v1,v2]=v4, [v1,v3]=v5"),
-        "n_5_9": CatalogEntry(
-            "n_5_9", n_5_9, _EXPECTED["n_5_9"], "[v1,v2]=v3, [v1,v3]=v4, [v2,v3]=v5"
-        ),
-        "sl2": CatalogEntry(
-            "sl2", sl2, _EXPECTED["sl2"], "standard basis: [h,e]=2e, [h,f]=-2f, [e,f]=h"
-        ),
-        "a_sh": CatalogEntry(
-            "a_sh",
-            a_sh,
-            _EXPECTED["a_sh"],
-            "shifted-pair commutator table; same invariants as n_5_2",
-        ),
-    }
+    """A fresh entry for every row of _TABLE, in table order."""
+    entries: dict[str, CatalogEntry] = {}
+    for name, (construction, notes, expected) in _TABLE.items():
+        if isinstance(construction, str):
+            algebra = entries[construction].algebra.direct_sum(abelian(1))
+        elif callable(construction):
+            algebra = construction()
+        else:
+            algebra = _alg(*construction)
+        entries[name] = CatalogEntry(name, algebra, expected, notes)
     return entries
 
-
-# Invariant values recomputed by verify_all(); numeric ones below were frozen
-# from the dense oracle run (tests/golden/dim5_signatures.json).
-_EXPECTED: dict[str, dict] = {
-    "n_3_1": {"dim": 3, "center_dim": 3, "derivation_dim": 9, "h2_dim": 9,
-              "nilpotency_class": 1, "abelian": True},
-    "n_3_2": {"dim": 3, "lower_central_dims": (3, 1, 0), "center_dim": 1,
-              "derivation_dim": 6, "h1_dim": 4, "h2_dim": 5, "nilpotency_class": 2},
-    "n_4_1": {"dim": 4, "center_dim": 4, "derivation_dim": 16, "h2_dim": 24,
-              "nilpotency_class": 1, "abelian": True},
-    "n_4_2": {"dim": 4, "lower_central_dims": (4, 1, 0), "center_dim": 2,
-              "derivation_dim": 10, "h1_dim": 8, "h2_dim": 13, "nilpotency_class": 2},
-    "n_4_3": {"dim": 4, "lower_central_dims": (4, 2, 1, 0),
-              "upper_central_dims": (0, 1, 2, 4), "center_dim": 1,
-              "derivation_dim": 7, "h1_dim": 4, "h2_dim": 6, "nilpotency_class": 3},
-    "n_5_1": {"dim": 5, "center_dim": 5, "derivation_dim": 25, "h2_dim": 50,
-              "nilpotency_class": 1, "abelian": True},
-    "n_5_2": {"dim": 5, "lower_central_dims": (5, 1, 0), "center_dim": 3,
-              "derivation_dim": 16, "h1_dim": 14, "h2_dim": 28, "nilpotency_class": 2},
-    "n_5_3": {"dim": 5, "lower_central_dims": (5, 2, 1, 0), "center_dim": 2,
-              "derivation_dim": 11, "h1_dim": 8, "h2_dim": 14, "nilpotency_class": 3},
-    "n_5_4": {"dim": 5, "lower_central_dims": (5, 1, 0), "center_dim": 1,
-              "derivation_dim": 15, "h1_dim": 11, "h2_dim": 20, "nilpotency_class": 2},
-    "n_5_5": {"dim": 5, "lower_central_dims": (5, 2, 1, 0), "center_dim": 1,
-              "derivation_dim": 10, "h1_dim": 6, "h2_dim": 13, "nilpotency_class": 3},
-    "n_5_6": {"dim": 5, "lower_central_dims": (5, 3, 2, 1, 0), "center_dim": 1,
-              "derivation_dim": 8, "h1_dim": 4, "h2_dim": 7, "nilpotency_class": 4},
-    "n_5_7": {"dim": 5, "lower_central_dims": (5, 3, 2, 1, 0), "center_dim": 1,
-              "derivation_dim": 9, "h1_dim": 5, "h2_dim": 8, "nilpotency_class": 4},
-    "n_5_8": {"dim": 5, "lower_central_dims": (5, 2, 0), "center_dim": 2,
-              "derivation_dim": 13, "h1_dim": 10, "h2_dim": 19, "nilpotency_class": 2},
-    "n_5_9": {"dim": 5, "lower_central_dims": (5, 3, 2, 0), "center_dim": 2,
-              "derivation_dim": 10, "h1_dim": 7, "h2_dim": 9, "nilpotency_class": 3},
-    "sl2": {"dim": 3, "center_dim": 0, "derivation_dim": 3, "h1_dim": 0,
-            "h2_dim": 0, "nilpotency_class": -1, "solvable_length": -1},
-    "a_sh": {"dim": 5, "lower_central_dims": (5, 1, 0), "center_dim": 3,
-             "derivation_dim": 16, "h1_dim": 14, "h2_dim": 28, "nilpotency_class": 2},
-}
 
 # The fixed entries, built once at import.  Entries are shared between
 # callers and nothing mutates them, so each algebra's signature is
@@ -257,24 +235,11 @@ def verify_all() -> list[VerifyItem]:
         )
     )
     # direct-sum identities hold with equal constants, not merely equal signatures
-    sums = [
-        ("n_4_1", "n_3_1"),
-        ("n_4_2", "n_3_2"),
-        ("n_5_1", "n_4_1"),
-        ("n_5_2", "n_4_2"),
-        ("n_5_3", "n_4_3"),
-    ]
-    for name, summand in sums:
-        items.append(
-            VerifyItem(
-                f"{name}={summand}+i",
-                "constants_equal",
-                True,
-                entries[name].algebra.same_constants(
-                    entries[summand].algebra.direct_sum(abelian(1))
-                ),
-            )
-        )
+    for name, (summand, _, _) in _TABLE.items():
+        if isinstance(summand, str):
+            plus_i = entries[summand].algebra.direct_sum(abelian(1))
+            same = entries[name].algebra.same_constants(plus_i)
+            items.append(VerifyItem(f"{name}={summand}+i", "constants_equal", True, same))
     # the nine dim-5 entries are pairwise distinguished by their signatures
     dim5 = [f"n_5_{k}" for k in range(1, 10)]
     sigs = {name: entries[name].signature() for name in dim5}

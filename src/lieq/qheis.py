@@ -46,8 +46,9 @@ from .exactnum import (
 
 
 # the default LIEQ_SIZE_CAP budget: matrix entries for the fock
-# truncations; for parse_qexpr, letters in one word and words in one
-# product or power
+# truncations; for parse_qexpr, letters in one word, words in one product
+# or power, powers of q across the coefficients and 64-bit words in one
+# coefficient
 DEFAULT_SIZE_CAP = 200_000
 
 
@@ -800,6 +801,47 @@ class _Tokens:
             count = words if exp == 1 else f"{words}^{exp}"
             raise ValueError(f"a product of {count} words exceeds LIEQ_SIZE_CAP = {self.max_word}")
 
+    def fit_coeffs(self, low: int, high: int, norm: int, den: int) -> None:
+        """Refuse coefficients that could span more than max_word powers of
+        q, from q^low to q^high, or whose numerators (of at most norm bits)
+        or denominator (den bits) could fill more than max_word 64-bit words
+        in one coefficient: (span + 1) * ceil(bits / 64)."""
+        span = high - low
+        if span > self.max_word:
+            raise ValueError(
+                f"a coefficient range q^{low}..q^{high} exceeds LIEQ_SIZE_CAP = {self.max_word}"
+            )
+        words = (span + 1) * -(-max(norm, den) // 64)
+        if words > self.max_word:
+            raise ValueError(
+                f"a coefficient of {words} 64-bit words exceeds LIEQ_SIZE_CAP = {self.max_word}"
+            )
+
+
+class _Size(NamedTuple):
+    """Bounds on the coefficients of a nonzero expression: the least and
+    greatest power of q in any of them, and ceil(log2) of the summed
+    numerator magnitudes over one common denominator (its l1 norm times
+    that denominator) and of that denominator.  |ab| <= |a|_1 |b|_1 and
+    |p^n| <= |p|_1^n bound the numerators of products and powers."""
+
+    low: int
+    high: int
+    norm: int
+    den: int
+
+
+def _size(expr: QExpr) -> _Size | None:
+    """The coefficient bounds of expr; None when it is zero."""
+    polys = expr.terms.values()
+    if not polys:
+        return None
+    den = math.lcm(*(p.den for p in polys))
+    norm = sum((sum(map(abs, p.re)) + sum(map(abs, p.im or ()))) * (den // p.den) for p in polys)
+    low = min(p.low for p in polys)
+    high = max(p.low + len(p.re) for p in polys) - 1
+    return _Size(low, high, (norm - 1).bit_length(), (den - 1).bit_length())
+
 
 def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
     """Parse the small normalize grammar: letters A, B, I; the parameter q;
@@ -811,7 +853,12 @@ def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
     parenthesized expression or a product that would make a word longer
     than max_word letters raises ValueError before the word is built, and
     so does a product or power whose word count could exceed max_word:
-    |out| * |factor| words for a product, |base|^exp for a power."""
+    |out| * |factor| words for a product, |base|^exp for a power.  A sum,
+    product or power is refused before it is built, too, when its
+    coefficients could span more than max_word powers of q, or when one
+    coefficient's numerators could fill more than max_word 64-bit words,
+    (span + 1) * ceil(bits / 64), with the bits predicted from the
+    operands' l1 norms and denominators (see _Size)."""
     tokens = _Tokens(text, max_word)
     expr = _parse_sum(tokens)
     if tokens.peek() is not None:
@@ -824,6 +871,10 @@ def _parse_sum(tokens: _Tokens) -> QExpr:
     while tokens.peek() in ("+", "-"):
         op = tokens.take()
         term = _parse_term(tokens)
+        a, b = _size(out), _size(term)
+        if a and b:
+            tokens.fit_coeffs(min(a.low, b.low), max(a.high, b.high),
+                              max(a.norm + b.den, b.norm + a.den) + 1, a.den + b.den)
         out = out + term if op == "+" else out - term
     return out
 
@@ -855,6 +906,9 @@ def _times(tokens: _Tokens, out: QExpr | None, factor: QExpr) -> QExpr:
         return factor
     tokens.fit(_longest(out) + _longest(factor))
     tokens.fit_words(len(out.terms) * len(factor.terms))
+    a, b = _size(out), _size(factor)
+    if a and b:
+        tokens.fit_coeffs(a.low + b.low, a.high + b.high, a.norm + b.norm, a.den + b.den)
     return out * factor
 
 
@@ -902,6 +956,9 @@ def _parse_factor(tokens: _Tokens) -> QExpr:
         return base
     tokens.fit(_longest(base) * exp)
     tokens.fit_words(len(base.terms), exp)
+    a = _size(base)
+    if a:
+        tokens.fit_coeffs(a.low * exp, a.high * exp, a.norm * exp, a.den * exp)
     return base ** exp
 
 

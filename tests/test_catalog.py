@@ -1,6 +1,9 @@
+import json
+import pathlib
+
 import pytest
 
-from lieq import catalog
+from lieq import catalog, cli
 from lieq.catalog import UnknownName, heisenberg
 
 
@@ -42,6 +45,25 @@ def test_a_sh_relations():
         {"i": 2, "j": 3, "out": {"5": "-1"}},
         {"i": 3, "j": 4, "out": {"5": "1"}},
     ]
+
+
+# every entry's relations, labels and notes as `catalog show --json` prints
+# them, and its expected invariants; regenerate with tests/gen_golden.py
+_ENTRIES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "catalog_entries.json").read_text()
+)
+
+
+def test_golden_entries_cover_the_catalog():
+    assert sorted(_ENTRIES) == sorted(catalog.list_names() + ["h(7)"])
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_entry_matches_golden(name, capsys):
+    assert cli.run(["catalog", "show", name, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == _ENTRIES[name]["show"]
+    expected = json.loads(json.dumps(catalog.get(name).expected))
+    assert expected == _ENTRIES[name]["expected"]
 
 
 def test_abelian_seven():

@@ -291,6 +291,12 @@ def test_size_cap_setting_bounds_word_length(monkeypatch, capsys):
     assert cli.run(["qheis", "normalize", "B^50*A^50"]) == 0
 
 
+@pytest.mark.parametrize("expr", ["(q+1)^200000", "q^100000000+1", "q^100000000*A*B + B*A"])
+def test_size_cap_bounds_coefficients(expr, capsys):
+    assert cli.run(["qheis", "normalize", expr]) == 2
+    assert "exceeds LIEQ_SIZE_CAP = 200000" in capsys.readouterr().err
+
+
 def test_cohomology_trivial_coefficients(capsys):
     code, doc = run_json(
         capsys,

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from pathlib import Path
@@ -564,3 +565,40 @@ def test_products_within_the_word_cap_parse():
 def test_words_at_the_cap_parse():
     assert parse_qexpr("A^5*B^5", max_word=10) == A() ** 5 * B() ** 5
     assert parse_qexpr("(A*B)^5 + A^10", max_word=10) == (A() * B()) ** 5 + A() ** 10
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(q+1)^200000", "a coefficient of 625003125 64-bit words"),
+        ("(q+1)^4000", "a coefficient of 252063 64-bit words"),
+        ("q^200000+1", "a coefficient of 200001 64-bit words"),
+        ("(1/3)^99999999999", "a coefficient of 3125000000 64-bit words"),
+        ("q^100000000+1", "a coefficient range q^0..q^100000000"),
+        ("q^100000000*A*B + B*A", "a coefficient range q^0..q^100000000"),
+        ("(q^-1 + q)^100001", "a coefficient range q^-100001..q^100001"),
+        ("(q^100 + 1)*(q^199901 - A)", "a coefficient range q^0..q^200001"),
+    ],
+)
+def test_coefficients_beyond_the_cap_are_refused_before_they_are_built(text, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        parse_qexpr(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"{message} exceeds LIEQ_SIZE_CAP = 200000"
+
+
+def test_coefficients_within_the_cap_parse():
+    # (n + 1) * ceil(n / 64) words: 1000 at n = 249, 1004 at n = 250
+    row = parse_qexpr("(q+1)^249", max_word=1000).terms[""]
+    assert row == LaurentPoly({k: math.comb(249, k) for k in range(250)})
+    with pytest.raises(ValueError, match="a coefficient of 1004 64-bit words exceeds LIEQ_SIZE_CAP = 1000"):
+        parse_qexpr("(q+1)^250", max_word=1000)
+    assert parse_qexpr("q^199999+1") == QExpr.unit(LaurentPoly({199999: 1, 0: 1}))
+    assert parse_qexpr("q^-3*A") == QExpr.word("A", LaurentPoly.monomial(-3))
+    assert parse_qexpr("A^40*B^40") == A() ** 40 * B() ** 40
+    # a zero summand or factor widens no coefficient range
+    assert parse_qexpr("0*q^100000000 + A") == A()
+    for n in (2000, 3000):  # 64032 and 141047 predicted words
+        row = parse_qexpr(f"(q+1)^{n}").terms[""]
+        assert row == LaurentPoly({k: math.comb(n, k) for k in range(n + 1)})
