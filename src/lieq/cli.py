@@ -10,6 +10,14 @@ every call.  This module therefore imports at its top only what every
 command needs (``exactnum``, ``liealg``, ``linalg``, which ``lieq``
 loads anyway); each command and each helper imports the engine modules it
 runs when it is called.  A new subcommand imports its engine the same way.
+
+(``lieq --help`` shows the three paragraphs above.)  A process also
+compiles and builds only the command it runs: ``build_parser`` adds only
+that command's subparser, and the verify-all battery, with the check
+items that ``qheis verify`` and ``fock verify``/``cuntz`` share with it,
+lives in ``checks``, which only those commands import.  Work over
+``LIEQ_SIZE_CAP`` raises ``exactnum.SizeCap`` before it starts and exits
+2, like any usage error.
 """
 
 from __future__ import annotations
@@ -20,16 +28,11 @@ import os
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from .exactnum import GaussRat, LieqError
+from .exactnum import GaussRat, LieqError, SizeCap, size_cap
 from .liealg import LieAlgebra
 from .linalg import SparseMatrix
-
-if TYPE_CHECKING:  # names used in annotations only
-    import random
-
-    from . import fock
 
 
 class Report:
@@ -114,11 +117,11 @@ def _load_algebra(spec: str) -> LieAlgebra:
     return catalog.get(spec).algebra
 
 
-def _size_cap() -> int:
-    from .qheis import DEFAULT_SIZE_CAP
-
-    raw = os.environ.get("LIEQ_SIZE_CAP")
-    return int(raw) if raw else DEFAULT_SIZE_CAP
+def _fock_size(n: int) -> int:
+    """n, once an n x n truncation is within LIEQ_SIZE_CAP."""
+    if n * n > size_cap():
+        raise SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
+    return n
 
 
 def _matrix_doc(mat: SparseMatrix) -> dict:
@@ -281,7 +284,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_qheis_normalize(args) -> int:
     from . import qheis
 
-    expr = qheis.parse_qexpr(args.expr, _size_cap())
+    expr = qheis.parse_qexpr(args.expr, size_cap())
     q_value = GaussRat(args.q) if args.q is not None else None
     nf = qheis.normal_order(expr, q_value)
     doc = {
@@ -292,37 +295,9 @@ def cmd_qheis_normalize(args) -> int:
     return 0
 
 
-def _q_identity_items(top: int):
-    """(name, ok) for each q-identity check up to size ``top``, lazily, so a
-    caller that only wants the conjunction stops at the first failure."""
-    from . import qheis
-
-    for n in range(1, min(top, 20) + 1):
-        yield (f"binomial_recursion_vs_closed n={n}",
-               all(qheis.q_binomial(n, k) == qheis.q_binomial_closed(n, k) for k in range(n + 1)))
-    for n in range(1, top + 1):
-        yield f"powandprod n={n}", qheis.verify_powandprod(n)
-    for q0 in ("-1", "-1/2", "1/3", "2"):
-        yield (f"powandprod_reciprocal q={q0}",
-               all(qheis.verify_powandprod_reciprocal(n, GaussRat(q0))
-                   for n in range(1, min(top, 8) + 1)))
-    for n in range(1, min(top, 6) + 1):
-        yield f"bnan n={n}", qheis.verify_generalized_jacobi("bnan", n)
-        yield f"anbn n={n}", qheis.verify_generalized_jacobi("anbn", n)
-    yield ("bracketBmAn m,n<=6",
-           all(qheis.verify_generalized_jacobi("bracketBmAn", n, m)
-               for m in range(1, 7) for n in range(1, 7)))
-    yield ("q_zero_table n,m<=8",
-           all(qheis.q_zero_products(n, m) == qheis.q_zero_expected(n, m)
-               for n in range(1, 9) for m in range(1, 9)))
-    for which in qheis._FREE_ITEMS:
-        yield f"free_{which}", qheis.free_identity_check(which)
-    yield ("subset_sum n<=8",
-           all(bool(qheis.subset_sum_binomial_check(n, k))
-               for n in range(1, 9) for k in range(n + 1)))
-
-
 def cmd_qheis_verify(args) -> int:
+    from .checks import _q_identity_items
+
     report = Report("qheis verify")
     if args.max_n < 0:
         raise ValueError(f"--max-n must be a non-negative size, got {args.max_n}")
@@ -334,9 +309,7 @@ def cmd_qheis_verify(args) -> int:
 def cmd_fock_build(args) -> int:
     from . import fock
 
-    n = args.n
-    if n * n > _size_cap():
-        raise fock.SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
+    n = _fock_size(args.n)
     if args.mode == "float":
         doc = {
             "format": "lieq-1",
@@ -367,35 +340,13 @@ def _as_float(text: str) -> float:
     return float(value.re)
 
 
-def _truncation_items(q0: GaussRat, n: int):
-    """(name, ok) for the size-n monomial pair: the q-CCR defect sits in the
-    corner only, and the number operator has the closed-form spectrum."""
-    from . import fock
-
-    a, b = fock.monomial_rep(q0, n)
-    yield "defect_corner_only", fock.defect_is_corner_only(fock.qccr_defect(a, b, q0), q0)
-    yield ("spectrum_closed_form",
-           fock.number_operator_spectrum(a, b) == fock.spectrum_closed_form(q0, n))
-
-
-def _biorthogonal_items(system: fock.BiorthogonalSystem):
-    """(name, ok): the pairing matrix is the identity, and each squared
-    ladder coefficient is {m+1}_q."""
-    from . import qheis
-
-    yield "biorthogonality", system.pairing_matrix() == SparseMatrix.identity(system.n)
-    rungs = qheis.q_integers_at(system.n - 1, system.q0)[1:]
-    yield "squared_ladder", system.squared_ladder_coefficients() == rungs
-
-
 def cmd_fock_verify(args) -> int:
     from . import fock
+    from .checks import _biorthogonal_items, _truncation_items
 
     report = Report("fock verify")
     q0 = GaussRat(args.q)
-    n = args.n
-    if n * n > _size_cap():
-        raise fock.SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
+    n = _fock_size(args.n)
     for name, ok in _truncation_items(q0, n):
         report.add(name, True, ok)
     weights = [GaussRat(k + 1) for k in range(min(n, 12))]
@@ -407,210 +358,21 @@ def cmd_fock_verify(args) -> int:
     return _finish(args, report)
 
 
-def _defects_on_top_degree(ct: fock.CuntzToeplitz) -> bool:
-    """Every isometry defect l_i+ l_j - delta_ij I lives on top-degree words."""
-    return all(ct.defect_supported_on_top_degree(i, j) for i in range(ct.d) for j in range(ct.d))
-
-
 def cmd_fock_cuntz(args) -> int:
     from . import fock
+    from .checks import _defects_on_top_degree
 
     report = Report("fock cuntz")
-    ct = fock.cuntz_toeplitz(args.d, args.depth, _size_cap())
+    ct = fock.cuntz_toeplitz(args.d, args.depth, size_cap())
     report.add("dim", None, ct.dim, ok=True)
     report.add("isometry_defect_top_degree_only", True, _defects_on_top_degree(ct))
     return _finish(args, report)
 
 
-# -- the verify-all battery ---------------------------------------------------
-#
-# Each entry takes an rng and yields the (name, expected, actual) items of
-# one group of checks.  verify-all runs the entries of _BATTERY in report
-# order with one rng; the acceptance tests (tests/test_acceptance.py) run
-# the entries of each criterion under that criterion's time budget.
-
-
-def _verify_catalog(rng):
-    """catalog.verify_all: Jacobi and the expected invariants of every
-    entry, the documented coincidences and the 36 distinct dim-5 pairs."""
-    from . import catalog
-
-    yield "catalog", "pass", "pass" if all(item.ok for item in catalog.verify_all()) else "fail"
-
-
-def _verify_sl2(rng):
-    """Der = Inn (so H^1 = 0), H^2 = 0 and the rigidity numbers of sl2."""
-    from . import catalog, deform
-
-    sl2 = catalog.get("sl2").algebra
-    rr = deform.rigidity_report(sl2)
-    # dim Der = n^2 - rank d_1 = n^2 - orbit tangent dim; dim Inn = n - dim Z(g)
-    der = sl2.dim * sl2.dim - rr.orbit_tangent_dim
-    yield "sl2_der_inn", (3, 3), (der, sl2.dim - sl2.center().dim)
-    yield "sl2_h2", 0, rr.dim_h2
-    yield ("sl2_rigidity", (6, 6, True, True),
-           (rr.orbit_tangent_dim, rr.dim_b2, rr.nr_rigid, rr.tangent_equals_b2))
-
-
-def _verify_d_squared_zero(rng):
-    """d^2 = 0 in every degree, adjoint and trivial coefficients, across
-    the catalog."""
-    from . import catalog, cohomology
-
-    ok = True
-    for name in catalog.list_names():
-        g = catalog.get(name).algebra
-        for rep in (cohomology.adjoint_rep(g), cohomology.trivial_rep(g, 1)):
-            complex_ = cohomology.CochainComplex(g, rep)
-            for k in range(g.dim + 1):
-                ok = ok and complex_.d_squared_zero(k)
-    yield "d_squared_zero", True, ok
-
-
-def _verify_skjelbred_sund_round_trip(rng):
-    """Every nilpotent catalog entry with a center is the central extension
-    of g / Z(g) by its induced cocycle, and 20 random coboundary shifts of
-    that cocycle each give an isomorphic extension (coboundary_shift_iso
-    raises when its map fails to intertwine)."""
-    from . import catalog, cohomology, extend
-
-    ok = True
-    for name in catalog.list_names():
-        g = catalog.get(name).algebra
-        if g.is_nilpotent() is None or g.center().dim == 0 or g.dim == 0:
-            continue
-        quot, theta, same = _round_trip(g)
-        ok = ok and same
-        base = quot.algebra
-        for _ in range(20 if base.dim else 0):
-            coords = {}
-            for i in range(base.dim):
-                vec = {k: GaussRat(rng.randint(-5, 5)) for k in range(theta.target_dim)}
-                vec = {k: v for k, v in vec.items() if v}
-                if vec:
-                    coords[(i,)] = vec
-            shift = cohomology.Cochain(base, 1, theta.target_dim, coords)
-            extend.coboundary_shift_iso(base, theta, shift)
-    yield "skjelbred_sund_round_trip", True, ok
-
-
-def _verify_deformation(rng):
-    """g_0 + t phi is Lie when the base is abelian and phi holds catalog
-    brackets; the cyclic-cocycle counterexample on h(1) passes the cyclic
-    test and fails Jacobi at degree 1."""
-    from . import catalog, cohomology, deform
-    from .liealg import abelian
-
-    defect = None
-    for name in ("h(1)", "n_4_3", "n_5_6", "n_5_9", "sl2", "a_sh"):
-        g = catalog.get(name).algebra
-        base = abelian(g.dim)
-        phi = cohomology.Cochain(base, 2, g.dim, {p: dict(v) for p, v in g.brackets.items()})
-        if defect is None:
-            defect = deform.deformation_is_lie(deform.make_linear_deformation(base, phi))
-    yield "zero_base_deformation", None, defect
-    h1 = catalog.get("h(1)").algebra
-    counter = cohomology.Cochain(h1, 2, 3, {(0, 2): {0: 1}})
-    yield ("cyclic_cocycle_counterexample_passes_cycle", True,
-           cohomology.is_two_cocycle_trivial_coeffs(counter))
-    defect = deform.deformation_is_lie(deform.make_linear_deformation(h1, counter))
-    yield "cyclic_cocycle_counterexample_fails_full", True, defect is not None and defect.degree == 1
-
-
-def _verify_q_identity_suite(rng):
-    """Every q-identity check of qheis verify --max-n 20."""
-    yield "q_identity_suite", True, all(passed for _, passed in _q_identity_items(20))
-
-
-def _verify_fock_interior_exactness(rng):
-    """The truncation checks of fock verify at five q and n = 8, 32, 64."""
-    ok = all(
-        passed
-        for q_text in ("-1", "-1/2", "0", "1/3", "1")
-        for n in (8, 32, 64)
-        for _, passed in _truncation_items(GaussRat(q_text), n)
-    )
-    yield "fock_interior_exactness", True, ok
-
-
-def _verify_biorthogonality(rng):
-    """Five random biorthogonal systems at q = 1 and five at q = 1/2, of
-    2 to 32 weights a/b with 1 <= a, b <= 60."""
-    from . import fock
-
-    ok = True
-    for q_text in ("1", "1/2"):
-        q0 = GaussRat(q_text)
-        for _ in range(5):
-            weights = [GaussRat(rng.randint(1, 60)) / GaussRat(rng.randint(1, 60))
-                       for _ in range(rng.randint(2, 32))]
-            system = fock.biorthogonal_pair(weights, q0)
-            ok = ok and all(passed for _, passed in _biorthogonal_items(system))
-    yield "biorthogonality", True, ok
-
-
-def _verify_shifted_pair(rng):
-    """The shifted pseudoboson pair's commutator constants are a_sh's."""
-    from . import catalog, fock
-
-    sp = fock.shifted_pair(GaussRat(1), GaussRat(0, 1), 8)
-    ash = catalog.get("a_sh").algebra
-    expected = {pair: vec.get(4) for pair, vec in ash.brackets.items()}
-    yield "shifted_pair_matches_a_sh", True, sp.extracted_constants() == expected
-
-
-def _verify_similarity_transport(rng):
-    """The CAR pair conjugated by 25 random invertible 2x2 matrices stays
-    exact, and the size-8 monomial pair at three q transports its defect."""
-    from . import fock
-
-    c, cdag = fock.car_pair_2x2()
-    ok = (c @ cdag + cdag @ c) == SparseMatrix.identity(2)
-    for _ in range(25):
-        result = fock.similarity_transport([(c, cdag)], _random_invertible(rng, 2), GaussRat(-1))
-        ok = ok and result.conjugation_exact and result.defects_transported[(0, 0)].is_zero()
-    for q_text in ("0", "1/3", "1"):
-        q0 = GaussRat(q_text)
-        a, b = fock.monomial_rep(q0, 8)
-        result = fock.similarity_transport([(a, b)], _random_invertible(rng, 8), q0)
-        ok = ok and result.conjugation_exact
-    yield "similarity_transport", True, ok
-
-
-def _verify_cuntz_toeplitz(rng):
-    """At d = 2, 3 and depth 1 to 4 every isometry defect lives on
-    top-degree words, and l_i+ l_i - I reads -1 on each of them."""
-    from . import fock
-
-    ok = True
-    for d in (2, 3):
-        for depth in range(1, 5):
-            ct = fock.cuntz_toeplitz(d, depth, _size_cap())
-            top = [w for w, word in enumerate(ct.words) if len(word) == depth]
-            diagonals = [ct.isometry_defect(i, i).diagonal() for i in range(d)]
-            ok = ok and _defects_on_top_degree(ct) and all(
-                diagonal[w] == GaussRat(-1) for diagonal in diagonals for w in top
-            )
-    yield "cuntz_toeplitz", True, ok
-
-
-_BATTERY = (
-    _verify_catalog,
-    _verify_sl2,
-    _verify_d_squared_zero,
-    _verify_skjelbred_sund_round_trip,
-    _verify_deformation,
-    _verify_q_identity_suite,
-    _verify_fock_interior_exactness,
-    _verify_biorthogonality,
-    _verify_shifted_pair,
-    _verify_similarity_transport,
-    _verify_cuntz_toeplitz,
-)
-
-
 def cmd_verify_all(args) -> int:
     import random
+
+    from .checks import _BATTERY
 
     report = Report("verify-all")
     rng = random.Random(args.seed)
@@ -624,20 +386,6 @@ def cmd_verify_all(args) -> int:
     return _finish(args, report)
 
 
-def _random_invertible(rng: random.Random, n: int) -> SparseMatrix:
-    while True:
-        data = {}
-        for r in range(n):
-            for c in range(n):
-                if rng.random() < 0.7:
-                    value = GaussRat(rng.randint(-5, 5))
-                    if value:
-                        data[(r, c)] = value
-        mat = SparseMatrix(n, data)
-        if mat.inverse() is not None:
-            return mat
-
-
 # -- wiring --------------------------------------------------------------------
 
 
@@ -649,85 +397,122 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lieq", description=__doc__)
+def _json(p: argparse.ArgumentParser) -> None:
     # --json goes on the commands that print, after the subcommand; a group
     # such as qheis or fock takes no option of its own
-    leaf = argparse.ArgumentParser(add_help=False)
-    leaf.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("catalog", parents=[leaf], help="browse the built-in algebra library")
+
+def _algebra(p: argparse.ArgumentParser, func: Callable) -> None:
+    """A command that prints and reads --algebra first."""
+    _json(p)
+    p.add_argument("--algebra", required=True)
+    p.set_defaults(func=func)
+
+
+def _catalog_arguments(p):
+    _json(p)
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("algebra", parents=[leaf], help="invariants of an algebra")
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_algebra)
 
-    p = sub.add_parser("cohomology", parents=[leaf], help="Betti numbers")
-    p.add_argument("--algebra", required=True)
+def _cohomology_arguments(p):
+    _algebra(p, cmd_cohomology)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--coeffs", choices=["ad", "trivial"], default="ad")
-    p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("deform", parents=[leaf], help="deformation checks")
+
+def _deform_arguments(p):
+    _json(p)
     p.add_argument("action", choices=["check"])
     p.add_argument("--algebra", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--phi2", action="append")
     p.set_defaults(func=cmd_deform_check)
 
-    p = sub.add_parser("rigidity", parents=[leaf], help="rigidity report")
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_rigidity)
 
-    p = sub.add_parser("extend", parents=[leaf], help="central extension by a cocycle")
-    p.add_argument("--algebra", required=True)
+def _extend_arguments(p):
+    _algebra(p, cmd_extend)
     p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("reconstruct", parents=[leaf], help="quotient + induced cocycle round trip")
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("qheis", help="q-deformed Heisenberg algebra")
-    qsub = p.add_subparsers(dest="qaction", required=True)
-    pn = qsub.add_parser("normalize", parents=[leaf])
+def _qheis_arguments(p):
+    actions = p.add_subparsers(dest="qaction", required=True)
+    pn = actions.add_parser("normalize")
+    _json(pn)
     pn.add_argument("expr")
     pn.add_argument("--q", default=None)
     pn.set_defaults(func=cmd_qheis_normalize)
-    pv = qsub.add_parser("verify", parents=[leaf])
+    pv = actions.add_parser("verify")
+    _json(pv)
     pv.add_argument("--max-n", type=int, default=12)
     pv.set_defaults(func=cmd_qheis_verify)
 
-    p = sub.add_parser("fock", help="truncated ladder operators")
-    fsub = p.add_subparsers(dest="faction", required=True)
-    pb = fsub.add_parser("build", parents=[leaf])
+
+def _fock_arguments(p):
+    actions = p.add_subparsers(dest="faction", required=True)
+    pb = actions.add_parser("build")
+    _json(pb)
     pb.add_argument("--q", required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--mode", choices=["exact", "float"], default="exact")
     pb.set_defaults(func=cmd_fock_build)
-    pv = fsub.add_parser("verify", parents=[leaf])
+    pv = actions.add_parser("verify")
+    _json(pv)
     pv.add_argument("--q", required=True)
     pv.add_argument("--n", type=int, required=True)
     pv.set_defaults(func=cmd_fock_verify)
-    pc = fsub.add_parser("cuntz", parents=[leaf])
+    pc = actions.add_parser("cuntz")
+    _json(pc)
     pc.add_argument("--d", type=int, required=True)
     pc.add_argument("--depth", type=int, required=True)
     pc.set_defaults(func=cmd_fock_cuntz)
 
-    p = sub.add_parser("verify-all", parents=[leaf], help="run the full verification battery")
+
+def _verify_all_arguments(p):
+    _json(p)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.set_defaults(func=cmd_verify_all)
 
+
+# every command, in the order --help lists them: its help line and what
+# adds its arguments to its subparser
+_COMMANDS = {
+    "catalog": ("browse the built-in algebra library", _catalog_arguments),
+    "algebra": ("invariants of an algebra", lambda p: _algebra(p, cmd_algebra)),
+    "cohomology": ("Betti numbers", _cohomology_arguments),
+    "deform": ("deformation checks", _deform_arguments),
+    "rigidity": ("rigidity report", lambda p: _algebra(p, cmd_rigidity)),
+    "extend": ("central extension by a cocycle", _extend_arguments),
+    "reconstruct": ("quotient + induced cocycle round trip", lambda p: _algebra(p, cmd_reconstruct)),
+    "qheis": ("q-deformed Heisenberg algebra", _qheis_arguments),
+    "fock": ("truncated ladder operators", _fock_arguments),
+    "verify-all": ("run the full verification battery", _verify_all_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The lieq parser.  A process parses one command, so when ``command``
+    names one, only its subparser is built; otherwise (no command, an
+    unknown one, or -h) all of them are.  The usage line lists every
+    command either way: argparse prints it for an unrecognized option, and
+    with one subparser it would list only that one."""
+    # --help shows the user-facing paragraphs of the module docstring
+    parser = _Parser(prog="lieq", description="\n\n".join(__doc__.split("\n\n")[:3]))
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # without a metavar, argparse names a missing command by its dest
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -735,12 +520,12 @@ def run(argv=None) -> int:
         # takes stdout so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (OSError, ValueError) as err:  # SizeCap too: refused work is a usage error
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
     except LieqError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -25,7 +25,7 @@ import itertools
 import math
 from typing import Mapping, Sequence
 
-from .exactnum import GaussRat, LieqError, ZERO, gauss
+from .exactnum import GaussRat, LieqError, SizeCap, ZERO, gauss, size_cap
 from .liealg import LieAlgebra, doc_field, doc_index, doc_value
 from .linalg import (
     SparseMatrix,
@@ -290,11 +290,18 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
     """D * d_k, for d_k : C^k -> C^{k+1} and D = _common_denominator(g, rep),
     as integer columns, one per coordinate of C^k in the canonical ordering.
     The real part of row r sits at key 2r and the imaginary part at key
-    2r + 1, the Z[i] layout of linalg._clear_denominators."""
+    2r + 1, the Z[i] layout of linalg._clear_denominators.
+
+    Every d_k is built here, so this is where its size is bounded: more
+    than LIEQ_SIZE_CAP columns, C(n, k) * m, raise SizeCap before anything
+    is allocated."""
     n, m = g.dim, rep.module_dim
+    width, cap = cochain_space_dim(n, k, m), size_cap()
+    if width > cap:
+        raise SizeCap(f"d_{k} with C({n},{k})*{m} = {width} columns exceeds LIEQ_SIZE_CAP = {cap}")
     if k >= n:
         # C^{k+1} vanishes, so d is the zero map
-        return [{} for _ in range(cochain_space_dim(n, k, m))]
+        return [{} for _ in range(width)]
     den = _common_denominator(g, rep)
     offset = {key: 2 * pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
     brackets = {

@@ -17,9 +17,9 @@ import warnings
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import GaussRat, LieqError, ONE, ZERO, gauss
+from .exactnum import DEFAULT_SIZE_CAP, GaussRat, LieqError, ONE, SizeCap, ZERO, gauss
 from .linalg import SparseMatrix, Vec
-from .qheis import DEFAULT_SIZE_CAP, q_integers_at
+from .qheis import q_integers_at
 
 
 class SingularWeight(LieqError):
@@ -32,10 +32,6 @@ class NonpositiveWeight(LieqError):
 
 class SingularT(LieqError):
     """Similarity transport with a non-invertible matrix."""
-
-
-class SizeCap(LieqError):
-    """Requested truncation exceeds the configured entry budget."""
 
 
 class NegativeWeight(LieqError):

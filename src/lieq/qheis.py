@@ -10,7 +10,7 @@ once.  Nothing recurses and nothing is kept between calls.  With symbolic
 q the coefficients met while a word is read have nonnegative integer
 coefficients of at most _state_bound(word) <= (1 + #A)^#B, so a group's
 sums stay below the sum of those bounds over its words; each is carried
-as one packed Python int (exactnum.pack) at a slot width above the
+as one packed Python int (laurent.pack) at a slot width above the
 largest group's sum; q-integers, powers of q and q-Pascal rows are made
 only where a B run needs them.  The closed q-binomial is a running
 product of packed q-integers with one short certified exact division per
@@ -29,27 +29,8 @@ import operator
 import re
 from typing import Mapping, NamedTuple
 
-from .exactnum import (
-    GaussRat,
-    LaurentPoly,
-    LieqError,
-    ONE,
-    ZERO,
-    as_poly,
-    gauss,
-    pack,
-    packed_divexact,
-    power,
-    slot_width,
-    unpack,
-)
-
-
-# the default LIEQ_SIZE_CAP budget: matrix entries for the fock
-# truncations; for parse_qexpr, letters in one word, words in one product
-# or power, powers of q across the coefficients and 64-bit words in one
-# coefficient
-DEFAULT_SIZE_CAP = 200_000
+from .exactnum import DEFAULT_SIZE_CAP, GaussRat, LieqError, ONE, SizeCap, ZERO, gauss, power
+from .laurent import LaurentPoly, as_poly, pack, packed_divexact, slot_width, unpack
 
 
 class QZero(LieqError):
@@ -88,7 +69,7 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
 def q_binomial_row(n: int, top: int) -> list[LaurentPoly]:
     """[{n,0}_q, ..., {n,top}_q] for 0 <= top <= n, from one q-Pascal row
     (_q_pascal_row, as in normal_order) of ints packed at one slot width
-    (exactnum.pack).  An entry {i,j}_q of the recursion has coefficients
+    (laurent.pack).  An entry {i,j}_q of the recursion has coefficients
     summing to binom(i, j) <= binom(n, min(top, n // 2)), so no slot
     carries."""
     width = slot_width(math.comb(n, min(top, n // 2)))
@@ -100,7 +81,7 @@ def q_binomial_closed(n: int, k: int) -> LaurentPoly:
     """{n,k}_q as the running product {n,j}_q = {n,j-1}_q {n-j+1}_q / {j}_q
     for j = 1..min(k, n-k), since {n,k}_q = {n,n-k}_q.  Each step is one
     product and one certified exact division of ints packed at one slot
-    width (exactnum.packed_divexact); a remainder or a failed certificate
+    width (laurent.packed_divexact); a remainder or a failed certificate
     would mean an implementation bug and raises NonDivisible."""
     if k < 0 or k > n:
         return LaurentPoly.zero()
@@ -116,7 +97,7 @@ def q_binomial_closed(n: int, k: int) -> LaurentPoly:
 
 
 def _packed_q_integer(n: int, width: int) -> int:
-    """{n}_q packed at a slot width (exactnum.pack): n ones, width bits apart."""
+    """{n}_q packed at a slot width (laurent.pack): n ones, width bits apart."""
     return ((1 << n * width) - 1) // ((1 << width) - 1)
 
 
@@ -449,7 +430,7 @@ def normal_order(expr: QExpr, q_value=None) -> NormalForm:
 
     With q_value None the coefficients stay symbolic.  While a group is
     read they are polynomials with nonnegative integer coefficients, each
-    packed in one int at a slot width w (exactnum.pack): q^e is a shift by
+    packed in one int at a slot width w (laurent.pack): q^e is a shift by
     e*w bits and a product of polynomials one big-integer product.  At
     q = 1 a B letter multiplies the sum of all coefficients by at most
     1 + n, n at most the number of A letters read so far, so no coefficient
@@ -789,7 +770,7 @@ class _Tokens:
     def fit(self, length: int) -> int:
         """length, once it is known that a word that long is allowed."""
         if length > self.max_word:
-            raise ValueError(f"a word of {length} letters exceeds LIEQ_SIZE_CAP = {self.max_word}")
+            raise SizeCap(f"a word of {length} letters exceeds LIEQ_SIZE_CAP = {self.max_word}")
         return length
 
     def fit_words(self, words: int, exp: int = 1) -> None:
@@ -799,7 +780,7 @@ class _Tokens:
         # words >= 2 and exp >= bit_length make words ** exp > max_word
         if words > 1 and (exp >= self.max_word.bit_length() or words ** exp > self.max_word):
             count = words if exp == 1 else f"{words}^{exp}"
-            raise ValueError(f"a product of {count} words exceeds LIEQ_SIZE_CAP = {self.max_word}")
+            raise SizeCap(f"a product of {count} words exceeds LIEQ_SIZE_CAP = {self.max_word}")
 
     def fit_coeffs(self, low: int, high: int, norm: int, den: int) -> None:
         """Refuse coefficients that could span more than max_word powers of
@@ -808,12 +789,12 @@ class _Tokens:
         in one coefficient: (span + 1) * ceil(bits / 64)."""
         span = high - low
         if span > self.max_word:
-            raise ValueError(
+            raise SizeCap(
                 f"a coefficient range q^{low}..q^{high} exceeds LIEQ_SIZE_CAP = {self.max_word}"
             )
         words = (span + 1) * -(-max(norm, den) // 64)
         if words > self.max_word:
-            raise ValueError(
+            raise SizeCap(
                 f"a coefficient of {words} 64-bit words exceeds LIEQ_SIZE_CAP = {self.max_word}"
             )
 
@@ -851,13 +832,13 @@ def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
     (A*B*A, A^3 B, A^n) is read as one word string, so an n-letter word
     costs one QExpr, not n - 1 products.  A letter power, a power of a
     parenthesized expression or a product that would make a word longer
-    than max_word letters raises ValueError before the word is built, and
-    so does a product or power whose word count could exceed max_word:
-    |out| * |factor| words for a product, |base|^exp for a power.  A sum,
-    product or power is refused before it is built, too, when its
-    coefficients could span more than max_word powers of q, or when one
-    coefficient's numerators could fill more than max_word 64-bit words,
-    (span + 1) * ceil(bits / 64), with the bits predicted from the
+    than max_word letters raises SizeCap (a ValueError) before the word is
+    built, and so does a product or power whose word count could exceed
+    max_word: |out| * |factor| words for a product, |base|^exp for a
+    power.  A sum, product or power is refused before it is built, too,
+    when its coefficients could span more than max_word powers of q, or
+    when one coefficient's numerators could fill more than max_word 64-bit
+    words, (span + 1) * ceil(bits / 64), with the bits predicted from the
     operands' l1 norms and denominators (see _Size)."""
     tokens = _Tokens(text, max_word)
     expr = _parse_sum(tokens)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from lieq.exactnum import GaussRat, LaurentPoly, ZERO
+from lieq.exactnum import GaussRat, ZERO
+from lieq.laurent import LaurentPoly
 from lieq.liealg import LieAlgebra
 
 

@@ -1,6 +1,6 @@
 """Acceptance battery: one test per criterion, each printing a pass/fail
 line, with the stated time budgets asserted where a budget is stated.
-Each test runs the verify-all entries of its criterion (cli._BATTERY) and
+Each test runs the verify-all entries of its criterion (checks._BATTERY) and
 asserts every item they yield; a criterion keeps in this file only what no
 entry checks: the golden signatures, the 50 graded-consistency cases and
 the reciprocal q-identities.  Everything is exact equality; there are no
@@ -10,7 +10,7 @@ note)."""
 import random
 import time
 
-from lieq import catalog, cli
+from lieq import catalog, checks
 from lieq.cohomology import Cochain
 from lieq.deform import evaluate_at, jacobi_polynomial, make_linear_deformation
 from lieq.exactnum import GaussRat, ZERO
@@ -44,7 +44,7 @@ def run_entries(*entries, rng=None):
 
 def test_criterion_01_catalog_integrity():
     with Stopwatch("1 catalog integrity", budget_s=2.0):
-        run_entries(cli._verify_catalog)
+        run_entries(checks._verify_catalog)
 
 
 def test_criterion_02_dim5_distinct_signatures_golden():
@@ -57,29 +57,29 @@ def test_criterion_02_dim5_distinct_signatures_golden():
         )
         for name in [f"n_5_{k}" for k in range(1, 10)]:
             assert catalog.get(name).signature().to_doc() == golden[name], name
-        run_entries(cli._verify_catalog)  # the 36 pairs are distinct
+        run_entries(checks._verify_catalog)  # the 36 pairs are distinct
 
 
 def test_criterion_03_sl2_cohomology_and_rigidity():
     with Stopwatch("3 sl2 cohomology + rigidity", budget_s=1.0):
-        run_entries(cli._verify_sl2)
+        run_entries(checks._verify_sl2)
 
 
 def test_criterion_04_d_squared_zero_everywhere():
     with Stopwatch("4 d^2 = 0 across the catalog"):
-        run_entries(cli._verify_d_squared_zero)
+        run_entries(checks._verify_d_squared_zero)
 
 
 def test_criterion_05_skjelbred_sund_round_trip():
     with Stopwatch("5 Skjelbred-Sund round trip + shift isos", budget_s=5.0):
-        run_entries(cli._verify_skjelbred_sund_round_trip, rng=random.Random(20260808))
+        run_entries(checks._verify_skjelbred_sund_round_trip, rng=random.Random(20260808))
 
 
 def test_criterion_06_deformation_engine():
     with Stopwatch("6 deformation engine"):
         # zero base with catalog brackets; the counterexample behind the
         # honest filter fails Jacobi at degree 1
-        run_entries(cli._verify_deformation)
+        run_entries(checks._verify_deformation)
         # graded consistency on 50 randomized cases
         rng = random.Random(77)
         for _ in range(50):
@@ -121,7 +121,7 @@ def test_criterion_06_deformation_engine():
 
 def test_criterion_07_q_identity_suite():
     with Stopwatch("7 q-identity suite", budget_s=10.0):
-        run_entries(cli._verify_q_identity_suite)
+        run_entries(checks._verify_q_identity_suite)
         for q_text in ("-1", "-1/2", "1/3", "2"):
             q0 = GaussRat(q_text)
             for n in range(1, 9):
@@ -130,24 +130,24 @@ def test_criterion_07_q_identity_suite():
 
 def test_criterion_08_fock_interior_exactness():
     with Stopwatch("8 Fock interior exactness", budget_s=3.0):
-        run_entries(cli._verify_fock_interior_exactness)
+        run_entries(checks._verify_fock_interior_exactness)
 
 
 def test_criterion_09_biorthogonality():
     with Stopwatch("9 biorthogonality"):
-        run_entries(cli._verify_biorthogonality, rng=random.Random(9))
+        run_entries(checks._verify_biorthogonality, rng=random.Random(9))
 
 
 def test_criterion_10_shifted_pair_is_a_sh():
     with Stopwatch("10 shifted pair reproduces a_sh"):
-        run_entries(cli._verify_shifted_pair)
+        run_entries(checks._verify_shifted_pair)
 
 
 def test_criterion_11_similarity_theorem():
     with Stopwatch("11 similarity transport"):
-        run_entries(cli._verify_similarity_transport, rng=random.Random(11))
+        run_entries(checks._verify_similarity_transport, rng=random.Random(11))
 
 
 def test_criterion_12_cuntz_toeplitz():
     with Stopwatch("12 Cuntz-Toeplitz isometries", budget_s=5.0):
-        run_entries(cli._verify_cuntz_toeplitz)
+        run_entries(checks._verify_cuntz_toeplitz)

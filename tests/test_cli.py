@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lieq import catalog, cli
+from lieq import catalog, checks, cli
 from lieq.exactnum import LieqError
 from lieq.liealg import LieAlgebra
 
@@ -273,9 +273,44 @@ def test_cohomology_rejects_negative_degree(capsys):
 def test_size_cap_respected(monkeypatch, capsys):
     monkeypatch.setenv("LIEQ_SIZE_CAP", "100")
     code = cli.run(["fock", "verify", "--q", "1", "--n", "64"])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert "LIEQ_SIZE_CAP" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["fock", "build", "--q", "1/2", "--n", "64"], "64x64 matrix exceeds LIEQ_SIZE_CAP"),
+     (["fock", "verify", "--q", "1/2", "--n", "64"], "64x64 matrix exceeds LIEQ_SIZE_CAP"),
+     (["fock", "cuntz", "--d", "3", "--depth", "5"], "dimension 364 exceeds the configured cap")],
+    ids=["build", "verify", "cuntz"],
+)
+def test_fock_over_the_cap_is_a_usage_error(argv, message, monkeypatch, capsys):
+    """Refused work exits 2, as an over-cap qheis normalize does."""
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "100")
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_cochains_over_the_cap_are_refused_before_they_are_built(capsys, monkeypatch):
+    """h(30) at k = 5 has C(61,5)*61 cochain coordinates: refused with exit
+    2 before a tuple is listed, instead of a MemoryError."""
+    from lieq import cohomology
+
+    monkeypatch.setattr(cohomology, "cochain_tuples", None)  # a call would raise TypeError
+    assert cli.run(["cohomology", "--algebra", "h(30)", "--k", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: d_5 with C(61,5)*61 = 362897967 columns exceeds LIEQ_SIZE_CAP = 200000\n")
+
+
+def test_cochain_cap_follows_the_setting(capsys, monkeypatch):
+    """d_1 of h(2) has C(5,1)*5 = 25 columns: refused under a cap of 24,
+    built under 25."""
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "24")
+    assert cli.run(["cohomology", "--algebra", "h(2)", "--k", "1"]) == 2
+    assert "d_1 with C(5,1)*5 = 25 columns exceeds LIEQ_SIZE_CAP = 24" in capsys.readouterr().err
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "25")
+    assert cli.run(["cohomology", "--algebra", "h(2)", "--k", "1"]) == 0
 
 
 @pytest.mark.parametrize("expr", ["A^99999999999", "(A*B - q*B*A)^99999999999", "A^150000*B^50001"])
@@ -524,7 +559,7 @@ _WRONG_ANSWERS = {
 
 
 def test_every_battery_entry_has_a_wrong_answer():
-    assert list(_WRONG_ANSWERS) == [entry.__name__ for entry in cli._BATTERY]
+    assert list(_WRONG_ANSWERS) == [entry.__name__ for entry in checks._BATTERY]
 
 
 @pytest.mark.parametrize("entry", list(_WRONG_ANSWERS))
@@ -678,6 +713,31 @@ def test_out_of_range_cocycle_index_is_usage_error(tmp_path, capsys, entry, mess
     assert err.startswith("usage error:") and message in err
 
 
+# -- help texts and usage errors -------------------------------------------------
+
+# stdout, stderr and exit code of every help text and of argparse's usage
+# errors, at 80 columns; regenerate with tests/gen_golden.py
+_USAGE = json.loads((Path(__file__).parent / "golden" / "cli_usage.json").read_text())
+
+
+def test_golden_usage_covers_every_command():
+    helped = {tuple(entry["argv"][:-1]) for entry in _USAGE if entry["argv"][-1:] == ["--help"]}
+    assert {(name,) for name in cli._COMMANDS} | {()} <= helped
+    assert {("qheis", "normalize"), ("qheis", "verify"), ("fock", "build"), ("fock", "verify"),
+            ("fock", "cuntz")} <= helped
+
+
+@pytest.mark.parametrize("entry", _USAGE, ids=[" ".join(e["argv"]) or "no-arguments" for e in _USAGE])
+def test_usage_text_matches_golden(entry, capsys, monkeypatch):
+    """Building only the invoked command's subparser changes no help text
+    and no usage error, not even the usage line that lists every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.run(entry["argv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
 # -- each subcommand in a fresh interpreter ------------------------------------
 
 # Runs one command the way the console script does and reports the exit code
@@ -692,7 +752,8 @@ print(json.dumps({"code": code, "modules": loaded}))
 """
 
 _COHOMOLOGY = {"catalog", "cohomology"}
-_FOCK = {"fock", "qheis"}
+_QHEIS = {"qheis", "laurent"}
+_FOCK = {"fock"} | _QHEIS
 
 
 @pytest.mark.parametrize(
@@ -706,12 +767,12 @@ _FOCK = {"fock", "qheis"}
         (["reconstruct", "--algebra", "h(2)"], _COHOMOLOGY | {"extend"}),
         (["deform", "check", "--algebra", "abelian(3)", "--phi", "{phi}"], _COHOMOLOGY | {"deform"}),
         (["extend", "--algebra", "abelian(2)", "--cocycle", "{theta}"], _COHOMOLOGY | {"extend"}),
-        (["qheis", "normalize", "A^3*B^3"], {"qheis"}),
-        (["qheis", "verify", "--max-n", "4"], {"qheis"}),
+        (["qheis", "normalize", "A^3*B^3"], _QHEIS),
+        (["qheis", "verify", "--max-n", "4"], _QHEIS | {"checks"}),
         (["fock", "build", "--q", "1/2", "--n", "4"], _FOCK),
-        (["fock", "verify", "--q", "1/2", "--n", "8"], _FOCK),
-        (["fock", "cuntz", "--d", "2", "--depth", "3"], _FOCK),
-        (["verify-all"], _COHOMOLOGY | _FOCK | {"deform", "extend"}),
+        (["fock", "verify", "--q", "1/2", "--n", "8"], _FOCK | {"checks"}),
+        (["fock", "cuntz", "--d", "2", "--depth", "3"], _FOCK | {"checks"}),
+        (["verify-all"], _COHOMOLOGY | _FOCK | {"checks", "deform", "extend"}),
     ],
     ids=["catalog-list", "catalog-show", "algebra", "cohomology", "rigidity", "reconstruct",
          "deform-check", "extend", "qheis-normalize", "qheis-verify", "fock-build", "fock-verify",
@@ -719,8 +780,11 @@ _FOCK = {"fock", "qheis"}
 )
 def test_fresh_process_loads_only_its_engine(tmp_path, argv, engines):
     """Each command imports only the engine modules it runs, and nothing
-    imports dataclasses.  A fresh interpreter per command also catches a
-    missing local import that an earlier in-process test would hide."""
+    imports dataclasses: the Lie-algebra commands load no lieq.laurent
+    (only the q-calculus does) and no lieq.checks (only verify-all and the
+    q/Fock commands that report its items do).  A fresh interpreter per
+    command also catches a missing local import that an earlier in-process
+    test would hide."""
     files = {
         "phi": {"degree": 2, "module_dim": 3, "coords": {"1,2": ["0", "0", "1"]}},
         "theta": {"target_dim": 1, "values": [{"i": 1, "j": 2, "out": {"1": "1"}}]},

@@ -8,21 +8,30 @@ from lieq.exactnum import (
     EvalAtZeroWithNegativeDegree,
     GaussRat,
     I,
-    LaurentPoly,
     NonDivisible,
     ONE,
     ZERO,
-    pack,
-    packed_divexact,
     power,
-    slot_width,
-    unpack,
 )
+from lieq.laurent import LaurentPoly, pack, packed_divexact, slot_width, unpack
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
 )
 gauss_rats = st.builds(GaussRat, rationals, rationals)
+
+
+def test_laurent_poly_is_read_from_its_own_module():
+    """exactnum.LaurentPoly and lieq.LaurentPoly name the class of
+    lieq.laurent, which importing exactnum does not load."""
+    import lieq
+    import lieq.exactnum
+    import lieq.laurent
+
+    assert lieq.exactnum.LaurentPoly is lieq.laurent.LaurentPoly
+    assert lieq.LaurentPoly is lieq.laurent.LaurentPoly
+    with pytest.raises(AttributeError):
+        lieq.exactnum.as_poly
 
 
 def test_i_squared():

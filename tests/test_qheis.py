@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from lieq.exactnum import GaussRat, LaurentPoly, NonDivisible
+from lieq.exactnum import GaussRat, NonDivisible
+from lieq.laurent import LaurentPoly
 from lieq.qheis import (
     A,
     B,
