@@ -8,7 +8,6 @@ of module ``fock``, which is kept strictly separate from the exact paths.
 """
 
 from .exactnum import GaussRat
-from .liealg import LieAlgebra, Subspace
 
 __version__ = "0.1.0"
 
@@ -16,10 +15,15 @@ __all__ = ["GaussRat", "LaurentPoly", "LieAlgebra", "Subspace", "__version__"]
 
 
 def __getattr__(name: str):
-    # lieq.LaurentPoly, read from lieq.laurent when first asked for, so that
-    # importing the package does not load the q-calculus
+    # lieq.LaurentPoly, lieq.LieAlgebra and lieq.Subspace, read from their
+    # modules when first asked for, so that importing the package (and
+    # lieq.cli) loads neither the q-calculus nor the Lie-algebra layers
     if name == "LaurentPoly":
         from .laurent import LaurentPoly
 
         return LaurentPoly
+    if name in ("LieAlgebra", "Subspace"):
+        from . import liealg
+
+        return getattr(liealg, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

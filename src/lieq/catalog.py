@@ -8,6 +8,7 @@ algebra a_sh on basis v1..v4, v whose only nonzero brackets are
 Each fixed entry is one row of _TABLE: its construction, its notes and the
 ``expected`` dict of documented invariants, which verify_all() recomputes
 after a Jacobi check; the "+i" rows also give its direct-sum identities.
+An entry is built when it is first asked for.
 Expected values for the small entries were frozen from an independent
 dense-linear-algebra oracle (see tests/golden)."""
 
@@ -57,9 +58,9 @@ class CatalogEntry(NamedTuple):
 # construction is (dim, 1-based relations[, labels]) for _alg, the name of
 # an earlier row for that entry + i (its direct sum with abelian(1)), or a
 # builder taking no arguments.  Rows hold constructions, not algebras, so
-# each _build_fixed() call builds fresh ones.  The invariants are recomputed
-# by verify_all(); the numeric ones were frozen from the dense oracle run
-# (tests/golden/dim5_signatures.json).
+# a process builds only the entries it asks for.  The invariants are
+# recomputed by verify_all(); the numeric ones were frozen from the dense
+# oracle run (tests/golden/dim5_signatures.json).
 _TABLE: dict[str, tuple] = {
     "n_3_1": (lambda: abelian(3), "abelian of dimension 3",
               {"dim": 3, "center_dim": 3, "derivation_dim": 9, "h2_dim": 9,
@@ -121,24 +122,26 @@ _TABLE: dict[str, tuple] = {
 }
 
 
-def _build_fixed() -> dict[str, CatalogEntry]:
-    """A fresh entry for every row of _TABLE, in table order."""
-    entries: dict[str, CatalogEntry] = {}
-    for name, (construction, notes, expected) in _TABLE.items():
+# The fixed entries built so far.  get() builds a row on first use (and,
+# for a "+i" row, its base row) and keeps it: entries are shared between
+# callers and nothing mutates them, so each algebra's signature is
+# computed at most once per process.
+_FIXED: dict[str, CatalogEntry] = {}
+
+
+def _fixed(name: str) -> CatalogEntry:
+    """The entry of the _TABLE row ``name``, built on first use."""
+    entry = _FIXED.get(name)
+    if entry is None:
+        construction, notes, expected = _TABLE[name]
         if isinstance(construction, str):
-            algebra = entries[construction].algebra.direct_sum(abelian(1))
+            algebra = _fixed(construction).algebra.direct_sum(abelian(1))
         elif callable(construction):
             algebra = construction()
         else:
             algebra = _alg(*construction)
-        entries[name] = CatalogEntry(name, algebra, expected, notes)
-    return entries
-
-
-# The fixed entries, built once at import.  Entries are shared between
-# callers and nothing mutates them, so each algebra's signature is
-# computed at most once per process.
-_FIXED: dict[str, CatalogEntry] = _build_fixed()
+        entry = _FIXED[name] = CatalogEntry(name, algebra, expected, notes)
+    return entry
 
 
 def _parameter(name: str, prefix: str, least: int) -> int:
@@ -165,8 +168,8 @@ def get(name: str) -> CatalogEntry:
                     "lower_central_dims": (2 * m + 1, 1, 0), "abelian": False}
         return CatalogEntry(name, heisenberg(m), expected,
                             f"Heisenberg algebra of dimension {2 * m + 1}")
-    if name in _FIXED:
-        return _FIXED[name]
+    if name in _TABLE:
+        return _fixed(name)
     raise UnknownName(f"unknown catalog entry {name!r}")
 
 
@@ -174,7 +177,7 @@ def list_names() -> list[str]:
     """Every concrete entry exercised by the verification suite."""
     names = [f"abelian({n})" for n in range(1, 8)]
     names += [f"h({m})" for m in range(1, 5)]
-    names += sorted(_FIXED)
+    names += sorted(_TABLE)
     return names
 
 

@@ -10,7 +10,8 @@ cuntz`` report the same items as the entries that check them, from the
 generators below.
 
 Only those commands import this module, and each check imports the engine
-modules it runs when it runs, so ``qheis verify`` loads no ``fock``.
+modules it runs (``linalg`` too) when it runs, so ``qheis verify`` loads
+no ``fock`` and no ``linalg``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from typing import TYPE_CHECKING
 
 from .cli import _round_trip
 from .exactnum import GaussRat, size_cap
-from .linalg import SparseMatrix
 
 if TYPE_CHECKING:  # names used in annotations only
     import random
 
     from . import fock
+    from .linalg import SparseMatrix
 
 
 # -- check items shared with the q/Fock subcommands ---------------------------
@@ -75,6 +76,7 @@ def _biorthogonal_items(system: fock.BiorthogonalSystem):
     """(name, ok): the pairing matrix is the identity, and each squared
     ladder coefficient is {m+1}_q."""
     from . import qheis
+    from .linalg import SparseMatrix
 
     yield "biorthogonality", system.pairing_matrix() == SparseMatrix.identity(system.n)
     rungs = qheis.q_integers_at(system.n - 1, system.q0)[1:]
@@ -222,6 +224,7 @@ def _verify_similarity_transport(rng):
     """The CAR pair conjugated by 25 random invertible 2x2 matrices stays
     exact, and the size-8 monomial pair at three q transports its defect."""
     from . import fock
+    from .linalg import SparseMatrix
 
     c, cdag = fock.car_pair_2x2()
     ok = (c @ cdag + cdag @ c) == SparseMatrix.identity(2)
@@ -269,6 +272,8 @@ _BATTERY = (
 
 
 def _random_invertible(rng: random.Random, n: int) -> SparseMatrix:
+    from .linalg import SparseMatrix
+
     while True:
         data = {}
         for r in range(n):

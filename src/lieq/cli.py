@@ -7,9 +7,10 @@ at least one failed (or the reader closed stdout), 2 is a usage error
 
 Each command is usually its own fresh process, so start-up is part of
 every call.  This module therefore imports at its top only what every
-command needs (``exactnum``, ``liealg``, ``linalg``, which ``lieq``
-loads anyway); each command and each helper imports the engine modules it
-runs when it is called.  A new subcommand imports its engine the same way.
+command needs (``exactnum``); each command and each helper imports the
+modules it runs when it is called, so help texts and usage errors load
+no other lieq module, and no q/Fock command loads ``liealg``.  A new
+subcommand imports its engine the same way.
 
 (``lieq --help`` shows the three paragraphs above.)  A process also
 compiles and builds only the command it runs: ``build_parser`` adds only
@@ -28,11 +29,13 @@ import os
 import re
 import sys
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .exactnum import GaussRat, LieqError, SizeCap, size_cap
-from .liealg import LieAlgebra
-from .linalg import SparseMatrix
+
+if TYPE_CHECKING:  # names used in annotations only
+    from .liealg import LieAlgebra
+    from .linalg import SparseMatrix
 
 
 class Report:
@@ -110,6 +113,8 @@ def _finish(args, report: Report, extra: dict | None = None) -> int:
 
 def _load_algebra(spec: str) -> LieAlgebra:
     if os.path.exists(spec):
+        from .liealg import LieAlgebra
+
         with open(spec, "r", encoding="utf-8") as handle:
             return LieAlgebra.from_doc(json.load(handle))
     from . import catalog

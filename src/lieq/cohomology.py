@@ -208,16 +208,18 @@ def _insert_sorted(base: tuple[int, ...], item: int) -> tuple[tuple[int, ...], i
     return base[:pos] + (item,) + base[pos:], pos
 
 
-def _slot_terms(dim: int, brackets: Mapping, key: tuple[int, ...]):
+def _slot_terms(acting: Sequence[int], brackets: Mapping, key: tuple[int, ...]):
     """The differential pushed forward from the single slot key: d of the
     cochain with value v at key is the sum, over the yielded (target, sign,
     a, coeff), of sign * w at target, where w = rho(e_a) v for a module-action
     term and w = coeff * v, coeff a value of brackets, for a bracket term (a
     is None).  Pushing forward instead of evaluating over all output tuples
-    makes the cost track the sparsity of the cochain and of the bracket."""
+    makes the cost track the sparsity of the cochain and of the bracket.
+    acting lists, ascending, the a with rho(e_a) != 0; the others add no
+    module-action term."""
     in_key = set(key)
     # module-action terms: insert a fresh index a
-    for a in range(dim):
+    for a in acting:
         if a not in in_key:
             target, pos = _insert_sorted(key, a)
             yield target, -1 if pos % 2 else 1, a, None
@@ -246,9 +248,10 @@ def differential(c: Cochain, rep: Representation) -> Cochain:
     if c.degree >= c.source.dim:
         raise ValueError("top-degree cochains map into the zero space")
     g = c.source
+    acting = _acting(rep)
     out: dict[tuple[int, ...], Vec] = {}
     for key, vec in c.coords.items():
-        for target, sign, a, coeff in _slot_terms(g.dim, g.brackets, key):
+        for target, sign, a, coeff in _slot_terms(acting, g.brackets, key):
             slot = out.setdefault(target, {})
             w = vec if a is None else rep.apply(a, vec)
             vec_add(slot, w, GaussRat(sign) if coeff is None else coeff * sign)
@@ -257,11 +260,34 @@ def differential(c: Cochain, rep: Representation) -> Cochain:
     return Cochain(g, c.degree + 1, c.module_dim, out)
 
 
+def _acting(rep: Representation) -> list[int]:
+    """The a with rho(e_a) != 0, ascending."""
+    return [a for a, mat in enumerate(rep.matrices) if not mat.is_zero()]
+
+
 # -- coordinate bookkeeping ---------------------------------------------------
 
 
 def cochain_tuples(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(n), k))
+
+
+class _RowOffsets(dict):
+    """scale * r for each strictly increasing tuple of size k looked up, r
+    its position in cochain_tuples(n, k), computed on first lookup as the
+    lexicographic rank C(n, k) - 1 - sum_i C(n - 1 - t_i, k - i) (i from
+    0), so that no list of all C(n, k) tuples is built."""
+
+    def __init__(self, n: int, k: int, scale: int):
+        super().__init__()
+        self.n, self.k, self.scale = n, k, scale
+        self.last = math.comb(n, k) - 1
+
+    def __missing__(self, key: tuple[int, ...]) -> int:
+        n, k = self.n, self.k
+        rank = self.last - sum(math.comb(n - 1 - t, k - i) for i, t in enumerate(key))
+        self[key] = offset = self.scale * rank
+        return offset
 
 
 def cochain_space_dim(n: int, k: int, m: int) -> int:
@@ -303,7 +329,13 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
         # C^{k+1} vanishes, so d is the zero map
         return [{} for _ in range(width)]
     den = _common_denominator(g, rep)
-    offset = {key: 2 * pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
+    # the first row of each target's block: listed when C^{k+1} has no more
+    # tuples than C^k has coordinates (so the cap bounds the list too),
+    # otherwise computed for the targets that occur
+    if math.comb(n, k + 1) <= width:
+        offset = {key: 2 * pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
+    else:
+        offset = _RowOffsets(n, k + 1, 2 * m)
     brackets = {
         pair: {l: (int(v.re * den), int(v.im * den)) for l, v in vec.items()}
         for pair, vec in g.brackets.items()
@@ -314,9 +346,10 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
         for r, row in enumerate(mat.rows):
             for i, v in row.items():
                 cols[i].append((2 * r, int(v.re * den), int(v.im * den)))
+    acting = _acting(rep)
     columns: list[dict] = []
     for key in cochain_tuples(n, k):
-        terms = [(offset[t], sign, a, coeff) for t, sign, a, coeff in _slot_terms(n, brackets, key)]
+        terms = [(offset[t], sign, a, coeff) for t, sign, a, coeff in _slot_terms(acting, brackets, key)]
         for i in range(m):
             col: dict[int, int] = {}
             get = col.get

@@ -5,6 +5,7 @@ import pytest
 
 from lieq import catalog, cli
 from lieq.catalog import UnknownName, heisenberg
+from lieq.liealg import abelian
 
 
 def test_get_and_list():
@@ -104,11 +105,22 @@ def test_parametrized_expected_fields():
     assert catalog.get("abelian(4)").expected["center_dim"] == 4
 
 
+def test_get_builds_only_the_rows_it_is_asked_for(monkeypatch):
+    """A "+i" row builds its base rows and nothing else, listing the names
+    builds nothing, and a repeated get returns the same entry."""
+    monkeypatch.setattr(catalog, "_FIXED", {})
+    entry = catalog.get("n_5_2")
+    assert "n_5_2" in catalog.list_names()
+    assert sorted(catalog._FIXED) == ["n_3_2", "n_4_2", "n_5_2"]
+    assert catalog.get("n_5_2") is entry
+    assert entry.algebra.same_constants(catalog.get("n_4_2").algebra.direct_sum(abelian(1)))
+
+
 def test_verify_all_computes_each_signature_once(monkeypatch):
     from lieq.liealg import LieAlgebra
 
-    # a fresh table, so signatures cached by earlier tests do not hide work
-    monkeypatch.setattr(catalog, "_FIXED", catalog._build_fixed())
+    # no entry built yet, so signatures cached by earlier tests do not hide work
+    monkeypatch.setattr(catalog, "_FIXED", {})
     original = LieAlgebra.invariant_signature
     computed = []
 

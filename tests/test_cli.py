@@ -313,6 +313,27 @@ def test_cochain_cap_follows_the_setting(capsys, monkeypatch):
     assert cli.run(["cohomology", "--algebra", "h(2)", "--k", "1"]) == 0
 
 
+def test_cochain_rows_are_not_listed(capsys, monkeypatch):
+    """d_1 of abelian(1000) has C(1000,2) = 499500 rows: only the columns'
+    tuples are listed, and no row tuple is, since trivial coefficients add
+    no module-action term and an abelian bracket no bracket term."""
+    from lieq import cohomology
+
+    listed = []
+    original = cohomology.cochain_tuples
+
+    def recording(n, k):
+        listed.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(cohomology, "cochain_tuples", recording)
+    argv = ["cohomology", "--algebra", "abelian(1000)", "--k", "1", "--coeffs", "trivial", "--json"]
+    assert cli.run(argv) == 0
+    (item,) = json.loads(capsys.readouterr().out)["items"]
+    assert item["actual"] == {"dim_Z": 1000, "dim_B": 0, "dim_H": 1000}
+    assert sorted(listed) == [(1000, 0), (1000, 1)]
+
+
 @pytest.mark.parametrize("expr", ["A^99999999999", "(A*B - q*B*A)^99999999999", "A^150000*B^50001"])
 def test_size_cap_bounds_word_length(expr, capsys):
     assert cli.run(["qheis", "normalize", expr]) == 2
@@ -745,22 +766,30 @@ def test_usage_text_matches_golden(entry, capsys, monkeypatch):
 _FRESH = """
 import contextlib, io, json, sys
 from lieq import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(json.loads(sys.argv[1]))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.run(json.loads(sys.argv[1]))
+    except SystemExit as exc:  # help texts and argparse's usage errors
+        code = exc.code
 loaded = sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("lieq."))
 print(json.dumps({"code": code, "modules": loaded}))
 """
 
-_COHOMOLOGY = {"catalog", "cohomology"}
+_LIE = {"liealg", "linalg"}
+_CATALOG = {"catalog"} | _LIE
+_COHOMOLOGY = {"cohomology"} | _CATALOG
 _QHEIS = {"qheis", "laurent"}
-_FOCK = {"fock"} | _QHEIS
+_FOCK = {"fock", "linalg"} | _QHEIS
+_USAGE_ERROR = ["rigidity"]  # no --algebra: argparse exits 2
 
 
 @pytest.mark.parametrize(
     "argv, engines",
     [
-        (["catalog", "list"], {"catalog"}),
-        (["catalog", "show", "n_5_4"], {"catalog"}),
+        (["--help"], set()),
+        (_USAGE_ERROR, set()),
+        (["catalog", "list"], _CATALOG),
+        (["catalog", "show", "n_5_4"], _CATALOG),
         (["algebra", "--algebra", "n_5_6"], _COHOMOLOGY),
         (["cohomology", "--algebra", "h(2)", "--coeffs", "trivial"], _COHOMOLOGY),
         (["rigidity", "--algebra", "n_5_6"], _COHOMOLOGY | {"deform"}),
@@ -774,17 +803,18 @@ _FOCK = {"fock"} | _QHEIS
         (["fock", "cuntz", "--d", "2", "--depth", "3"], _FOCK | {"checks"}),
         (["verify-all"], _COHOMOLOGY | _FOCK | {"checks", "deform", "extend"}),
     ],
-    ids=["catalog-list", "catalog-show", "algebra", "cohomology", "rigidity", "reconstruct",
+    ids=["help", "usage-error", "catalog-list", "catalog-show", "algebra", "cohomology", "rigidity", "reconstruct",
          "deform-check", "extend", "qheis-normalize", "qheis-verify", "fock-build", "fock-verify",
          "fock-cuntz", "verify-all"],
 )
 def test_fresh_process_loads_only_its_engine(tmp_path, argv, engines):
     """Each command imports only the engine modules it runs, and nothing
-    imports dataclasses: the Lie-algebra commands load no lieq.laurent
-    (only the q-calculus does) and no lieq.checks (only verify-all and the
-    q/Fock commands that report its items do).  A fresh interpreter per
-    command also catches a missing local import that an earlier in-process
-    test would hide."""
+    imports dataclasses: help texts and usage errors load no engine, the
+    q/Fock commands load no lieq.liealg (and qheis no lieq.linalg), the
+    Lie-algebra commands load no lieq.laurent (only the q-calculus does)
+    and no lieq.checks (only verify-all and the q/Fock commands that report
+    its items do).  A fresh interpreter per command also catches a missing
+    local import that an earlier in-process test would hide."""
     files = {
         "phi": {"degree": 2, "module_dim": 3, "coords": {"1,2": ["0", "0", "1"]}},
         "theta": {"target_dim": 1, "values": [{"i": 1, "j": 2, "out": {"1": "1"}}]},
@@ -800,9 +830,37 @@ def test_fresh_process_loads_only_its_engine(tmp_path, argv, engines):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
-    base = {"cli", "exactnum", "liealg", "linalg"}
+    assert result["code"] == (2 if argv == _USAGE_ERROR else 0)
+    base = {"cli", "exactnum"}
     assert result["modules"] == sorted(f"lieq.{name}" for name in base | engines)
+
+
+def test_importing_the_entry_point_loads_only_the_dispatcher():
+    """A fresh ``import lieq.cli`` loads lieq, lieq.cli and lieq.exactnum
+    and nothing else of lieq; the package's public names still resolve,
+    by attribute and by ``from lieq import *``."""
+    script = """
+import json, sys
+import lieq.cli
+loaded = sorted(m for m in sys.modules if m == "lieq" or m.startswith("lieq."))
+import lieq
+from lieq import *
+from lieq.linalg import Subspace as linalg_subspace
+from lieq.liealg import LieAlgebra as liealg_algebra
+print(json.dumps({"modules": loaded,
+                  "resolved": [lieq.LieAlgebra is liealg_algebra, lieq.Subspace is linalg_subspace,
+                               LieAlgebra is liealg_algebra, Subspace is linalg_subspace,
+                               LaurentPoly is lieq.laurent.LaurentPoly,
+                               GaussRat is lieq.exactnum.GaussRat]}))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["modules"] == ["lieq", "lieq.cli", "lieq.exactnum"]
+    assert all(result["resolved"])
 
 
 def test_no_module_imports_a_name_it_never_uses():

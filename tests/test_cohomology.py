@@ -126,6 +126,18 @@ def test_differential_matrix_matches_dense_oracle(name, k):
             assert dense[r][c] == col.get(2 * r, ZERO), (name, k, r, c)
 
 
+def test_row_offsets_are_tuple_positions():
+    """The row offsets of differential_matrix, computed from binomials,
+    are the positions of the tuples in cochain_tuples."""
+    from lieq.cohomology import _RowOffsets
+
+    for n in range(9):
+        for k in range(n + 1):
+            offsets = _RowOffsets(n, k, 6)
+            tuples = cochain_tuples(n, k)
+            assert [offsets[t] for t in tuples] == [6 * pos for pos in range(len(tuples))]
+
+
 @pytest.mark.parametrize("name", SMALL)
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
