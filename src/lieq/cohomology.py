@@ -331,7 +331,8 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
     den = _common_denominator(g, rep)
     # the first row of each target's block: listed when C^{k+1} has no more
     # tuples than C^k has coordinates (so the cap bounds the list too),
-    # otherwise computed for the targets that occur
+    # otherwise computed for the targets that occur; where most targets
+    # occur, as in every adjoint d_k, the list is the cheaper of the two
     if math.comb(n, k + 1) <= width:
         offset = {key: 2 * pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
     else:
