@@ -17,12 +17,16 @@ Conventions, fixed once:
   Z[i] layout of linalg: the real part of row r at key 2r, the imaginary
   part at key 2r + 1.  Ranks (linalg.integer_rank, on those columns) and
   d^2 = 0 never leave the integers.
+* d is pushed forward slot by slot (_scatter_key) from an index of the
+  nonzero structure constants and entries of rho (_term_index), so a d_k,
+  and d of a cochain, cost what their nonzero terms cost.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from typing import Mapping, Sequence
 
 from .exactnum import GaussRat, LieqError, SizeCap, ZERO, gauss, size_cap
@@ -99,16 +103,16 @@ def require_jacobi(g: LieAlgebra) -> None:
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
     """ad(e_i) with columns [e_i, e_j]; a representation exactly when
-    Jacobi holds, so unverified algebras are rejected."""
+    Jacobi holds, so unverified algebras are rejected.  Read off the
+    bracket table, c^l_ab = ad(e_a)[l][b] = -ad(e_b)[l][a], in ascending
+    pair order, so each row fills in ascending column order."""
     require_jacobi(g)
-    matrices = []
-    for i in range(g.dim):
-        rows: list[Vec] = [dict() for _ in range(g.dim)]
-        for j in range(g.dim):
-            for r, value in g.pair(i, j).items():
-                rows[r][j] = value
-        matrices.append(SparseMatrix.from_rows(rows, g.dim))
-    return Representation(g, matrices, kind="adjoint", module_dim=g.dim)
+    entries: list[dict] = [{} for _ in range(g.dim)]
+    for (a, b), vec in sorted(g.brackets.items()):
+        for l, value in vec.items():
+            entries[a][l, b] = value
+            entries[b][l, a] = -value
+    return Representation(g, [SparseMatrix(g.dim, ad) for ad in entries], kind="adjoint", module_dim=g.dim)
 
 
 def trivial_rep(g: LieAlgebra, module_dim: int = 1) -> Representation:
@@ -200,69 +204,92 @@ class Cochain:
         return cls(source, *dims, coords)
 
 
-def _insert_sorted(base: tuple[int, ...], item: int) -> tuple[tuple[int, ...], int]:
-    """Insert item into a strictly increasing tuple; returns (tuple, position)."""
-    pos = 0
-    while pos < len(base) and base[pos] < item:
-        pos += 1
-    return base[:pos] + (item,) + base[pos:], pos
+def _term_index(g: LieAlgebra, rep: Representation, den: int) -> tuple[dict, dict]:
+    """The nonzero structure constants of g and entries of rho, times den,
+    as Z[i] pairs (re, im), indexed for _scatter_key: action maps each a
+    with rho(e_a) != 0, ascending, to [(2r, i, re, im)] for the nonzero
+    entries rho(e_a)[r][i]; by_output maps l to [(a, b, re, im)] for the
+    pairs a < b with c^l_ab != 0, in bracket-table order."""
+    action = {}
+    for a, mat in enumerate(rep.matrices):
+        entries = [(2 * r, i, int(v.re * den), int(v.im * den))
+                   for r, row in enumerate(mat.rows) for i, v in row.items()]
+        if entries:
+            action[a] = entries
+    by_output: dict[int, list] = {}
+    for (a, b), vec in g.brackets.items():
+        for l, v in vec.items():
+            by_output.setdefault(l, []).append((a, b, int(v.re * den), int(v.im * den)))
+    return action, by_output
 
 
-def _slot_terms(acting: Sequence[int], brackets: Mapping, key: tuple[int, ...]):
-    """The differential pushed forward from the single slot key: d of the
-    cochain with value v at key is the sum, over the yielded (target, sign,
-    a, coeff), of sign * w at target, where w = rho(e_a) v for a module-action
-    term and w = coeff * v, coeff a value of brackets, for a bracket term (a
-    is None).  Pushing forward instead of evaluating over all output tuples
-    makes the cost track the sparsity of the cochain and of the bracket.
-    acting lists, ascending, the a with rho(e_a) != 0; the others add no
-    module-action term."""
-    in_key = set(key)
-    # module-action terms: insert a fresh index a
-    for a in acting:
-        if a not in in_key:
-            target, pos = _insert_sorted(key, a)
-            yield target, -1 if pos % 2 else 1, a, None
-    # bracket terms: replace one slot l by a bracket pair (a, b)
+def _scatter_key(key: tuple[int, ...], action: Mapping, by_output: Mapping, offset: Mapping,
+                 cols: list[dict]) -> None:
+    """Add D * d of the slot key to cols, the integer columns of the
+    coordinates (key, i), i = 0..m-1, with module coordinate r of target t
+    at row keys offset[t] + 2r and + 2r + 1 (see differential_matrix).
+
+    A module-action term inserts a fresh index a with rho(e_a) != 0 and
+    lands on rho(e_a)'s nonzero entries.  A bracket term replaces one slot
+    l of key by a pair (a, b) with c^l_ab != 0 and lands on all m columns.
+    Only the index of _term_index is read, so the cost tracks the nonzero
+    terms, not the basis pairs or the (column, acting index) pairs."""
+    for a, entries in action.items():
+        if a in key:
+            continue
+        pos = bisect_left(key, a)
+        base = offset[key[:pos] + (a,) + key[pos:]]
+        sign = -1 if pos & 1 else 1
+        for r, i, re, im in entries:
+            col = cols[i]
+            r += base
+            if re:
+                col[r] = col.get(r, 0) + sign * re
+            if im:
+                col[r + 1] = col.get(r + 1, 0) + sign * im
     for pos_l, l in enumerate(key):
         rest = key[:pos_l] + key[pos_l + 1 :]
-        rest_set = set(rest)
-        sign_l = -1 if pos_l % 2 else 1
-        for (a, b), bvec in brackets.items():
-            coeff = bvec.get(l)
-            if coeff is None or a in rest_set or b in rest_set:
+        for a, b, re, im in by_output.get(l, ()):
+            if a in rest or b in rest:
                 continue
-            with_a, pa = _insert_sorted(rest, a)
-            target, pb = _insert_sorted(with_a, b)
-            # 1-based positions of a and b inside the target tuple
-            sign_ab = -1 if (pa + 1 + pb + 1) % 2 else 1
-            yield target, sign_ab * sign_l, None, coeff
+            pa, pb = bisect_left(rest, a), bisect_left(rest, b)
+            # (-1)^pos_l for the slot, (-1)^(i + j) for a and b at 1-based i < j
+            if not (pos_l + pa + pb) & 1:
+                re, im = -re, -im
+            r = offset[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
+            for col in cols:
+                if re:
+                    col[r] = col.get(r, 0) + re
+                if im:
+                    col[r + 1] = col.get(r + 1, 0) + im
+                r += 2
 
 
 def differential(c: Cochain, rep: Representation) -> Cochain:
-    """The degree-raising differential of a cochain."""
+    """The degree-raising differential of a cochain: the columns of
+    differential_matrix at the slots of c, built by the same _scatter_key,
+    combined with c's values and divided by D."""
     if c.source is not rep.source and not c.source.same_constants(rep.source):
         raise SourceMismatch("cochain and representation live on different algebras")
     if c.module_dim != rep.module_dim:
         raise SourceMismatch("module dimensions differ")
     if c.degree >= c.source.dim:
         raise ValueError("top-degree cochains map into the zero space")
-    g = c.source
-    acting = _acting(rep)
-    out: dict[tuple[int, ...], Vec] = {}
+    g, m = c.source, c.module_dim
+    den = _common_denominator(g, rep)
+    action, by_output = _term_index(g, rep, den)
+    offset = _RowOffsets(g.dim, c.degree + 1, 2 * m)
+    flat: Vec = {}
     for key, vec in c.coords.items():
-        for target, sign, a, coeff in _slot_terms(acting, g.brackets, key):
-            slot = out.setdefault(target, {})
-            w = vec if a is None else rep.apply(a, vec)
-            vec_add(slot, w, GaussRat(sign) if coeff is None else coeff * sign)
-            if not slot:
-                del out[target]
-    return Cochain(g, c.degree + 1, c.module_dim, out)
-
-
-def _acting(rep: Representation) -> list[int]:
-    """The a with rho(e_a) != 0, ascending."""
-    return [a for a, mat in enumerate(rep.matrices) if not mat.is_zero()]
+        cols = [{} for _ in range(m)]
+        _scatter_key(key, action, by_output, offset, cols)
+        for i, x in vec.items():
+            vec_add(flat, exact_view(cols[i], den, {}), x)
+    target = {base: key for key, base in offset.items()}
+    coords: dict[tuple[int, ...], Vec] = {}
+    for row, value in flat.items():
+        coords.setdefault(target[2 * (row - row % m)], {})[row % m] = value
+    return Cochain(g, c.degree + 1, m, coords)
 
 
 # -- coordinate bookkeeping ---------------------------------------------------
@@ -337,32 +364,11 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
         offset = {key: 2 * pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
     else:
         offset = _RowOffsets(n, k + 1, 2 * m)
-    brackets = {
-        pair: {l: (int(v.re * den), int(v.im * den)) for l, v in vec.items()}
-        for pair, vec in g.brackets.items()
-    }
-    # action[a][i] lists (r, re, im) for the entries D * rho(e_a)[r][i]
-    action = [[[] for _ in range(m)] for _ in rep.matrices]
-    for cols, mat in zip(action, rep.matrices):
-        for r, row in enumerate(mat.rows):
-            for i, v in row.items():
-                cols[i].append((2 * r, int(v.re * den), int(v.im * den)))
-    acting = _acting(rep)
-    columns: list[dict] = []
-    for key in cochain_tuples(n, k):
-        terms = [(offset[t], sign, a, coeff) for t, sign, a, coeff in _slot_terms(acting, brackets, key)]
-        for i in range(m):
-            col: dict[int, int] = {}
-            get = col.get
-            for base, sign, a, coeff in terms:
-                for r, re, im in ((2 * i, *coeff),) if a is None else action[a][i]:
-                    r += base
-                    if re:
-                        col[r] = get(r, 0) + sign * re
-                    if im:
-                        col[r + 1] = get(r + 1, 0) + sign * im
-            columns.append({r: x for r, x in col.items() if x} if 0 in col.values() else col)
-    return columns
+    action, by_output = _term_index(g, rep, den)
+    columns: list[dict] = [{} for _ in range(width)]
+    for c, key in enumerate(cochain_tuples(n, k)):
+        _scatter_key(key, action, by_output, offset, columns[c * m : (c + 1) * m])
+    return [{r: x for r, x in col.items() if x} if 0 in col.values() else col for col in columns]
 
 
 class CochainComplex:

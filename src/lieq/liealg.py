@@ -8,10 +8,9 @@ built from the deterministic RREF of :mod:`lieq.linalg`.
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactnum import GaussRat, LieqError, gauss
+from .exactnum import GaussRat, LieqError, SizeCap, gauss, size_cap
 from .linalg import Subspace, Vec, nullspace, vec_add, vec_from_seq
 
 
@@ -163,15 +162,26 @@ class LieAlgebra:
         """None when the Jacobi identity holds on every basis triple,
         otherwise the first failing (i, j, k) with its residual vector.
 
-        A basis vector that occurs in no bracket pair is central, so every
-        triple that contains it has Jacobi sum 0; only the triples of the
-        other indices are walked, in the same order, so the first failing
-        triple is the same."""
+        Only the candidate triples are walked, those {a, b, c} with a term
+        [e_a, [e_b, e_c]] != 0: e_l occurs in [e_b, e_c] and (a, l) is a
+        bracket pair.  They are walked in combinations order, so the first
+        failing triple is that of a walk over all triples.  More than
+        LIEQ_SIZE_CAP candidates raise SizeCap before the walk.  h(n) has
+        none, since its only bracket output is central."""
         if self._jacobi != "unchecked":
             return self._jacobi  # type: ignore[return-value]
+        partners: dict[int, set[int]] = {}
+        for a, b in self.brackets:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        candidates = {tuple(sorted((a, b, c)))
+                      for (b, c), vec in self.brackets.items() for l in vec
+                      for a in partners.get(l, ()) if a != b and a != c}
+        if len(candidates) > (cap := size_cap()):
+            raise SizeCap(f"Jacobi check of {len(candidates)} candidate triple(s) "
+                          f"exceeds LIEQ_SIZE_CAP = {cap}")
         self._jacobi = None
-        active = sorted({idx for pair in self.brackets for idx in pair})
-        for triple in itertools.combinations(active, 3):
+        for triple in sorted(candidates):
             residual = jacobi_sum(self.brackets, self.brackets, *triple)
             if residual:
                 self._jacobi = JacobiWitness(triple, residual)

@@ -313,6 +313,19 @@ def test_cochain_cap_follows_the_setting(capsys, monkeypatch):
     assert cli.run(["cohomology", "--algebra", "h(2)", "--k", "1"]) == 0
 
 
+def test_jacobi_candidates_over_the_cap_exit_2(tmp_path, capsys, monkeypatch):
+    """sl2 + sl2 has two candidate Jacobi triples: over a cap of 1, every
+    command that checks Jacobi exits 2 before it walks them."""
+    sl2 = catalog.get("sl2").algebra
+    path = tmp_path / "sl2x2.json"
+    path.write_text(json.dumps(sl2.direct_sum(sl2).to_doc()))
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "1")
+    for argv in (["algebra", "--algebra", str(path)], ["cohomology", "--algebra", str(path), "--k", "0"]):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: Jacobi check of 2 candidate triple(s) exceeds LIEQ_SIZE_CAP = 1\n")
+
+
 def test_cochain_rows_are_not_listed(capsys, monkeypatch):
     """d_1 of abelian(1000) has C(1000,2) = 499500 rows: only the columns'
     tuples are listed, and no row tuple is, since trivial coefficients add

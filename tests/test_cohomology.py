@@ -429,6 +429,67 @@ def test_random_nilpotent_matches_dense_oracle(g):
             assert got == oracles.oracle_cohomology_dims(g, k, coeffs), (coeffs, k)
 
 
+def _adjoint_by_pairs(g):
+    """The reference ad(e_i): its rows filled from g.pair(i, j), j ascending."""
+    matrices = []
+    for i in range(g.dim):
+        rows = [{} for _ in range(g.dim)]
+        for j in range(g.dim):
+            for r, value in g.pair(i, j).items():
+                rows[r][j] = value
+        matrices.append([list(row.items()) for row in rows])
+    return matrices
+
+
+def _adjoint_items(g):
+    return [[list(row.items()) for row in mat.rows] for mat in adjoint_rep(g).matrices]
+
+
+def test_adjoint_rep_matches_pairs_on_catalog():
+    """Values and the ascending key order of every row."""
+    for name in catalog.list_names():
+        g = get(name)
+        assert _adjoint_items(g) == _adjoint_by_pairs(g), name
+        # the same table with its pairs in descending order
+        h = LieAlgebra(g.dim, dict(sorted(g.brackets.items(), reverse=True)))
+        assert _adjoint_items(h) == _adjoint_by_pairs(g), name
+
+
+@settings(max_examples=8, deadline=None)
+@given(random_nilpotent())
+def test_adjoint_rep_matches_pairs_on_random_nilpotent(g):
+    assert _adjoint_items(g) == _adjoint_by_pairs(g)
+
+
+@settings(max_examples=8, deadline=None)
+@given(random_nilpotent(), st.sampled_from(["adjoint", 1, 2, 3]))
+def test_random_nilpotent_differential_matrix_matches_dense_oracle(g, coeffs):
+    """Every d_k, with adjoint or trivial coefficients of module dim 1-3;
+    and differential() of a random cochain against the same dense matrix."""
+    if coeffs == "adjoint":
+        rep, oracle_args = adjoint_rep(g), {"rho_kind": "adjoint"}
+    else:
+        rep, oracle_args = trivial_rep(g, coeffs), {"rho_kind": "trivial", "module_dim": coeffs}
+    den, rng = CochainComplex(g, rep).den, random.Random(repr(g.brackets))
+    for k in range(g.dim):
+        dense = oracles.dense_differential_matrix(k, g, **oracle_args)
+        cols = differential_matrix(k, g, rep)
+        for c, col in enumerate(cols):
+            view = exact_view(col, den, {})
+            assert [view.get(r, ZERO) for r in range(len(dense))] == [row[c] for row in dense], (k, c)
+        _check_differential(g, rep, k, dense, rng)
+
+
+def _check_differential(g, rep, k, dense, rng):
+    """differential() of a random k-cochain is the dense d_k times its
+    coordinates."""
+    flat = {c: GaussRat(rng.randint(-2, 2), rng.randint(-1, 1))
+            for c in rng.sample(range(len(dense[0])), min(4, len(dense[0])))}
+    image = differential(cochain_from_coordinates(g, k, rep.module_dim, flat), rep)
+    expected = {r: sum((row[c] * x for c, x in flat.items()), ZERO) for r, row in enumerate(dense)}
+    assert image == cochain_from_coordinates(g, k + 1, rep.module_dim, {r: x for r, x in expected.items() if x})
+
+
 @pytest.mark.parametrize("name", catalog.list_names())
 def test_catalog_ranks_match_certified_rref(name):
     """rank d_k against the pivot count of the oracle's RREF of its rows."""
@@ -504,3 +565,12 @@ def test_rescaled_catalog_matches_dense_oracle(case, k):
     got = (complex_.cocycles(k).dim, complex_.coboundaries(k).dim, complex_.cohomology_dim(k))
     assert got == oracles.oracle_cohomology_dims(h, k, **oracle_args)
     assert complex_.d_squared_zero(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rescaled_catalog_cases(), st.integers(0, 3), st.integers(0, 2**16))
+def test_rescaled_catalog_differential_matches_dense_oracle(case, k, seed):
+    """differential() with fractional and Gaussian constants and entries of rho."""
+    h, rep, oracle_args = case
+    if k < h.dim:
+        _check_differential(h, rep, k, oracles.dense_differential_matrix(k, h, **oracle_args), random.Random(seed))

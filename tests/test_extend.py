@@ -59,7 +59,8 @@ def test_zero_cocycle_gives_direct_sum():
 )
 def test_jacobi_check_of_a_wide_extension_walks_only_the_base(name, values, monkeypatch):
     # the 2000 adjoined vectors are central: check_jacobi walks no triple
-    # that contains one, so it makes at most C(n, 3) Jacobi sums
+    # that contains one, so it makes the Jacobi sums of g alone, at most
+    # C(n, 3) of them
     from math import comb
 
     from lieq import liealg
@@ -75,7 +76,9 @@ def test_jacobi_check_of_a_wide_extension_walks_only_the_base(name, values, monk
     monkeypatch.setattr(liealg, "jacobi_sum", counted)
     out = central_extension(g, theta)
     assert out.dim == g.dim + 2000
-    assert 0 < len(calls) <= comb(g.dim, 3)
+    walked, calls[:] = list(calls), []
+    assert liealg.LieAlgebra(g.dim, g.brackets).check_jacobi() is None
+    assert walked == calls and len(walked) <= comb(g.dim, 3)
 
 
 def test_h2_from_four_dimensions():

@@ -1,10 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieq import catalog
-from lieq.exactnum import GaussRat, ONE, ZERO
+from lieq.exactnum import GaussRat, ONE, SizeCap, ZERO
 from lieq.liealg import (
     DimensionMismatch,
     LieAlgebra,
@@ -136,6 +138,66 @@ def test_witness_on_random_algebras_with_central_vectors(seed):
         expected = _first_failing_triple_of_all(h)
         witness = LieAlgebra(h.dim, h.brackets).check_jacobi()
         assert (witness and tuple(witness)) == expected
+
+
+# Gaussian structure constants, fractional ones among them
+GAUSS = [GaussRat(1), GaussRat(-1), GaussRat(2), GaussRat(0, 1), GaussRat(1, -1), GaussRat(Fraction(1, 2), Fraction(1, 3))]
+
+
+@st.composite
+def bracket_tables(draw):
+    """A random algebra of dims 3-8, nearly always failing Jacobi: each of
+    a random set of pairs has one to three outputs with Gaussian constants.
+    One draw in four is instead a catalog entry of dim <= 8 spread among
+    central vectors, which passes."""
+    n = draw(st.integers(3, 8))
+    if draw(st.integers(0, 3)) == 0:
+        names = [name for name in catalog.list_names() if catalog.get(name).algebra.dim <= n]
+        g = catalog.get(draw(st.sampled_from(names))).algebra
+        return _spread(g, n, random.Random(draw(st.integers(0, 2**16))))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    return LieAlgebra(n, {pair: draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(GAUSS),
+                                                     min_size=1, max_size=3))
+                          for pair in chosen})
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_tables())
+def test_witness_equals_the_walk_over_all_triples(g):
+    witness = g.check_jacobi()
+    assert (witness and tuple(witness)) == _first_failing_triple_of_all(g)
+
+
+def test_jacobi_walks_only_candidate_triples(monkeypatch):
+    """A triple has a nonzero Jacobi term only if (b, c) and (a, l) are
+    bracket pairs with e_l in [e_b, e_c].  h(n) has no such triple, since
+    its only bracket output z is central; sl2 has one."""
+    from lieq import liealg
+
+    calls = []
+    original = liealg.jacobi_sum
+
+    def counted(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(liealg, "jacobi_sum", counted)
+    assert LieAlgebra(401, catalog.get("h(200)").algebra.brackets).check_jacobi() is None
+    assert calls == []
+    assert LieAlgebra(3, catalog.get("sl2").algebra.brackets).check_jacobi() is None
+    assert calls == [(0, 1, 2)]
+
+
+def test_jacobi_candidates_over_the_cap_are_refused(monkeypatch):
+    """sl2 + sl2 has two candidate triples, one in each summand."""
+    sl2 = catalog.get("sl2").algebra
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "1")
+    g = sl2.direct_sum(sl2)
+    with pytest.raises(SizeCap, match=r"Jacobi check of 2 candidate triple\(s\) exceeds LIEQ_SIZE_CAP = 1"):
+        g.check_jacobi()
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "2")
+    assert g.check_jacobi() is None
 
 
 def test_all_catalog_algebras_pass_jacobi():
