@@ -19,7 +19,8 @@ Conventions, fixed once:
   d^2 = 0 never leave the integers.
 * d is pushed forward slot by slot (_scatter_key) from an index of the
   nonzero structure constants and entries of rho (_term_index), so a d_k,
-  and d of a cochain, cost what their nonzero terms cost.
+  and d of a cochain, cost what their nonzero terms cost.  D and the index
+  are built once per representation, which holds them (Representation.terms).
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class Representation:
             module_dim = self.matrices[0].n if self.matrices else 0
         self.module_dim = module_dim
         self.kind = kind
+        self._terms: tuple[int, dict, dict] | None = None
         if kind == "explicit":
             self._check_preserves_bracket()
 
@@ -91,6 +93,17 @@ class Representation:
     def apply(self, i: int, v: Vec) -> Vec:
         """rho(e_i) applied to a sparse module vector."""
         return self.matrices[i].apply(v)
+
+    def terms(self, g: LieAlgebra) -> tuple[int, dict, dict]:
+        """(D, _term_index(self, D)) for D = _common_denominator(self), built
+        on first use and held, like g's Jacobi witness, for this object's
+        life; g must have the source's constants (else SourceMismatch)."""
+        if g is not self.source and not g.same_constants(self.source):
+            raise SourceMismatch("the representation lives on a different algebra")
+        if self._terms is None:
+            den = _common_denominator(self)
+            self._terms = (den, *_term_index(self, den))
+        return self._terms
 
 
 def require_jacobi(g: LieAlgebra) -> None:
@@ -204,12 +217,13 @@ class Cochain:
         return cls(source, *dims, coords)
 
 
-def _term_index(g: LieAlgebra, rep: Representation, den: int) -> tuple[dict, dict]:
-    """The nonzero structure constants of g and entries of rho, times den,
-    as Z[i] pairs (re, im), indexed for _scatter_key: action maps each a
-    with rho(e_a) != 0, ascending, to [(2r, i, re, im)] for the nonzero
-    entries rho(e_a)[r][i]; by_output maps l to [(a, b, re, im)] for the
-    pairs a < b with c^l_ab != 0, in bracket-table order."""
+def _term_index(rep: Representation, den: int) -> tuple[dict, dict]:
+    """The nonzero structure constants of g = rep.source and entries of
+    rho, times den, as Z[i] pairs (re, im), indexed for _scatter_key:
+    action maps each a with rho(e_a) != 0, ascending, to [(2r, i, re, im)]
+    for the nonzero entries rho(e_a)[r][i]; by_output maps l to
+    [(a, b, re, im)] for the pairs a < b with c^l_ab != 0, in bracket-table
+    order.  Built once per representation, by Representation.terms."""
     action = {}
     for a, mat in enumerate(rep.matrices):
         entries = [(2 * r, i, int(v.re * den), int(v.im * den))
@@ -217,7 +231,7 @@ def _term_index(g: LieAlgebra, rep: Representation, den: int) -> tuple[dict, dic
         if entries:
             action[a] = entries
     by_output: dict[int, list] = {}
-    for (a, b), vec in g.brackets.items():
+    for (a, b), vec in rep.source.brackets.items():
         for l, v in vec.items():
             by_output.setdefault(l, []).append((a, b, int(v.re * den), int(v.im * den)))
     return action, by_output
@@ -269,15 +283,12 @@ def differential(c: Cochain, rep: Representation) -> Cochain:
     """The degree-raising differential of a cochain: the columns of
     differential_matrix at the slots of c, built by the same _scatter_key,
     combined with c's values and divided by D."""
-    if c.source is not rep.source and not c.source.same_constants(rep.source):
-        raise SourceMismatch("cochain and representation live on different algebras")
+    den, action, by_output = rep.terms(c.source)
     if c.module_dim != rep.module_dim:
         raise SourceMismatch("module dimensions differ")
     if c.degree >= c.source.dim:
         raise ValueError("top-degree cochains map into the zero space")
     g, m = c.source, c.module_dim
-    den = _common_denominator(g, rep)
-    action, by_output = _term_index(g, rep, den)
     offset = _RowOffsets(g.dim, c.degree + 1, 2 * m)
     flat: Vec = {}
     for key, vec in c.coords.items():
@@ -332,15 +343,15 @@ def cochain_from_coordinates(g: LieAlgebra, k: int, m: int, flat: Vec) -> Cochai
     return Cochain(g, k, m, coords)
 
 
-def _common_denominator(g: LieAlgebra, rep: Representation) -> int:
+def _common_denominator(rep: Representation) -> int:
     """D: the lcm of the denominators of g's constants and rho's entries."""
-    values = [v for vec in g.brackets.values() for v in vec.values()]
+    values = [v for vec in rep.source.brackets.values() for v in vec.values()]
     values += [v for mat in rep.matrices for row in mat.rows for v in row.values()]
     return math.lcm(1, *(x.denominator for v in values for x in (v.re, v.im) if type(x) is not int))
 
 
 def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict]:
-    """D * d_k, for d_k : C^k -> C^{k+1} and D = _common_denominator(g, rep),
+    """D * d_k, for d_k : C^k -> C^{k+1} and D = _common_denominator(rep),
     as integer columns, one per coordinate of C^k in the canonical ordering.
     The real part of row r sits at key 2r and the imaginary part at key
     2r + 1, the Z[i] layout of linalg._clear_denominators.
@@ -352,10 +363,10 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
     width, cap = cochain_space_dim(n, k, m), size_cap()
     if width > cap:
         raise SizeCap(f"d_{k} with C({n},{k})*{m} = {width} columns exceeds LIEQ_SIZE_CAP = {cap}")
+    _, action, by_output = rep.terms(g)
     if k >= n:
         # C^{k+1} vanishes, so d is the zero map
         return [{} for _ in range(width)]
-    den = _common_denominator(g, rep)
     # the first row of each target's block: listed when C^{k+1} has no more
     # tuples than C^k has coordinates (so the cap bounds the list too),
     # otherwise computed for the targets that occur; where most targets
@@ -364,7 +375,6 @@ def differential_matrix(k: int, g: LieAlgebra, rep: Representation) -> list[dict
         offset = {key: 2 * pos * m for pos, key in enumerate(cochain_tuples(n, k + 1))}
     else:
         offset = _RowOffsets(n, k + 1, 2 * m)
-    action, by_output = _term_index(g, rep, den)
     columns: list[dict] = [{} for _ in range(width)]
     for c, key in enumerate(cochain_tuples(n, k)):
         _scatter_key(key, action, by_output, offset, columns[c * m : (c + 1) * m])
@@ -385,7 +395,7 @@ class CochainComplex:
         require_jacobi(g)
         self.g = g
         self.rep = rep
-        self.den = _common_denominator(g, rep)
+        self.den = rep.terms(g)[0]
         self._columns: dict[int, list[dict]] = {}
         self._ranks: dict[int, int] = {}
         self._memo: dict[tuple[int, int], GaussRat] = {}

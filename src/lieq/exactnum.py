@@ -81,10 +81,13 @@ def _rational(value) -> Union[int, Fraction]:
     return value.numerator if value.denominator == 1 else value
 
 
-def _parse_gauss(text: str) -> tuple[Fraction, Fraction]:
+def _parse_gauss(text: str) -> tuple[int | Fraction, int | Fraction]:
     txt = text.replace(" ", "")
     if not txt:
         raise ValueError("empty scalar string")
+    if txt.isascii() and (txt[1:] if txt[0] == "-" else txt).isdigit():
+        # an integer literal, the usual constant, needs no Fraction parse
+        return int(txt), 0
     if "e" in txt or "E" in txt:
         # Fraction reads "1e999999999" as an integer of a billion digits
         raise ValueError(f"exponent in scalar {text!r}; write it as an integer or a fraction")

@@ -19,7 +19,8 @@ the Q(i)-span of the rows seen over Q.
   each row by its pivot entry.  Pivots come in pairs 2c, 2c + 1 for Gaussian
   rows and sit at even keys alone for real rows; either way the Q(i) row
   with pivot c is the integer row with pivot 2c.
-* rank and integer_rank renumber keys by ascending count of nonzero
+* rank and integer_rank first pivot on every one-entry row's key, in one
+  sweep, then renumber the other keys by ascending count of nonzero
   entries, which keeps fill-in low, and only count pivots.
 """
 
@@ -145,17 +146,23 @@ def rank(rows: Iterable[Vec], ncols: int) -> int:
 def integer_rank(cleared: list[dict]) -> int:
     """The rank over Q(i) of Z[i] rows in the layout of _clear_denominators,
     zero rows allowed, which it does not modify.  A Gaussian rank is half
-    the integer rank of the rows and their i-multiples.  Keys are
-    renumbered by ascending count of nonzero entries, which keeps fill-in
-    low; a rank needs no back substitution."""
+    the integer rank of the rows and their i-multiples.  One sweep pivots
+    on the key of every one-entry row: the rank is the number of those keys
+    plus the rank of the rows with them dropped, whose keys are renumbered
+    by ascending count of nonzero entries, which keeps fill-in low; a rank
+    needs no back substitution."""
     rows = _with_i_multiples(cleared)
+    singles = {c for row in rows if len(row) == 1 for c in row}
     counts: dict[int, int] = {}
     for row in rows:
         for c in row:
             counts[c] = counts.get(c, 0) + 1
+    for c in singles:
+        del counts[c]
     order = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
-    renumbered = [{order[c]: x for c, x in row.items()} for row in rows]
-    found = len(_echelon(renumbered, len(order), reduced=False)[0])
+    renumbered = [{order[c]: x for c, x in row.items() if c in order}
+                  for row in rows if len(row) > 1]
+    found = len(singles) + len(_echelon(renumbered, len(order), reduced=False)[0])
     return found // 2 if rows is not cleared else found
 
 

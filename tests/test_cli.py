@@ -54,6 +54,25 @@ def test_cohomology_builds_each_differential_once(capsys, monkeypatch):
     assert all(built.count(k) == 1 for k in built), built
 
 
+def test_cohomology_builds_one_term_index(capsys, monkeypatch):
+    """D and the term index of the representation are built once, and every
+    d_k of the complex reads them."""
+    from lieq import cohomology
+
+    calls = {"_term_index": 0, "_common_denominator": 0}
+    for name in calls:
+        original = getattr(cohomology, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cohomology, name, counting)
+    assert cli.run(["cohomology", "--algebra", "h(2)", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"_term_index": 1, "_common_denominator": 1}
+
+
 def test_cohomology_sl2(capsys):
     code, doc = run_json(capsys, ["cohomology", "--algebra", "sl2", "--k", "2"])
     assert code == 0
@@ -515,6 +534,23 @@ def test_exponent_in_scalar_is_usage_error(tmp_path, capsys):
     assert cli.run(["algebra", "--algebra", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "exponent in scalar '1e999999999'" in err
+
+
+@pytest.mark.parametrize(
+    "constant, message",
+    [
+        ("1e5", "exponent in scalar '1e5'"),
+        ("", "empty scalar string"),
+        ("1/0", "zero denominator in scalar '1/0'"),
+    ],
+)
+def test_malformed_constant_is_usage_error(tmp_path, capsys, constant, message):
+    path = tmp_path / "g.json"
+    doc = {"format": "lieq-1", "dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": constant}}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["algebra", "--algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
 
 
 def test_catalog_show_needs_a_name(capsys):

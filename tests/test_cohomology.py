@@ -111,6 +111,20 @@ def test_source_mismatch():
         differential(c, adjoint_rep(h))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_differential_matrix_refuses_another_algebras_representation(k):
+    """The term index held on a representation is its source's; an algebra
+    with other constants is refused, one with equal constants is served."""
+    g, h = get("h(1)"), get("sl2")
+    rep = adjoint_rep(g)
+    with pytest.raises(SourceMismatch):
+        differential_matrix(k, h, rep)
+    with pytest.raises(SourceMismatch):
+        CochainComplex(h, rep)
+    same = LieAlgebra(g.dim, g.brackets)
+    assert differential_matrix(k, same, rep) == differential_matrix(k, g, adjoint_rep(g))
+
+
 @pytest.mark.parametrize("name", SMALL)
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_differential_matrix_matches_dense_oracle(name, k):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +82,52 @@ def test_exponent_in_scalar_string_is_refused(text):
     digits before any size check; the scalar grammar has none."""
     with pytest.raises(ValueError, match="exponent in scalar"):
         GaussRat(text)
+
+
+def _parsed(parse, text):
+    """parse(text), or the message of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _fraction_parse(text):
+    """A real scalar string as Fraction reads it once spaces are removed,
+    the parse every scalar string went through before integer literals
+    were read by int."""
+    return GaussRat(Fraction(text.replace(" ", "")))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "7", "-7", "007", "-0070", "-0", "+7", " 1 2 ", "- 3", "1_0", "²", "١٢", "-١٢", "9" * 40],
+)
+def test_integer_literals_parse_as_fraction_does(text):
+    """Integer literals are read by int instead of Fraction: the result,
+    or the refusal, is the same."""
+    assert _parsed(GaussRat, text) == _parsed(_fraction_parse, text)
+
+
+@given(st.from_regex(r"-?[0-9 ]*[0-9][0-9 ]*", fullmatch=True))
+@settings(max_examples=200)
+def test_integer_literals_parse_as_fraction_does_on_drawn_strings(text):
+    value = GaussRat(text)
+    assert value == _fraction_parse(text) and type(value.re) is int and value.im == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e5", "exponent in scalar '1e5'; write it as an integer or a fraction"),
+        ("", "empty scalar string"),
+        ("1/0", "zero denominator in scalar '1/0'"),
+    ],
+)
+def test_malformed_scalars_keep_their_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        GaussRat(text)
+    assert str(err.value) == message
 
 
 @given(gauss_rats)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import lcm
@@ -108,6 +109,42 @@ def test_integer_rank_matches_dense_oracle(case, factors):
     cleared = linalg._clear_denominators(rows, ncols)
     scaled = [times_gaussian(row, a, b) for row, (a, b) in zip(cleared, factors)]
     assert linalg.integer_rank(scaled) == expected
+
+
+@st.composite
+def singleton_heavy_rows(draw):
+    """Z[i] rows in the cleared layout, most with one nonzero entry: keys
+    drawn from a few columns so that they repeat, imaginary keys among
+    them (whose i-multiples are real singletons), zero rows, and a few
+    longer rows across the singleton keys."""
+    ncols = draw(st.integers(1, 5))
+    keys = st.integers(0, 2 * ncols - 1)
+    values = st.integers(-4, 4).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            rows.append({})
+        elif kind == 1:
+            rows.append(draw(st.dictionaries(keys, values, min_size=2, max_size=2 * ncols)))
+        else:
+            rows.append({draw(keys): draw(values)})
+    return rows, ncols
+
+
+@given(singleton_heavy_rows())
+@example(([{1: 3}, {0: 2, 1: 5}], 1))
+@example(([{0: 1}, {0: -2}, {}, {0: 1, 2: 1}, {2: 3, 3: 1}], 2))
+@settings(max_examples=300, deadline=None)
+def test_integer_rank_of_singleton_heavy_rows(case):
+    """The singleton sweep of integer_rank, checked against a dense
+    elimination over Q(i) on rows that are mostly one-entry rows; the
+    caller's rows are left as they were."""
+    rows, ncols = case
+    before = copy.deepcopy(rows)
+    gaussian = [[GaussRat(row.get(2 * c, 0), row.get(2 * c + 1, 0)) for c in range(ncols)] for row in rows]
+    assert linalg.integer_rank(rows) == oracles.dense_rank(gaussian)
+    assert rows == before
 
 
 @given(rref_inputs(), nonzero_gaussian_ints, st.booleans())
