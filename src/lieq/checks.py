@@ -221,12 +221,12 @@ def _verify_shifted_pair(rng):
 
 
 def _verify_similarity_transport(rng):
-    """The CAR pair conjugated by 25 random invertible 2x2 matrices stays
-    exact, and the size-8 monomial pair at three q transports its defect."""
+    """The CAR pair, monomial_rep(-1, 2), conjugated by 25 random invertible
+    2x2 matrices stays exact; the size-8 monomial pair at three q transports its defect."""
     from . import fock
     from .linalg import SparseMatrix
 
-    c, cdag = fock.car_pair_2x2()
+    c, cdag = fock.monomial_rep(-1, 2)
     ok = (c @ cdag + cdag @ c) == SparseMatrix.identity(2)
     for _ in range(25):
         result = fock.similarity_transport([(c, cdag)], _random_invertible(rng, 2), GaussRat(-1))

@@ -311,12 +311,6 @@ def similarity_transport(
     return TransportResult(transported, defects_u, defects_v, exact)
 
 
-def car_pair_2x2() -> tuple[SparseMatrix, SparseMatrix]:
-    """The exact 2x2 fermionic pair C, C-dagger with CC+ + C+C = I."""
-    c = SparseMatrix(2, {(0, 1): 1})
-    return c, c.conj_transpose()
-
-
 class CuntzToeplitz(NamedTuple):
     """Truncated creation operators on the full Fock space over d letters,
     words of length <= depth; the isometry relation l_i+ l_j = delta_ij I

@@ -1,9 +1,9 @@
 """Finite-dimensional Lie algebras as sparse structure constants over Q(i).
 
 Brackets are stored only for ordered basis pairs i < j; antisymmetry and
-the vanishing diagonal are structural, not data.  All derived objects
-(center, structural series, quotients) are canonical because they are
-built from the deterministic RREF of :mod:`lieq.linalg`.
+the vanishing diagonal are structural, not data.  The center, the series
+and quotients read only the nonzero constants; they are canonical because
+they are built from the deterministic RREF of :mod:`lieq.linalg`.
 """
 
 from __future__ import annotations
@@ -198,26 +198,35 @@ class LieAlgebra:
         """Nullspace of the stacked ad-matrices."""
         return self._centralizer_mod(Subspace.zero(self.dim))
 
+    def _ad_images(self, u: Vec) -> dict[int, Vec]:
+        """{j: [u, e_j]} for the j where it is nonzero, ascending."""
+        images: dict[int, Vec] = {}
+        for (a, b), vec in self.brackets.items():
+            if a in u:
+                vec_add(images.setdefault(b, {}), vec, u[a])
+            if b in u:
+                vec_add(images.setdefault(a, {}), vec, -u[b])
+        return {j: images[j] for j in sorted(images) if images[j]}
+
     def _centralizer_mod(self, current: Subspace) -> Subspace:
         """{x : [x, g] inside current}: the nullspace of the ad-matrices
-        taken modulo current."""
-        rows: list[Vec] = []
-        for j in range(self.dim):
-            cols = [current.reduce(self.pair(i, j)) for i in range(self.dim)]
-            coords = set()
-            for col in cols:
-                coords.update(col)
-            for r in sorted(coords):
-                row = {i: cols[i][r] for i in range(self.dim) if r in cols[i]}
-                if row:
-                    rows.append(row)
-        return Subspace(self.dim, nullspace(rows, self.dim))
+        taken modulo current, with each nonzero constant reduced once."""
+        rows: dict[tuple[int, int], Vec] = {}
+        for (a, b), vec in self.brackets.items():
+            for r, value in current.reduce(vec).items():
+                rows.setdefault((b, r), {})[a] = value
+                rows.setdefault((a, r), {})[b] = -value
+        return Subspace(self.dim, nullspace([rows[key] for key in sorted(rows)], self.dim))
 
     def _bracket_span(self, left: Subspace, right: Subspace) -> Subspace:
+        """The span of [u, w] = sum_j w_j [u, e_j], u in left, w in right."""
         vectors = []
         for u in left.rows:
-            for w in right.rows:
-                v = self.bracket(u, w)
+            images = self._ad_images(u)
+            for w in right.rows if images else ():
+                v: Vec = {}
+                for j, coeff in w.items():
+                    vec_add(v, images.get(j, {}), coeff)
                 if v:
                     vectors.append(v)
         return Subspace(self.dim, vectors)
@@ -263,25 +272,20 @@ class LieAlgebra:
         if ideal.ambient != self.dim:
             raise DimensionMismatch("ideal lives in a different ambient space")
         for u in ideal.rows:
-            for j in range(self.dim):
-                w = self.bracket(u, {j: GaussRat(1)})
+            for j, w in self._ad_images(u).items():
                 if not ideal.contains(w):
                     raise NotAnIdeal(f"[ideal, e{j + 1}] escapes the subspace")
         complement = tuple(c for c in range(self.dim) if c not in set(ideal.pivots))
-        qdim = len(complement)
         pos = {c: a for a, c in enumerate(complement)}
 
         def project(v: Vec) -> Vec:
-            residual = ideal.reduce(v)
-            return {pos[c]: value for c, value in residual.items()}
+            return {pos[c]: value for c, value in ideal.reduce(v).items()}
 
         brackets: dict[tuple[int, int], Vec] = {}
-        for a in range(qdim):
-            for b in range(a + 1, qdim):
-                img = project(self.pair(complement[a], complement[b]))
-                if img:
-                    brackets[(a, b)] = img
-        algebra = LieAlgebra(qdim, brackets, [self.labels[c] for c in complement])
+        for (i, j), vec in sorted(self.brackets.items()):
+            if i in pos and j in pos and (img := project(vec)):
+                brackets[(pos[i], pos[j])] = img
+        algebra = LieAlgebra(len(complement), brackets, [self.labels[c] for c in complement])
         return Quotient(algebra, self, ideal, complement, project)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
@@ -308,15 +312,15 @@ class LieAlgebra:
             return self._signature
         from . import cohomology  # deferred: cohomology builds on liealg
 
+        # Der(g) = Z^1(g; ad), Inn(g) = g / Z(g); d_1 and d_2 first, so their caps refuse before the series
+        ad_complex = cohomology.CochainComplex(self, cohomology.adjoint_rep(self))
+        der_dim, h2_dim = ad_complex.cocycle_dim(1), ad_complex.cohomology_dim(2)
         lcs = _series_dims(self.lower_central_series())
         ucs = _series_dims(self.upper_central_series())
         der = _series_dims(self.derived_series())
         nil, sol = _steps_to_zero(lcs), _steps_to_zero(der)
         # Z(g) is the first step of the upper series
         center_dim = ucs[1] if len(ucs) > 1 else 0
-        # Der(g) = Z^1(g; ad) and Inn(g) = g / Z(g)
-        ad_complex = cohomology.CochainComplex(self, cohomology.adjoint_rep(self))
-        der_dim = ad_complex.cocycle_dim(1)
         sig = Signature(
             dim=self.dim,
             lower_central_dims=lcs,
@@ -325,7 +329,7 @@ class LieAlgebra:
             center_dim=center_dim,
             derivation_dim=der_dim,
             h1_dim=der_dim - (self.dim - center_dim),
-            h2_dim=ad_complex.cohomology_dim(2),
+            h2_dim=h2_dim,
             nilpotency_class=-1 if nil is None else nil,
             solvable_length=-1 if sol is None else sol,
             abelian=self.is_abelian(),

@@ -733,10 +733,13 @@ def free_identity_check(which: str, q0=None) -> bool:
 
 # -- tiny expression grammar for the command line -----------------------------
 
+MAX_NESTING = 300  # levels of parentheses and unary minus signs, one parser recursion each
+
 
 class _Tokens:
     def __init__(self, text: str, max_word: int):
         self.max_word = max_word
+        self.depth = 0  # parentheses and unary minus signs open around the factor being read
         self.items: list[str] = []
         pos = 0
         while pos < len(text):
@@ -911,10 +914,14 @@ def _parse_exponent(tokens: _Tokens) -> int:
 
 def _parse_factor(tokens: _Tokens) -> QExpr:
     tok = tokens.take()
-    if tok == "-":
-        return -_parse_factor(tokens)
-    if tok == "(":
-        inner = _parse_sum(tokens)
+    if tok in ("-", "("):
+        if tokens.depth == MAX_NESTING:
+            raise SizeCap(f"nesting deeper than {MAX_NESTING} levels of parentheses and unary minus signs")
+        tokens.depth += 1
+        inner = _parse_factor(tokens) if tok == "-" else _parse_sum(tokens)
+        tokens.depth -= 1
+        if tok == "-":
+            return -inner
         if tokens.take() != ")":
             raise ValueError("missing closing parenthesis")
         base = inner

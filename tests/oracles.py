@@ -7,7 +7,8 @@ reduced row echelon forms from exact GaussRat elimination (the library
 eliminates fraction-free over the integers), normal ordering rewrites a randomly chosen
 inversion instead of the first one, and Laurent polynomials are sparse
 {exponent: GaussRat} dicts with term-by-term arithmetic.  None of this shares code paths with src/lieq
-beyond the scalar type."""
+beyond the scalar type, except the reference canonical subspaces, which
+walk the whole basis on linalg's Subspace."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import Callable, Sequence
 
 from lieq.exactnum import GaussRat, ZERO
 from lieq.laurent import LaurentPoly
-from lieq.liealg import LieAlgebra
+from lieq.liealg import LieAlgebra, NotAnIdeal
+from lieq.linalg import Subspace, nullspace
 
 
 def dense_rank(rows: list[list[GaussRat]]) -> int:
@@ -431,6 +433,90 @@ def dense_kernel(rows: list[list[GaussRat]], ncols: int) -> list[list[GaussRat]]
                 vec[pcol] = -work[prow][f]
         kernel.append(vec)
     return kernel
+
+
+# -- reference canonical subspaces ------------------------------------------------
+#
+# The whole-basis loops that LieAlgebra's center, series and quotient ran
+# before they read only the nonzero constants: every pair(i, j) reduced
+# modulo the current subspace, every row of one subspace bracketed with
+# every row of the other, every e_j tried against an ideal and every pair
+# of complement vectors projected.  Unlike the dense oracles above they
+# use linalg's Subspace, so they check the sparse walks, not the RREF.
+
+
+def reference_centralizer_mod(g: LieAlgebra, current: Subspace) -> Subspace:
+    """{x : [x, g] inside current}: the nullspace of the ad-matrices
+    taken modulo current."""
+    rows: list[dict] = []
+    for j in range(g.dim):
+        cols = [current.reduce(g.pair(i, j)) for i in range(g.dim)]
+        coords = set()
+        for col in cols:
+            coords.update(col)
+        for r in sorted(coords):
+            row = {i: cols[i][r] for i in range(g.dim) if r in cols[i]}
+            if row:
+                rows.append(row)
+    return Subspace(g.dim, nullspace(rows, g.dim))
+
+
+def reference_bracket_span(g: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
+    vectors = []
+    for u in left.rows:
+        for w in right.rows:
+            v = g.bracket(u, w)
+            if v:
+                vectors.append(v)
+    return Subspace(g.dim, vectors)
+
+
+def _reference_series(g: LieAlgebra, first: Subspace, step) -> list[Subspace]:
+    if g.dim == 0:
+        return []
+    series = [first]
+    while (nxt := step(series[-1])) != series[-1]:
+        series.append(nxt)
+    return series
+
+
+def reference_series(g: LieAlgebra) -> dict[str, list[Subspace]]:
+    """The lower central, upper central and derived series."""
+    full = Subspace.full(g.dim)
+    return {
+        "lower": _reference_series(g, full, lambda s: reference_bracket_span(g, s, full)),
+        "upper": _reference_series(g, Subspace.zero(g.dim), lambda s: reference_centralizer_mod(g, s)),
+        "derived": _reference_series(g, full, lambda s: reference_bracket_span(g, s, s)),
+    }
+
+
+def reference_center(g: LieAlgebra) -> Subspace:
+    return reference_centralizer_mod(g, Subspace.zero(g.dim))
+
+
+def reference_quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, tuple[int, ...]]:
+    """(quotient algebra, complement) of g by ideal; NotAnIdeal, with
+    LieAlgebra.quotient's message, when [ideal, e_j] escapes it."""
+    for u in ideal.rows:
+        for j in range(g.dim):
+            w = g.bracket(u, {j: GaussRat(1)})
+            if not ideal.contains(w):
+                raise NotAnIdeal(f"[ideal, e{j + 1}] escapes the subspace")
+    complement = tuple(c for c in range(g.dim) if c not in set(ideal.pivots))
+    qdim = len(complement)
+    pos = {c: a for a, c in enumerate(complement)}
+
+    def project(v: dict) -> dict:
+        residual = ideal.reduce(v)
+        return {pos[c]: value for c, value in residual.items()}
+
+    brackets: dict[tuple[int, int], dict] = {}
+    for a in range(qdim):
+        for b in range(a + 1, qdim):
+            img = project(g.pair(complement[a], complement[b]))
+            if img:
+                brackets[(a, b)] = img
+    return LieAlgebra(qdim, brackets, [g.labels[c] for c in complement]), complement
 
 
 def random_order_normal_form(word: str, rng, q_poly: LaurentPoly | None = None):

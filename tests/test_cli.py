@@ -345,6 +345,17 @@ def test_jacobi_candidates_over_the_cap_exit_2(tmp_path, capsys, monkeypatch):
             "usage error: Jacobi check of 2 candidate triple(s) exceeds LIEQ_SIZE_CAP = 1\n")
 
 
+def test_large_bracket_free_algebra_is_refused_before_its_series(tmp_path, capsys, monkeypatch):
+    """d_1 of a bracket-free dim-1000 algebra has 1000 * 1000 columns: the
+    signature's size caps refuse it before any series is computed."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format": "lieq-1", "dim": 1000, "brackets": []}))
+    monkeypatch.delenv("LIEQ_SIZE_CAP", raising=False)
+    assert cli.run(["algebra", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: d_1 with C(1000,1)*1000 = 1000000 columns exceeds LIEQ_SIZE_CAP = 200000\n")
+
+
 def test_cochain_rows_are_not_listed(capsys, monkeypatch):
     """d_1 of abelian(1000) has C(1000,2) = 499500 rows: only the columns'
     tuples are listed, and no row tuple is, since trivial coefficients add

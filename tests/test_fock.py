@@ -12,7 +12,6 @@ from lieq.fock import (
     SingularWeight,
     SizeCap,
     biorthogonal_pair,
-    car_pair_2x2,
     cuntz_toeplitz,
     defect_is_corner_only,
     monomial_rep,
@@ -160,7 +159,10 @@ def test_biorthogonal_rejects_bad_weights():
 
 
 def test_car_pair_transport_exact():
-    c, cdag = car_pair_2x2()
+    """The CAR pair C, C-dagger with CC+ + C+C = I is the size-2 monomial
+    pair at q = -1."""
+    c, cdag = monomial_rep(-1, 2)
+    assert cdag == c.conj_transpose()
     assert (c @ cdag + cdag @ c) == SparseMatrix.identity(2)
     rng = random.Random(11)
     for _ in range(25):

@@ -15,7 +15,7 @@ from lieq.liealg import (
     abelian,
     jacobi_sum,
 )
-from oracles import basis_vector, bracket_dense
+from oracles import basis_vector, bracket_dense, reference_center, reference_quotient, reference_series
 
 
 @pytest.fixture
@@ -302,6 +302,95 @@ def test_quotient_rejects_non_ideal(h1):
         h1.quotient(line)
     with pytest.raises(DimensionMismatch):
         h1.quotient(Subspace(5, [{4: ONE}]))
+
+
+def _filiform(n):
+    """The model filiform L_n: [e_1, e_i] = e_{i+1} for 1 < i < n."""
+    return LieAlgebra(n, {(0, i): {i + 1: ONE} for i in range(1, n - 1)})
+
+
+@st.composite
+def rescaled_catalog_entries(draw):
+    """A catalog entry of dim <= 9 in the basis f_a = s_a e_a, with
+    [f_a, f_b] = sum_l s_a s_b c^l_ab / s_l f_l: Gaussian and fractional
+    constants."""
+    names = [name for name in catalog.list_names() if catalog.get(name).algebra.dim <= 9]
+    g = catalog.get(draw(st.sampled_from(names))).algebra
+    s = draw(st.lists(st.sampled_from(GAUSS), min_size=g.dim, max_size=g.dim))
+    return LieAlgebra(g.dim, {(a, b): {l: s[a] * s[b] * c / s[l] for l, c in vec.items()}
+                              for (a, b), vec in g.brackets.items()})
+
+
+@st.composite
+def solvable_tables(draw):
+    """e_1 acting on the abelian ideal span(e_2..e_n) by a triangular
+    matrix with a nonzero diagonal: solvable and not nilpotent."""
+    n = draw(st.integers(2, 8))
+    return LieAlgebra(n, {(0, i): {k: draw(st.sampled_from(GAUSS)) for k in range(1, i + 1)
+                                   if k == i or draw(st.booleans())}
+                          for i in range(1, n)})
+
+
+def _same_quotient(g, ideal):
+    """g.quotient(ideal) equals the whole-basis reference, or raises
+    NotAnIdeal with the reference's message."""
+    try:
+        expected = reference_quotient(g, ideal)
+    except NotAnIdeal as err:
+        with pytest.raises(NotAnIdeal) as got:
+            g.quotient(ideal)
+        assert str(got.value) == str(err)
+        return
+    q = g.quotient(ideal)
+    assert (q.algebra, q.complement) == expected
+
+
+def _same_subspaces(g):
+    series = reference_series(g)
+    assert g.lower_central_series() == series["lower"]
+    assert g.upper_central_series() == series["upper"]
+    assert g.derived_series() == series["derived"]
+    assert g.center() == reference_center(g)
+    _same_quotient(g, g.center())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bracket_tables(), rescaled_catalog_entries(), solvable_tables()), st.data())
+def test_canonical_subspaces_equal_the_whole_basis_reference(g, data):
+    """The series, the center and the quotients read from the nonzero
+    constants equal the loops over every basis pair; a drawn subspace,
+    an ideal or not, gives the same quotient or the same NotAnIdeal."""
+    _same_subspaces(g)
+    vectors = data.draw(st.lists(st.dictionaries(st.integers(0, g.dim - 1), st.sampled_from(GAUSS),
+                                                 min_size=1, max_size=2), min_size=1, max_size=2))
+    _same_quotient(g, Subspace(g.dim, vectors))
+
+
+@pytest.mark.parametrize("n", [4, 10, 20])
+def test_filiform_subspaces_equal_the_whole_basis_reference(n):
+    g = _filiform(n)
+    _same_subspaces(g)
+    assert [s.dim for s in g.lower_central_series()] == [n, *range(n - 2, -1, -1)]
+    for space in g.lower_central_series():
+        _same_quotient(g, space)
+
+
+def test_bracket_free_subspaces_make_no_bracket_or_reduce_call(monkeypatch):
+    """With no nonzero constant there is nothing to bracket or reduce:
+    the whole-basis loops made n^2 pair and reduce calls at dim 1000."""
+    calls = []
+    for owner, name in ((LieAlgebra, "pair"), (LieAlgebra, "bracket"), (Subspace, "reduce")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    g = abelian(1000)
+    assert g.center() == Subspace.full(1000)
+    assert [s.dim for s in g.lower_central_series()] == [1000, 0]
+    assert [s.dim for s in g.upper_central_series()] == [0, 1000]
+    assert [s.dim for s in g.derived_series()] == [1000, 0]
+    assert calls == []
 
 
 def test_direct_sum(h1):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from lieq import cli
 from lieq.exactnum import GaussRat, NonDivisible
 from lieq.laurent import LaurentPoly
 from lieq.qheis import (
+    MAX_NESTING,
     A,
     B,
     NormalForm,
@@ -525,6 +527,26 @@ def test_malformed_expressions_name_the_fault(text, message):
     with pytest.raises(ValueError) as err:
         parse_qexpr(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["(" * 400 + "A" + ")" * 400, "A+" + "-" * 1200 + "A"],
+                         ids=["parentheses", "unary-minus"])
+def test_nesting_beyond_the_limit_exits_2_without_a_traceback(text, capsys):
+    """Each level is a parser recursion: past MAX_NESTING the expression is
+    refused as a usage error before Python's recursion limit is reached."""
+    assert cli.run(["qheis", "normalize", text]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (f"usage error: nesting deeper than {MAX_NESTING} levels "
+                   "of parentheses and unary minus signs\n")
+
+
+def test_nesting_at_the_limit_parses():
+    assert MAX_NESTING == 300
+    assert parse_qexpr("(" * 300 + "A" + ")" * 300) == A()
+    assert parse_qexpr("-(" * 150 + "A" + ")" * 150) == A()
+    with pytest.raises(ValueError, match="nesting deeper than 300 levels"):
+        parse_qexpr("-" * 301 + "A")
 
 
 @pytest.mark.parametrize(
