@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cli import _round_trip
-from .exactnum import GaussRat, size_cap
+from .exactnum import GaussRat
 
 if TYPE_CHECKING:  # names used in annotations only
     import random
@@ -140,7 +139,7 @@ def _verify_skjelbred_sund_round_trip(rng):
         g = catalog.get(name).algebra
         if g.is_nilpotent() is None or g.center().dim == 0 or g.dim == 0:
             continue
-        quot, theta, same = _round_trip(g)
+        quot, theta, same = extend.round_trip(g)
         ok = ok and same
         base = quot.algebra
         for _ in range(20 if base.dim else 0):
@@ -247,7 +246,7 @@ def _verify_cuntz_toeplitz(rng):
     ok = True
     for d in (2, 3):
         for depth in range(1, 5):
-            ct = fock.cuntz_toeplitz(d, depth, size_cap())
+            ct = fock.cuntz_toeplitz(d, depth)
             top = [w for w, word in enumerate(ct.words) if len(word) == depth]
             diagonals = [ct.isometry_defect(i, i).diagonal() for i in range(d)]
             ok = ok and _defects_on_top_degree(ct) and all(

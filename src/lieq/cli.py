@@ -31,7 +31,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable
 
-from .exactnum import GaussRat, LieqError, SizeCap, size_cap
+from .exactnum import GaussRat, LieqError
 
 if TYPE_CHECKING:  # names used in annotations only
     from .liealg import LieAlgebra
@@ -120,13 +120,6 @@ def _load_algebra(spec: str) -> LieAlgebra:
     from . import catalog
 
     return catalog.get(spec).algebra
-
-
-def _fock_size(n: int) -> int:
-    """n, once an n x n truncation is within LIEQ_SIZE_CAP."""
-    if n * n > size_cap():
-        raise SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
-    return n
 
 
 def _matrix_doc(mat: SparseMatrix) -> dict:
@@ -265,23 +258,13 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def _round_trip(g: LieAlgebra):
-    """(quotient, theta, ok): g / Z(g) with the induced cocycle, and whether
-    the central extension they define has the signature of g."""
-    from . import extend
-
-    quot, theta = extend.induced_cocycle(g)
-    rebuilt = extend.central_extension(quot.algebra, theta)
-    return quot, theta, rebuilt.invariant_signature() == g.invariant_signature()
-
-
 def cmd_reconstruct(args) -> int:
-    from . import cohomology
+    from . import cohomology, extend
 
     report = Report("reconstruct")
     g = _load_algebra(args.algebra)
     cohomology.require_jacobi(g)
-    quot, theta, ok = _round_trip(g)
+    quot, theta, ok = extend.round_trip(g)
     report.add("round_trip_signature", True, ok)
     return _finish(args, report, {"quotient": quot.algebra.to_doc(), "cocycle": theta.to_doc()})
 
@@ -289,7 +272,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_qheis_normalize(args) -> int:
     from . import qheis
 
-    expr = qheis.parse_qexpr(args.expr, size_cap())
+    expr = qheis.parse_qexpr(args.expr)
     q_value = GaussRat(args.q) if args.q is not None else None
     nf = qheis.normal_order(expr, q_value)
     doc = {
@@ -314,23 +297,22 @@ def cmd_qheis_verify(args) -> int:
 def cmd_fock_build(args) -> int:
     from . import fock
 
-    n = _fock_size(args.n)
     if args.mode == "float":
         doc = {
             "format": "lieq-1",
             "mode": "float",
-            "n": n,
-            "superdiagonal": fock.orthonormal_rep_float(_as_float(args.q), n),
+            "n": args.n,
+            "superdiagonal": fock.orthonormal_rep_float(_as_float(args.q), args.n),
         }
         _emit(args, doc, lambda: "\n".join(str(x) for x in doc["superdiagonal"]))
         return 0
     q0 = GaussRat(args.q)
-    a, b = fock.monomial_rep(q0, n)
+    a, b = fock.monomial_rep(q0, args.n)
     doc = {
         "format": "lieq-1",
         "mode": "exact",
         "q": args.q,
-        "n": n,
+        "n": args.n,
         "lowering": _matrix_doc(a),
         "raising": _matrix_doc(b),
     }
@@ -351,10 +333,9 @@ def cmd_fock_verify(args) -> int:
 
     report = Report("fock verify")
     q0 = GaussRat(args.q)
-    n = _fock_size(args.n)
-    for name, ok in _truncation_items(q0, n):
+    for name, ok in _truncation_items(q0, args.n):
         report.add(name, True, ok)
-    weights = [GaussRat(k + 1) for k in range(min(n, 12))]
+    weights = [GaussRat(k + 1) for k in range(min(args.n, 12))]
     try:
         for name, ok in _biorthogonal_items(fock.biorthogonal_pair(weights, q0)):
             report.add(name, True, ok)
@@ -368,7 +349,7 @@ def cmd_fock_cuntz(args) -> int:
     from .checks import _defects_on_top_degree
 
     report = Report("fock cuntz")
-    ct = fock.cuntz_toeplitz(args.d, args.depth, size_cap())
+    ct = fock.cuntz_toeplitz(args.d, args.depth)
     report.add("dim", None, ct.dim, ok=True)
     report.add("isometry_defect_top_degree_only", True, _defects_on_top_degree(ct))
     return _finish(args, report)

@@ -3,17 +3,17 @@
 A deformed bracket is the base bracket plus perturbation cochains graded by
 powers of a formal parameter t.  The graded Jacobi expansion keeps every
 cross term mu(x, phi(y,z)) + phi(x, mu(y,z)) and so on; nothing is assumed
-to cancel, every coefficient of t is computed and reported as-is.
+to cancel, every coefficient of t is computed and reported as-is.  It
+walks the same bounded candidate triples as LieAlgebra.check_jacobi.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .cohomology import Cochain, CochainComplex, SourceMismatch, adjoint_rep
 from .exactnum import LieqError, gauss
-from .liealg import LieAlgebra, jacobi_sum
+from .liealg import LieAlgebra, jacobi_candidates, jacobi_sum
 from .linalg import Vec, vec_add
 
 
@@ -59,9 +59,10 @@ def jacobi_polynomial(d: DeformedBracket) -> dict[tuple[int, int, int], dict[int
     as {triple: {c: vector}}: the coefficient of t^c is the sum of
     jacobi_sum(mu_a, mu_b) over a + b = c, so every cross term between
     grading levels is retained.  Only nonzero coefficients are kept, degrees
-    ascending, triples in itertools.combinations order."""
+    ascending, triples in combinations order; only the jacobi_candidates of
+    the tables are walked, as every other triple sums to zero."""
     out: dict[tuple[int, int, int], dict[int, Vec]] = {}
-    for triple in itertools.combinations(range(d.base.dim), 3):
+    for triple in jacobi_candidates(d.tables):
         by_degree: dict[int, Vec] = {}  # a + b first reaches each c in ascending order
         for a, outer in enumerate(d.tables):
             for b, inner in enumerate(d.tables):

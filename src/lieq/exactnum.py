@@ -43,10 +43,11 @@ class SizeCap(LieqError, ValueError):
     A usage error as well as a LieqError, so the command line exits 2."""
 
 
-# the default LIEQ_SIZE_CAP budget: matrix entries for the fock
-# truncations; columns of one cochain differential d_k; for parse_qexpr,
-# letters in one word, words in one product or power, powers of q across
-# the coefficients and 64-bit words in one coefficient
+# the default LIEQ_SIZE_CAP budget: matrix entries of a fock truncation;
+# columns of one cochain differential d_k; candidate triples of one Jacobi
+# check or graded Jacobi table; for parse_qexpr, letters in one word, words
+# in one product or power, powers of q across the coefficients and 64-bit
+# words in one coefficient
 DEFAULT_SIZE_CAP = 200_000
 
 

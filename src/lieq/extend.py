@@ -162,3 +162,11 @@ def induced_cocycle(g: LieAlgebra) -> tuple[Quotient, CentralCocycle]:
                 values[(a, b)] = vec
     theta = CentralCocycle(q, center.dim, values)
     return quotient, theta
+
+
+def round_trip(g: LieAlgebra):
+    """(quotient, theta, ok): g / Z(g) with the induced cocycle, and whether
+    the central extension they define has the signature of g."""
+    quot, theta = induced_cocycle(g)
+    rebuilt = central_extension(quot.algebra, theta)
+    return quot, theta, rebuilt.invariant_signature() == g.invariant_signature()

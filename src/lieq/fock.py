@@ -17,7 +17,7 @@ import warnings
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import DEFAULT_SIZE_CAP, GaussRat, LieqError, ONE, SizeCap, ZERO, gauss
+from .exactnum import GaussRat, LieqError, ONE, SizeCap, ZERO, gauss, size_cap
 from .linalg import SparseMatrix, Vec
 from .qheis import q_integers_at
 
@@ -43,6 +43,9 @@ class AlphaEqualsBeta(UserWarning):
 
 
 def _check_size(n: int) -> None:
+    """Refuse an n x n truncation past LIEQ_SIZE_CAP entries or below 2 x 2."""
+    if n * n > size_cap():
+        raise SizeCap(f"{n}x{n} matrix exceeds LIEQ_SIZE_CAP")
     if n < 2:
         raise ValueError("need at least a 2-dimensional truncation")
 
@@ -341,15 +344,16 @@ class CuntzToeplitz(NamedTuple):
         return True
 
 
-def cuntz_toeplitz(d: int, depth: int, size_cap: int = DEFAULT_SIZE_CAP) -> CuntzToeplitz:
+def cuntz_toeplitz(d: int, depth: int) -> CuntzToeplitz:
     """d creation operators at q = 0: l_i sends the word w to i.w when the
-    result still fits, and kills top-degree words."""
+    result still fits, and kills top-degree words.  A dim x dim truncation
+    past LIEQ_SIZE_CAP entries raises SizeCap before it is built."""
     if d < 1 or depth < 1:
         raise ValueError("need d >= 1 and depth >= 1")
     if d > 9:
         raise ValueError("letters are single digits; d <= 9")
     dim = sum(d ** l for l in range(depth + 1))
-    if dim * dim > size_cap:
+    if dim * dim > size_cap():
         raise SizeCap(f"dimension {dim} exceeds the configured cap")
     # deterministic basis: words grouped by length, lexicographic inside
     words: list[str] = []

@@ -14,8 +14,8 @@ from .exactnum import GaussRat, LieqError, SizeCap, gauss, size_cap
 from .linalg import Subspace, Vec, nullspace, vec_add, vec_from_seq
 
 
-class DimensionMismatch(LieqError):
-    """Vector length does not match the algebra dimension."""
+class DimensionMismatch(LieqError, ValueError):
+    """Vector length does not match the algebra dimension (a usage error)."""
 
 
 class NotAnIdeal(LieqError):
@@ -94,6 +94,26 @@ def jacobi_sum(outer: Mapping, inner: Mapping, i: int, j: int, k: int) -> Vec:
     return out
 
 
+def jacobi_candidates(tables: Sequence[Mapping[tuple[int, int], Vec]]) -> list[tuple[int, int, int]]:
+    """The triples {a, b, c}, in combinations order, with a term
+    outer(e_a, inner(e_b, e_c)) != 0 for two of the given {(i, j): Vec}
+    tables: e_l occurs in a value on (b, c) and (a, l) is a pair of some
+    table; jacobi_sum is zero on every other triple.  More than
+    LIEQ_SIZE_CAP candidates raise SizeCap.  h(n) has none."""
+    partners: dict[int, set[int]] = {}
+    for table in tables:
+        for a, b in table:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+    candidates = {tuple(sorted((a, b, c)))
+                  for table in tables for (b, c), vec in table.items() for l in vec
+                  for a in partners.get(l, ()) if a != b and a != c}
+    if len(candidates) > (cap := size_cap()):
+        raise SizeCap(f"Jacobi check of {len(candidates)} candidate triple(s) "
+                      f"exceeds LIEQ_SIZE_CAP = {cap}")
+    return sorted(candidates)
+
+
 def _series_dims(series: Sequence[Subspace]) -> tuple[int, ...]:
     """The dimensions of a structural series; (0,) for the zero algebra,
     whose series are empty."""
@@ -161,27 +181,13 @@ class LieAlgebra:
     def check_jacobi(self) -> JacobiWitness | None:
         """None when the Jacobi identity holds on every basis triple,
         otherwise the first failing (i, j, k) with its residual vector.
-
-        Only the candidate triples are walked, those {a, b, c} with a term
-        [e_a, [e_b, e_c]] != 0: e_l occurs in [e_b, e_c] and (a, l) is a
-        bracket pair.  They are walked in combinations order, so the first
-        failing triple is that of a walk over all triples.  More than
-        LIEQ_SIZE_CAP candidates raise SizeCap before the walk.  h(n) has
-        none, since its only bracket output is central."""
+        Only the jacobi_candidates triples are walked, in combinations
+        order, so the witness is that of a walk over all triples."""
         if self._jacobi != "unchecked":
             return self._jacobi  # type: ignore[return-value]
-        partners: dict[int, set[int]] = {}
-        for a, b in self.brackets:
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-        candidates = {tuple(sorted((a, b, c)))
-                      for (b, c), vec in self.brackets.items() for l in vec
-                      for a in partners.get(l, ()) if a != b and a != c}
-        if len(candidates) > (cap := size_cap()):
-            raise SizeCap(f"Jacobi check of {len(candidates)} candidate triple(s) "
-                          f"exceeds LIEQ_SIZE_CAP = {cap}")
+        candidates = jacobi_candidates([self.brackets])  # SizeCap leaves it unchecked
         self._jacobi = None
-        for triple in sorted(candidates):
+        for triple in candidates:
             residual = jacobi_sum(self.brackets, self.brackets, *triple)
             if residual:
                 self._jacobi = JacobiWitness(triple, residual)

@@ -29,7 +29,7 @@ import operator
 import re
 from typing import Mapping, NamedTuple
 
-from .exactnum import DEFAULT_SIZE_CAP, GaussRat, LieqError, ONE, SizeCap, ZERO, gauss, power
+from .exactnum import GaussRat, LieqError, ONE, SizeCap, ZERO, gauss, power, size_cap
 from .laurent import LaurentPoly, as_poly, pack, packed_divexact, slot_width, unpack
 
 
@@ -827,7 +827,7 @@ def _size(expr: QExpr) -> _Size | None:
     return _Size(low, high, (norm - 1).bit_length(), (den - 1).bit_length())
 
 
-def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
+def parse_qexpr(text: str) -> QExpr:
     """Parse the small normalize grammar: letters A, B, I; the parameter q;
     integers and fractions; operators * + - ^ and parentheses.
 
@@ -835,15 +835,15 @@ def parse_qexpr(text: str, max_word: int = DEFAULT_SIZE_CAP) -> QExpr:
     (A*B*A, A^3 B, A^n) is read as one word string, so an n-letter word
     costs one QExpr, not n - 1 products.  A letter power, a power of a
     parenthesized expression or a product that would make a word longer
-    than max_word letters raises SizeCap (a ValueError) before the word is
-    built, and so does a product or power whose word count could exceed
-    max_word: |out| * |factor| words for a product, |base|^exp for a
+    than cap = size_cap() letters raises SizeCap (a ValueError) before the
+    word is built, and so does a product or power whose word count could
+    exceed cap: |out| * |factor| words for a product, |base|^exp for a
     power.  A sum, product or power is refused before it is built, too,
-    when its coefficients could span more than max_word powers of q, or
-    when one coefficient's numerators could fill more than max_word 64-bit
-    words, (span + 1) * ceil(bits / 64), with the bits predicted from the
+    when its coefficients could span more than cap powers of q, or when
+    one coefficient's numerators could fill more than cap 64-bit words,
+    (span + 1) * ceil(bits / 64), with the bits predicted from the
     operands' l1 norms and denominators (see _Size)."""
-    tokens = _Tokens(text, max_word)
+    tokens = _Tokens(text, size_cap())
     expr = _parse_sum(tokens)
     if tokens.peek() is not None:
         raise ValueError(f"trailing input near {tokens.peek()!r}")

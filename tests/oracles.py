@@ -8,7 +8,8 @@ eliminates fraction-free over the integers), normal ordering rewrites a randomly
 inversion instead of the first one, and Laurent polynomials are sparse
 {exponent: GaussRat} dicts with term-by-term arithmetic.  None of this shares code paths with src/lieq
 beyond the scalar type, except the reference canonical subspaces, which
-walk the whole basis on linalg's Subspace."""
+walk the whole basis on linalg's Subspace, and the reference graded Jacobi
+table, which sums liealg.jacobi_sum over every basis triple."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from typing import Callable, Sequence
 
 from lieq.exactnum import GaussRat, ZERO
 from lieq.laurent import LaurentPoly
-from lieq.liealg import LieAlgebra, NotAnIdeal
-from lieq.linalg import Subspace, nullspace
+from lieq.liealg import LieAlgebra, NotAnIdeal, jacobi_sum
+from lieq.linalg import Subspace, nullspace, vec_add
 
 
 def dense_rank(rows: list[list[GaussRat]]) -> int:
@@ -517,6 +518,21 @@ def reference_quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, tupl
             if img:
                 brackets[(a, b)] = img
     return LieAlgebra(qdim, brackets, [g.labels[c] for c in complement]), complement
+
+
+def reference_jacobi_polynomial(d) -> dict:
+    """deform.jacobi_polynomial as a walk over every basis triple, in
+    itertools.combinations order, of a DeformedBracket d."""
+    out: dict = {}
+    for triple in itertools.combinations(range(d.base.dim), 3):
+        by_degree: dict = {}  # a + b first reaches each c in ascending order
+        for a, outer in enumerate(d.tables):
+            for b, inner in enumerate(d.tables):
+                vec_add(by_degree.setdefault(a + b, {}), jacobi_sum(outer, inner, *triple))
+        nonzero = {c: vec for c, vec in by_degree.items() if vec}
+        if nonzero:
+            out[triple] = nonzero
+    return out
 
 
 def random_order_normal_form(word: str, rng, q_poly: LaurentPoly | None = None):

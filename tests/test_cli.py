@@ -125,6 +125,17 @@ def test_deform_check(tmp_path, capsys):
     assert code == 1 and doc["status"] == "fail"
 
 
+def test_deform_check_over_the_cap_is_usage_error(tmp_path, monkeypatch, capsys):
+    """sl2 + t phi has one Jacobi candidate triple, over a cap of 0."""
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"format": "lieq-1", "degree": 2, "module_dim": 3,
+                                "coords": {"1,2": ["0", "0", "1"]}}), encoding="utf-8")
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "0")
+    assert cli.run(["deform", "check", "--algebra", "sl2", "--phi", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: Jacobi check of 1 candidate triple(s) exceeds LIEQ_SIZE_CAP = 0\n")
+
+
 def test_deform_check_two_levels(tmp_path, capsys):
     def cochain_doc(coords):
         return {"format": "lieq-1", "degree": 2, "module_dim": 3, "coords": coords}
@@ -701,12 +712,13 @@ def test_each_battery_entry_fails_on_a_wrong_engine_answer(capsys, monkeypatch, 
         ({"dim": 3, "brackets": [{"i": 0, "j": 2, "out": {"3": "1"}}]}, "bracket entry 'i' 0 outside 1..3"),
         ({"dim": 3, "brackets": [{"i": 1, "j": 4, "out": {"3": "1"}}]}, "bracket entry 'j' 4 outside 1..3"),
         ({"dim": 3, "brackets": [{"i": 2, "j": 1, "out": {"3": "1"}}]}, "bracket entry (2, 1) needs i < j"),
+        ({"format": "lieq-1", "dim": 3, "labels": ["a"], "brackets": []}, "label count != dim"),
     ],
     ids=["array", "string", "no-dim", "brackets-object", "no-out", "out-array", "out-null",
          "labels-number", "labels-not-strings", "dim-fraction", "dim-float", "dim-bool",
          "dim-string", "i-bool", "j-float", "out-float", "out-integral-float", "out-bool",
          "out-key-above-dim", "out-key-zero", "out-key-not-integer", "i-zero", "j-above-dim",
-         "i-after-j"],
+         "i-after-j", "label-count"],
 )
 def test_malformed_algebra_document_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "g.json"
@@ -921,6 +933,18 @@ print(json.dumps({"modules": loaded,
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["modules"] == ["lieq", "lieq.cli", "lieq.exactnum"]
     assert all(result["resolved"])
+
+
+def test_importing_the_battery_loads_no_entry_point():
+    """lieq.checks reaches its engines by local imports and never lieq.cli."""
+    script = "import json, sys; import lieq.checks; print(json.dumps(sorted(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "lieq.checks" in loaded and "lieq.cli" not in loaded
 
 
 def test_no_module_imports_a_name_it_never_uses():

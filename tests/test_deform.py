@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lieq import catalog
+from lieq import catalog, deform
 from lieq.cohomology import (
     Cochain,
     adjoint_rep,
@@ -26,6 +28,7 @@ from lieq.deform import (
 from lieq.exactnum import GaussRat, ZERO
 from lieq.liealg import LieAlgebra, abelian
 from lieq.linalg import vec_add
+from oracles import reference_jacobi_polynomial
 
 
 def get(name):
@@ -216,6 +219,78 @@ def test_evaluate_at_refuses_where_the_graded_table_is_nonzero_at_t0(d, t0):
         evaluate_at(d, t0)
     shown = tuple(x + 1 for x in min(failing))
     assert str(exc.value) == f"Jacobi residual at triple {shown} for t = {t0}"
+
+
+# rational and Gaussian constants
+CONSTANTS = [GaussRat(1), GaussRat(-2), GaussRat(Fraction(1, 3)), GaussRat(0, 1),
+             GaussRat(Fraction(-1, 2), 3)]
+
+
+@st.composite
+def sparse_deformations(draw):
+    """A DeformedBracket of dim 3-9 with one to three perturbations, each on
+    one to four basis pairs with one or two outputs.  The base is abelian, a
+    catalog entry plus an abelian summand, or a random sparse table."""
+    n = draw(st.integers(3, 9))
+
+    def sparse_table(max_pairs):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda p: p[0] < p[1]), min_size=1, max_size=max_pairs))
+        return {pair: draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(CONSTANTS),
+                                           min_size=1, max_size=2)) for pair in pairs}
+
+    kind = draw(st.sampled_from(["abelian", "catalog", "random"]))
+    if kind == "abelian":
+        g = abelian(n)
+    elif kind == "catalog":
+        names = [name for name in catalog.list_names() if get(name).dim <= n]
+        entry = get(draw(st.sampled_from(names)))
+        g = entry.direct_sum(abelian(n - entry.dim))
+    else:
+        g = LieAlgebra(n, sparse_table(4))
+    phis = tuple(Cochain(g, 2, n, sparse_table(4)) for _ in range(draw(st.integers(1, 3))))
+    return DeformedBracket(g, phis)
+
+
+def _ordered(expansion):
+    return [(triple, list(table.items())) for triple, table in expansion.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_deformations())
+def test_graded_table_equals_the_walk_over_all_triples(d):
+    assert _ordered(jacobi_polynomial(d)) == _ordered(reference_jacobi_polynomial(d))
+
+
+@pytest.mark.parametrize("name", ["h(1)", "n_4_3", "n_5_6", "n_5_9", "sl2", "a_sh", None])
+def test_graded_table_of_the_verify_all_deformations(name):
+    """verify-all's deformations: the abelian base with an entry's brackets
+    as phi, and (None) the cyclic-cocycle counterexample on h(1)."""
+    if name is None:
+        g = get("h(1)")
+        phi = Cochain(g, 2, 3, {(0, 2): {0: 1}})
+    else:
+        g = abelian(get(name).dim)
+        phi = Cochain(g, 2, g.dim, {p: dict(v) for p, v in get(name).brackets.items()})
+    d = make_linear_deformation(g, phi)
+    assert _ordered(jacobi_polynomial(d)) == _ordered(reference_jacobi_polynomial(d))
+
+
+def test_graded_table_walks_only_candidate_triples(monkeypatch):
+    """abelian(40) with phi = e1 ^ e2 -> e3 has no candidate triple, so no
+    jacobi_sum is made for any of its C(40, 3) triples."""
+    calls = []
+    original = deform.jacobi_sum
+
+    def counted(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(deform, "jacobi_sum", counted)
+    g = abelian(40)
+    d = make_linear_deformation(g, Cochain(g, 2, 40, {(0, 1): {2: 1}}))
+    assert jacobi_polynomial(d) == {}
+    assert calls == []
 
 
 def test_evaluate_at_zero_is_identity():

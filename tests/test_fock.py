@@ -24,7 +24,7 @@ from lieq.fock import (
     weighted_adjoint,
 )
 from lieq.linalg import SparseMatrix
-from lieq.qheis import q_integer, q_integers_at
+from lieq.qheis import parse_qexpr, q_integer, q_integers_at
 
 HALF = GaussRat("1/2")
 THIRD = GaussRat("1/3")
@@ -237,9 +237,23 @@ def test_cuntz_batch_d3():
             assert ct.defect_supported_on_top_degree(i, j)
 
 
-def test_cuntz_size_cap():
+def test_cuntz_size_cap(monkeypatch):
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "100")
     with pytest.raises(SizeCap):
-        cuntz_toeplitz(3, 4, size_cap=100)
+        cuntz_toeplitz(3, 4)
+
+
+def test_library_calls_read_the_size_cap(monkeypatch):
+    """The bounds live in the engines, not only behind the command line."""
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "100")
+    assert monomial_rep(1, 10)[0].n == 10 and len(orthonormal_rep_float(0.5, 10)) == 9
+    with pytest.raises(SizeCap, match="^11x11 matrix exceeds LIEQ_SIZE_CAP$"):
+        monomial_rep(1, 11)
+    with pytest.raises(SizeCap, match="^11x11 matrix exceeds LIEQ_SIZE_CAP$"):
+        orthonormal_rep_float(0.5, 11)
+    assert len(parse_qexpr("A^100").terms) == 1
+    with pytest.raises(SizeCap, match="^a word of 101 letters exceeds LIEQ_SIZE_CAP = 100$"):
+        parse_qexpr("A^101")
 
 
 def test_float_mode():

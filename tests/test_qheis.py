@@ -562,9 +562,10 @@ def test_nesting_at_the_limit_parses():
         ("A^99999999999", 99999999999),
     ],
 )
-def test_words_longer_than_the_cap_are_refused_before_they_are_built(text, length):
+def test_words_longer_than_the_cap_are_refused_before_they_are_built(text, length, monkeypatch):
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "10")
     with pytest.raises(ValueError) as err:
-        parse_qexpr(text, max_word=10)
+        parse_qexpr(text)
     assert str(err.value) == f"a word of {length} letters exceeds LIEQ_SIZE_CAP = 10"
 
 
@@ -578,16 +579,19 @@ def test_products_with_more_words_than_the_cap_are_refused_before_they_are_built
     assert str(err.value) == f"a product of {count} words exceeds LIEQ_SIZE_CAP = 200000"
 
 
-def test_products_within_the_word_cap_parse():
+def test_products_within_the_word_cap_parse(monkeypatch):
     assert len(parse_qexpr("(A+B)^17").terms) == 131072
-    assert len(parse_qexpr("(A+B)^3", max_word=8).terms) == 8
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "8")
+    assert len(parse_qexpr("(A+B)^3").terms) == 8
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "10")
     with pytest.raises(ValueError, match="a product of 2\\^4 words exceeds LIEQ_SIZE_CAP = 10"):
-        parse_qexpr("(A+B)^4", max_word=10)
+        parse_qexpr("(A+B)^4")
 
 
-def test_words_at_the_cap_parse():
-    assert parse_qexpr("A^5*B^5", max_word=10) == A() ** 5 * B() ** 5
-    assert parse_qexpr("(A*B)^5 + A^10", max_word=10) == (A() * B()) ** 5 + A() ** 10
+def test_words_at_the_cap_parse(monkeypatch):
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "10")
+    assert parse_qexpr("A^5*B^5") == A() ** 5 * B() ** 5
+    assert parse_qexpr("(A*B)^5 + A^10") == (A() * B()) ** 5 + A() ** 10
 
 
 @pytest.mark.parametrize(
@@ -611,12 +615,14 @@ def test_coefficients_beyond_the_cap_are_refused_before_they_are_built(text, mes
     assert str(err.value) == f"{message} exceeds LIEQ_SIZE_CAP = 200000"
 
 
-def test_coefficients_within_the_cap_parse():
+def test_coefficients_within_the_cap_parse(monkeypatch):
     # (n + 1) * ceil(n / 64) words: 1000 at n = 249, 1004 at n = 250
-    row = parse_qexpr("(q+1)^249", max_word=1000).terms[""]
+    monkeypatch.setenv("LIEQ_SIZE_CAP", "1000")
+    row = parse_qexpr("(q+1)^249").terms[""]
     assert row == LaurentPoly({k: math.comb(249, k) for k in range(250)})
     with pytest.raises(ValueError, match="a coefficient of 1004 64-bit words exceeds LIEQ_SIZE_CAP = 1000"):
-        parse_qexpr("(q+1)^250", max_word=1000)
+        parse_qexpr("(q+1)^250")
+    monkeypatch.delenv("LIEQ_SIZE_CAP")
     assert parse_qexpr("q^199999+1") == QExpr.unit(LaurentPoly({199999: 1, 0: 1}))
     assert parse_qexpr("q^-3*A") == QExpr.word("A", LaurentPoly.monomial(-3))
     assert parse_qexpr("A^40*B^40") == A() ** 40 * B() ** 40
